@@ -16,6 +16,7 @@
 
 use crate::table::{EntryKind, TranslateError, TranslationTable};
 use crate::{OrigAddr, RandAddr};
+use std::fmt;
 use vcfr_isa::wire::{Reader, WireError, Writer};
 
 /// Configuration of a [`Drc`].
@@ -27,10 +28,83 @@ pub struct DrcConfig {
     pub ways: usize,
 }
 
+/// Largest accepted [`DrcConfig::entries`]: far above the 64–512 entries
+/// of the paper's sweep, and small enough that building the buffer never
+/// strains memory.
+pub const MAX_DRC_ENTRIES: usize = 1 << 16;
+
+/// A [`DrcConfig`] the buffer cannot be built with. Every variant's
+/// `Display` names the offending field, the accepted range, and the
+/// rejected value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DrcConfigError {
+    /// `entries` outside `1..=MAX_DRC_ENTRIES`.
+    Entries(usize),
+    /// `ways` was zero or did not divide `entries`.
+    Ways {
+        /// The rejected entry count.
+        entries: usize,
+        /// The rejected way count.
+        ways: usize,
+    },
+    /// `entries / ways` was not a power of two.
+    Sets {
+        /// The rejected set count.
+        sets: usize,
+    },
+}
+
+impl fmt::Display for DrcConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            DrcConfigError::Entries(got) => {
+                write!(f, "drc.entries must be in 1..={MAX_DRC_ENTRIES} (got {got})")
+            }
+            DrcConfigError::Ways { entries, ways } => write!(
+                f,
+                "drc.ways must be positive and divide drc.entries (got entries={entries}, ways={ways})"
+            ),
+            DrcConfigError::Sets { sets } => write!(
+                f,
+                "drc.entries / drc.ways must be a power of two (got {sets} sets)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DrcConfigError {}
+
 impl DrcConfig {
     /// A direct-mapped DRC with `entries` entries, the paper's design.
     pub fn direct_mapped(entries: usize) -> DrcConfig {
         DrcConfig { entries, ways: 1 }
+    }
+
+    /// Checks the geometry: `1..=MAX_DRC_ENTRIES` entries, a way count
+    /// that divides them, and a power-of-two set count. The one place
+    /// the accepted DRC geometries live; [`Drc::new`] panics on anything
+    /// this rejects.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use vcfr_core::{DrcConfig, MAX_DRC_ENTRIES};
+    /// assert!(DrcConfig::direct_mapped(128).validate().is_ok());
+    /// assert!(DrcConfig::direct_mapped(96).validate().is_err());
+    /// assert!(DrcConfig::direct_mapped(MAX_DRC_ENTRIES * 2).validate().is_err());
+    /// ```
+    pub fn validate(&self) -> Result<(), DrcConfigError> {
+        if self.entries == 0 || self.entries > MAX_DRC_ENTRIES {
+            return Err(DrcConfigError::Entries(self.entries));
+        }
+        if self.ways == 0 || self.entries % self.ways != 0 {
+            return Err(DrcConfigError::Ways { entries: self.entries, ways: self.ways });
+        }
+        let sets = self.entries / self.ways;
+        if !sets.is_power_of_two() {
+            return Err(DrcConfigError::Sets { sets });
+        }
+        Ok(())
     }
 }
 
@@ -118,13 +192,12 @@ impl Drc {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero, not a multiple of `ways`, or the set
-    /// count is not a power of two.
+    /// Panics if [`DrcConfig::validate`] rejects `cfg`.
     pub fn new(cfg: DrcConfig) -> Drc {
-        assert!(cfg.entries > 0 && cfg.ways > 0, "DRC must have entries");
-        assert_eq!(cfg.entries % cfg.ways, 0, "entries must divide into ways");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid DRC geometry: {e}");
+        }
         let sets = cfg.entries / cfg.ways;
-        assert!(sets.is_power_of_two(), "DRC set count must be a power of two");
         Drc { cfg, sets, lines: vec![INVALID_LINE; cfg.entries], stats: DrcStats::default(), tick: 0 }
     }
 

@@ -54,7 +54,7 @@ mod table;
 
 pub use addr::{OrigAddr, RandAddr};
 pub use bitmap::StackBitmap;
-pub use drc::{Drc, DrcConfig, DrcLookup, DrcStats};
+pub use drc::{Drc, DrcConfig, DrcConfigError, DrcLookup, DrcStats, MAX_DRC_ENTRIES};
 pub use layout::{LayoutError, LayoutMap};
 pub use params::{
     RandParams, RandParamsError, MAX_ENTROPY_BITS, MAX_SPARSITY, MIN_ENTROPY_BITS,

@@ -21,7 +21,7 @@
 //! (`RandomizeConfig::from_params`, `SimConfig::builder().rand_params`)
 //! trusts a validated value.
 
-use crate::drc::DrcConfig;
+use crate::drc::{DrcConfig, DrcConfigError};
 use std::fmt;
 
 /// Smallest accepted [`RandParams::entropy_bits`]: one 4 KiB page, the
@@ -87,20 +87,8 @@ pub enum RandParamsError {
     Sparsity(u32),
     /// `rerand_epoch` was `Some(0)`.
     RerandEpoch,
-    /// `drc.entries` was zero.
-    DrcEntries(usize),
-    /// `drc.ways` was zero or did not divide `drc.entries`.
-    DrcWays {
-        /// The rejected entry count.
-        entries: usize,
-        /// The rejected way count.
-        ways: usize,
-    },
-    /// `drc.entries / drc.ways` was not a power of two.
-    DrcSets {
-        /// The rejected set count.
-        sets: usize,
-    },
+    /// `drc` failed [`DrcConfig::validate`].
+    Drc(DrcConfigError),
 }
 
 impl fmt::Display for RandParamsError {
@@ -118,17 +106,7 @@ impl fmt::Display for RandParamsError {
                 f,
                 "rerand_epoch must be positive (use None to disable re-randomization) (got 0)"
             ),
-            RandParamsError::DrcEntries(got) => {
-                write!(f, "drc.entries must be positive (got {got})")
-            }
-            RandParamsError::DrcWays { entries, ways } => write!(
-                f,
-                "drc.ways must be positive and divide drc.entries (got entries={entries}, ways={ways})"
-            ),
-            RandParamsError::DrcSets { sets } => write!(
-                f,
-                "drc.entries / drc.ways must be a power of two (got {sets} sets)"
-            ),
+            RandParamsError::Drc(e) => write!(f, "{e}"),
         }
     }
 }
@@ -147,20 +125,7 @@ impl RandParams {
         if self.rerand_epoch == Some(0) {
             return Err(RandParamsError::RerandEpoch);
         }
-        if self.drc.entries == 0 {
-            return Err(RandParamsError::DrcEntries(self.drc.entries));
-        }
-        if self.drc.ways == 0 || self.drc.entries % self.drc.ways != 0 {
-            return Err(RandParamsError::DrcWays {
-                entries: self.drc.entries,
-                ways: self.drc.ways,
-            });
-        }
-        let sets = self.drc.entries / self.drc.ways;
-        if !sets.is_power_of_two() {
-            return Err(RandParamsError::DrcSets { sets });
-        }
-        Ok(())
+        self.drc.validate().map_err(RandParamsError::Drc)
     }
 
     /// The randomized-region span (bytes) these params produce for a

@@ -6,17 +6,24 @@
 
 use proptest::prelude::*;
 use vcfr_core::{
-    DrcConfig, RandParams, RandParamsError, MAX_ENTROPY_BITS, MAX_SPARSITY, MIN_ENTROPY_BITS,
+    DrcConfig, DrcConfigError, RandParams, RandParamsError, MAX_DRC_ENTRIES, MAX_ENTROPY_BITS,
+    MAX_SPARSITY, MIN_ENTROPY_BITS,
 };
 
 /// Raw (possibly invalid) parameter points, biased to straddle every
-/// range boundary.
+/// range boundary — the DRC size both ends of `1..=MAX_DRC_ENTRIES`.
 fn arb_raw_params() -> impl Strategy<Value = RandParams> {
+    let entries = prop_oneof![
+        0usize..300,
+        (MAX_DRC_ENTRIES - 8)..(MAX_DRC_ENTRIES + 8),
+        Just(MAX_DRC_ENTRIES * 2),
+        Just(1usize << 40),
+    ];
     (
         (0u32..40, 0u32..2048),
         (
             prop_oneof![Just(None), (0u64..100_000).prop_map(Some)],
-            (0usize..300, 0usize..6),
+            (entries, 0usize..6),
         ),
     )
         .prop_map(|((entropy_bits, sparsity), (rerand_epoch, (entries, ways)))| RandParams {
@@ -52,6 +59,7 @@ fn in_documented_ranges(p: &RandParams) -> bool {
         && (1..=MAX_SPARSITY).contains(&p.sparsity)
         && p.rerand_epoch != Some(0)
         && p.drc.entries > 0
+        && p.drc.entries <= MAX_DRC_ENTRIES
         && p.drc.ways > 0
         && p.drc.entries % p.drc.ways == 0
         && (p.drc.entries / p.drc.ways).is_power_of_two()
@@ -70,9 +78,9 @@ proptest! {
                 RandParamsError::EntropyBits(_) => "entropy_bits",
                 RandParamsError::Sparsity(_) => "sparsity",
                 RandParamsError::RerandEpoch => "rerand_epoch",
-                RandParamsError::DrcEntries(_) => "drc.entries",
-                RandParamsError::DrcWays { .. } => "drc.ways",
-                RandParamsError::DrcSets { .. } => "drc.entries / drc.ways",
+                RandParamsError::Drc(DrcConfigError::Entries(_)) => "drc.entries",
+                RandParamsError::Drc(DrcConfigError::Ways { .. }) => "drc.ways",
+                RandParamsError::Drc(DrcConfigError::Sets { .. }) => "drc.entries / drc.ways",
             };
             let msg = e.to_string();
             prop_assert!(msg.contains(needle), "{} should name {}", msg, needle);

@@ -27,7 +27,10 @@ use vcfr_isa::wire::{Reader, WireError, Writer};
 /// Version 2 appended `contention_stall_cycles` to the [`crate::SimStats`]
 /// wire form, extended the hierarchy stream with the shared-port state,
 /// and added the engine-kind-specific session payloads (OoO, multicore).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 3 serialises the VCFR mediation unit as one block (both
+/// cores, stack-slot state included) and moves the fault counters and
+/// records from the in-order engine into the session.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Magic prefix of the checkpoint envelope.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VCFRCKP1";

@@ -3,7 +3,7 @@
 use crate::error::VcfrError;
 use std::fmt;
 use std::str::FromStr;
-use vcfr_core::RandParams;
+use vcfr_core::{DrcConfig, RandParams};
 
 /// Geometry and latency of one cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,26 +107,82 @@ pub enum EngineKind {
     },
 }
 
+/// What each engine kind models beyond the shared timing contract, in
+/// one place (docs/architecture.md tabulates it):
+///
+/// | kind        | faults | trace ring | superblocks | stack-slot hygiene |
+/// |-------------|--------|------------|-------------|--------------------|
+/// | `InOrder`   | yes    | yes        | yes         | yes                |
+/// | `Ooo`       | no     | no         | no          | no                 |
+/// | `Multicore` | no     | no         | no          | yes (per core)     |
 impl EngineKind {
+    /// Largest core count a multicore run accepts.
+    pub const MAX_CORES: u32 = 64;
+
     /// Parses the CLI/wire selector vocabulary: `inorder`, `ooo`, or
-    /// `mc<cores>` with 1–64 cores.
+    /// `mc<cores>` with `1..=MAX_CORES` cores.
     pub fn from_selector(s: &str) -> Result<EngineKind, VcfrError> {
-        match s {
-            "inorder" => Ok(EngineKind::InOrder),
-            "ooo" => Ok(EngineKind::Ooo),
-            _ => {
-                let cores = s
-                    .strip_prefix("mc")
-                    .and_then(|n| n.parse::<u32>().ok())
-                    .filter(|&n| (1..=64).contains(&n));
-                match cores {
-                    Some(cores) => Ok(EngineKind::Multicore { cores }),
-                    None => Err(VcfrError::Config(format!(
-                        "engine must be inorder, ooo, or mc<cores 1..=64> (got {s:?})"
-                    ))),
-                }
+        let kind = match s {
+            "inorder" => Some(EngineKind::InOrder),
+            "ooo" => Some(EngineKind::Ooo),
+            _ => s
+                .strip_prefix("mc")
+                .and_then(|n| n.parse::<u32>().ok())
+                .map(|cores| EngineKind::Multicore { cores }),
+        };
+        kind.filter(|k| k.validate().is_ok()).ok_or_else(|| {
+            VcfrError::Config(format!(
+                "engine must be inorder, ooo, or mc<cores 1..={}> (got {s:?})",
+                EngineKind::MAX_CORES
+            ))
+        })
+    }
+
+    /// Checks the core count of a multicore kind against
+    /// `1..=MAX_CORES`.
+    ///
+    /// # Errors
+    ///
+    /// [`VcfrError::Config`] naming the rejected count.
+    pub fn validate(self) -> Result<(), VcfrError> {
+        match self {
+            EngineKind::Multicore { cores } if !(1..=EngineKind::MAX_CORES).contains(&cores) => {
+                Err(VcfrError::Config(format!(
+                    "engine cores must be in 1..={} for a multicore run (got {cores})",
+                    EngineKind::MAX_CORES
+                )))
             }
+            _ => Ok(()),
         }
+    }
+
+    /// Cores the kind simulates (1 for the single-core kinds).
+    pub fn cores(self) -> u32 {
+        match self {
+            EngineKind::Multicore { cores } => cores,
+            EngineKind::InOrder | EngineKind::Ooo => 1,
+        }
+    }
+
+    /// Whether injected faults are modeled. Only the in-order core
+    /// classifies them; a session on any other kind refuses a fault
+    /// plan.
+    pub fn models_faults(self) -> bool {
+        self == EngineKind::InOrder
+    }
+
+    /// Whether [`crate::Session::trace_events`] reports a post-mortem
+    /// trace ring. The out-of-order core keeps none; multicore cores
+    /// keep one each (checkpointed with the core) but the session
+    /// surfaces no single ring.
+    pub fn keeps_trace_ring(self) -> bool {
+        self == EngineKind::InOrder
+    }
+
+    /// Whether the superblock fast path applies; the other kinds always
+    /// step per instruction.
+    pub fn uses_superblocks(self) -> bool {
+        self == EngineKind::InOrder
     }
 }
 
@@ -341,13 +397,12 @@ impl SimConfigBuilder {
     pub fn build(self) -> Result<SimConfig, VcfrError> {
         let cfg = self.cfg;
         if let Some(entries) = self.drc_entries {
-            if entries == 0 {
-                return Err(VcfrError::Config(
-                    "drc_entries must be positive for a VCFR run (use None for a run \
-                     without a DRC) (got 0)"
-                        .into(),
-                ));
-            }
+            DrcConfig::direct_mapped(entries).validate().map_err(|e| {
+                VcfrError::Config(format!(
+                    "drc_entries must give a valid VCFR DRC (use None for a run without \
+                     a DRC): {e}"
+                ))
+            })?;
         }
         if let Some(p) = cfg.rand {
             // The params error already names the field; qualify it with
@@ -385,13 +440,7 @@ impl SimConfigBuilder {
                 ));
             }
         }
-        if let EngineKind::Multicore { cores } = cfg.engine {
-            if cores == 0 {
-                return Err(VcfrError::Config(
-                    "engine cores must be in 1..=64 for a multicore run (got 0)".into(),
-                ));
-            }
-        }
+        cfg.engine.validate()?;
         if self.audit && cfg.trace_events == 0 {
             return Err(VcfrError::Config(
                 "trace_events must be positive for a cycle audit (it fills the \
@@ -483,6 +532,11 @@ mod tests {
             .engine(EngineKind::Multicore { cores: 0 })
             .build()
             .is_err());
+        assert!(SimConfig::builder()
+            .engine(EngineKind::Multicore { cores: EngineKind::MAX_CORES + 1 })
+            .build()
+            .is_err());
+        assert!(SimConfig::builder().drc_entries(Some(1 << 40)).build().is_err());
     }
 
     #[test]

@@ -10,62 +10,31 @@
 //!   mapping itself is free, as the paper assumes), destroying fetch
 //!   locality;
 //! * [`Mode::Vcfr`] — virtual control flow randomization: fetch stays in
-//!   the original space, and a [`Drc`] translates at control transfers,
-//!   calls, returns and marked stack loads, walking the in-memory tables
-//!   through the unified L2 on a miss.
+//!   the original space, and the engine's mediation unit (its DRC)
+//!   translates at control transfers, calls, returns and marked stack
+//!   loads, walking the in-memory tables through the unified L2 on a
+//!   miss.
+//!
+//! The mediation unit and the control-flow resolver are shared with the
+//! out-of-order core; this module keeps only the in-order pipeline timing
+//! and how it absorbs their costs.
 
-use crate::config::{DrcBacking, SimConfig};
+use crate::config::SimConfig;
 use crate::faults::{
-    ContainmentPolicy, FaultOutcome, FaultPersistence, FaultPlan, FaultRecord, FaultStats,
-    FaultTarget, ScheduledFault,
+    target_from_tag, target_tag, ContainmentPolicy, FaultOutcome, FaultPersistence, FaultPlan,
+    FaultRecord, FaultStats, FaultTarget, ScheduledFault,
 };
-use crate::flatmap::FlatMap;
 use crate::hierarchy::MemoryHierarchy;
-use crate::predict::{BranchStats, Btb, Gshare, Ras};
+use crate::mediation::{Mediation, Mode};
+use crate::predict::Predictors;
+use crate::session::Session;
 use crate::stats::SimStats;
+use crate::VcfrError;
 use std::collections::VecDeque;
 use std::fmt;
-use vcfr_core::{
-    rerandomize, Drc, DrcConfig, LayoutMap, OrigAddr, RandAddr, StackBitmap, TranslationTable,
-};
 use vcfr_isa::wire::{Reader, WireError, Writer};
-use vcfr_isa::{Addr, ControlFlow, ExecError, Image, Inst, RunOutcome, StepInfo};
+use vcfr_isa::{Addr, ControlFlow, ExecError, Inst, RunOutcome, StepInfo};
 use vcfr_obs::TraceRing;
-use vcfr_rewriter::RandomizedProgram;
-
-/// Which machine to simulate.
-#[derive(Clone, Copy, Debug)]
-pub enum Mode<'a> {
-    /// The original binary with no randomization.
-    Baseline(&'a Image),
-    /// Straightforward hardware ILR over the scattered layout.
-    NaiveIlr(&'a RandomizedProgram),
-    /// Virtual control flow randomization with a DRC of the given
-    /// geometry.
-    Vcfr {
-        /// The randomized program (layout + tables).
-        program: &'a RandomizedProgram,
-        /// DRC geometry.
-        drc: DrcConfig,
-    },
-}
-
-impl Mode<'_> {
-    /// The image the architecture executes (always the original
-    /// semantics).
-    pub(crate) fn image_ref(&self) -> &Image {
-        match self {
-            Mode::Baseline(img) => img,
-            Mode::NaiveIlr(rp) | Mode::Vcfr { program: rp, .. } => &rp.original,
-        }
-    }
-}
-
-/// Extra execution latency of long-running operations, shared by the
-/// in-order and out-of-order cores.
-pub(crate) fn exec_extra_cycles(inst: &Inst) -> u64 {
-    Engine::exec_extra(inst)
-}
 
 /// One entry in the post-mortem trace ring: something the pipeline did
 /// at a point in simulated time.
@@ -159,40 +128,27 @@ pub enum SimError {
         /// The last pipeline events before the halt.
         trace: Vec<TraceEvent>,
     },
-    /// The engine was asked to mediate a VCFR control transfer but was
-    /// built without a DRC — a mode/configuration mismatch that would
-    /// otherwise corrupt the timing model silently.
-    MissingDrc,
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        let trace = match self {
             SimError::Exec { cause, trace } => {
                 write!(f, "architectural fault: {cause}")?;
-                if !trace.is_empty() {
-                    write!(f, "\nlast {} pipeline events:", trace.len())?;
-                    for e in trace {
-                        write!(f, "\n  {e}")?;
-                    }
-                }
-                Ok(())
+                trace
             }
             SimError::Fault { at_inst, target, trace } => {
                 write!(f, "uncorrectable sticky fault in {target} at instruction {at_inst} (policy: halt)")?;
-                if !trace.is_empty() {
-                    write!(f, "\nlast {} pipeline events:", trace.len())?;
-                    for e in trace {
-                        write!(f, "\n  {e}")?;
-                    }
-                }
-                Ok(())
+                trace
             }
-            SimError::MissingDrc => write!(
-                f,
-                "engine has no DRC but was asked to mediate a VCFR transfer (mode/configuration mismatch)"
-            ),
+        };
+        if !trace.is_empty() {
+            write!(f, "\nlast {} pipeline events:", trace.len())?;
+            for e in trace {
+                write!(f, "\n  {e}")?;
+            }
         }
+        Ok(())
     }
 }
 
@@ -217,46 +173,21 @@ pub struct SimOutput {
 /// Pipeline depth between fetch completion and execute.
 const DECODE_DEPTH: u64 = 3;
 
-/// Fixed cost of an epoch swap: drain the pipeline, flush the DRC, and
-/// switch the table base registers. Shared with the out-of-order core.
-pub(crate) const RERAND_QUIESCE_CYCLES: u64 = 200;
-/// Per-entry cost of rebuilding the in-memory translation tables.
-pub(crate) const RERAND_ENTRY_CYCLES: u64 = 2;
-/// Per-slot cost of rewriting a live randomized return address.
-const RERAND_SLOT_CYCLES: u64 = 4;
-
-pub(crate) struct Engine {
+pub(crate) struct Engine<'a> {
     pub(crate) cfg: SimConfig,
+    mode: Mode<'a>,
     pub(crate) hier: MemoryHierarchy,
-    pub(crate) gshare: Gshare,
-    pub(crate) btb: Btb,
-    pub(crate) ras: Ras,
-    pub(crate) bstats: BranchStats,
+    pred: Predictors,
+    /// The VCFR mediation unit (`None` outside VCFR mode).
+    med: Option<Mediation<'a>>,
     pub(crate) fetch_time: u64,
     pub(crate) backend_time: u64,
     pub(crate) redirect_at: u64,
     pub(crate) window_line: Option<Addr>,
     pub(crate) iq: VecDeque<u64>,
-    pub(crate) drc: Option<Drc>,
-    pub(crate) bitmap: StackBitmap,
-    pub(crate) stack_rand: FlatMap,
-    /// Original return address held by each marked slot, kept in lockstep
-    /// with `stack_rand` so epoch swaps can re-randomize live slots.
-    pub(crate) stack_orig: FlatMap,
-    /// Layout of the current re-randomization epoch (None before the
-    /// first swap: `rp.layout` is live).
-    pub(crate) epoch_layout: Option<LayoutMap>,
-    /// Tables of the current epoch, rebuilt at `rp.table.base()` so the
-    /// invisible TLB pages stay valid across swaps.
-    pub(crate) epoch_table: Option<TranslationTable>,
-    pub(crate) rerand_epochs: u64,
-    pub(crate) rerand_stall: u64,
-    pub(crate) fstats: FaultStats,
-    pub(crate) frecords: Vec<FaultRecord>,
     pub(crate) fetch_stall: u64,
     pub(crate) load_stall: u64,
     pub(crate) redirect_stall: u64,
-    pub(crate) drc_walk: u64,
     pub(crate) exec_extra: u64,
     pub(crate) instructions: u64,
     pub(crate) trace: TraceRing<TraceEvent>,
@@ -274,45 +205,61 @@ pub(crate) struct ReplayInst {
     pub(crate) pc: Addr,
     /// Address of the instruction's final byte (`pc + len - 1`).
     pub(crate) last: Addr,
-    /// Extra execute cycles (`Engine::exec_extra`), e.g. 2 for `mul`.
+    /// Extra execute cycles (`exec_extra_cycles`), e.g. 2 for `mul`.
     pub(crate) extra: u64,
 }
 
 /// Records one trace event. A free function so call sites can borrow the
-/// ring alongside other `Engine` fields (e.g. while the DRC is borrowed).
+/// ring alongside other `Engine` fields (e.g. while the mediation unit is
+/// borrowed).
 #[inline]
 fn trace_push(trace: &mut TraceRing<TraceEvent>, seq: u64, pc: Addr, cycle: u64, kind: TraceEventKind) {
     trace.push(TraceEvent { seq, pc, cycle, kind });
 }
 
-impl Engine {
-    pub(crate) fn new(cfg: &SimConfig, drc: Option<DrcConfig>) -> Engine {
+/// Records a DRC table walk of `walk` cycles (nothing on a hit).
+#[inline]
+fn trace_walk(trace: &mut TraceRing<TraceEvent>, seq: u64, pc: Addr, cycle: u64, walk: u64) {
+    if walk > 0 {
+        trace_push(trace, seq, pc, cycle, TraceEventKind::DrcWalk { cycles: walk });
+    }
+}
+
+/// Extra execution latency of long-running operations, shared by the
+/// in-order and out-of-order cores.
+pub(crate) fn exec_extra_cycles(inst: &Inst) -> u64 {
+    use vcfr_isa::AluOp::*;
+    match inst {
+        Inst::AluRR { op, .. } | Inst::AluRI { op, .. } => match op {
+            Mul => 2,
+            Div | Rem => 12,
+            _ => 0,
+        },
+        _ => 0,
+    }
+}
+
+impl<'a> Engine<'a> {
+    pub(crate) fn new(cfg: &SimConfig, mode: Mode<'a>) -> Engine<'a> {
+        let mut hier = MemoryHierarchy::new(cfg);
+        let med = Mediation::new(&mode, cfg);
+        if let Some(med) = &med {
+            med.hide_tables(&mut hier.dtlb);
+        }
         Engine {
             cfg: *cfg,
-            hier: MemoryHierarchy::new(cfg),
-            gshare: Gshare::new(cfg.gshare),
-            btb: Btb::new(cfg.btb),
-            ras: Ras::new(cfg.ras_entries),
-            bstats: BranchStats::default(),
+            mode,
+            hier,
+            pred: Predictors::new(cfg),
+            med,
             fetch_time: 0,
             backend_time: 0,
             redirect_at: 0,
             window_line: None,
             iq: VecDeque::new(),
-            drc: drc.map(Drc::new),
-            bitmap: StackBitmap::new(),
-            stack_rand: FlatMap::new(),
-            stack_orig: FlatMap::new(),
-            epoch_layout: None,
-            epoch_table: None,
-            rerand_epochs: 0,
-            rerand_stall: 0,
-            fstats: FaultStats::default(),
-            frecords: Vec::new(),
             fetch_stall: 0,
             load_stall: 0,
             redirect_stall: 0,
-            drc_walk: 0,
             exec_extra: 0,
             instructions: 0,
             trace: TraceRing::new(cfg.trace_events),
@@ -323,18 +270,6 @@ impl Engine {
     /// Packages an architectural fault with the post-mortem trace.
     pub(crate) fn fault(&self, cause: ExecError) -> SimError {
         SimError::Exec { cause, trace: self.trace.to_vec() }
-    }
-
-    fn exec_extra(inst: &Inst) -> u64 {
-        use vcfr_isa::AluOp::*;
-        match inst {
-            Inst::AluRR { op, .. } | Inst::AluRI { op, .. } => match op {
-                Mul => 2,
-                Div | Rem => 12,
-                _ => 0,
-            },
-            _ => 0,
-        }
     }
 
     fn redirect(&mut self, at: u64) {
@@ -355,34 +290,36 @@ impl Engine {
         }
     }
 
-    /// One instruction through the timing model. `fetch_pc` is the
-    /// address instruction bytes are fetched from (mode-dependent);
-    /// `key` maps architectural addresses into predictor space.
-    pub(crate) fn step(
-        &mut self,
-        info: &StepInfo,
-        fetch_pc: Addr,
-        key: &impl Fn(Addr) -> Addr,
-        vcfr: Option<&RandomizedProgram>,
-    ) {
+    /// Quiesces the pipeline for an epoch swap of `cost` cycles. The
+    /// whole pause is charged by advancing both clocks, so the
+    /// cycle-accounting floor identity (`cycles ≥ busy + load + rerand`)
+    /// holds exactly.
+    fn rerand_pause(&mut self, cost: u64) {
+        let now = self.backend_time.max(self.fetch_time) + cost;
+        self.fetch_time = now;
+        self.backend_time = now;
+        self.redirect_at = self.redirect_at.max(now);
+        self.window_line = None;
+        trace_push(
+            &mut self.trace,
+            self.instructions,
+            self.cur_pc,
+            now,
+            TraceEventKind::Rerand { cycles: cost },
+        );
+    }
+
+    /// One instruction through the timing model.
+    pub(crate) fn step(&mut self, info: &StepInfo) {
         self.instructions += 1;
         self.cur_pc = info.pc;
         let cfg = self.cfg;
+        let seq = self.instructions;
 
-        // Context-switch model: periodically invalidate the DRC (other
-        // processes own it in between).
-        if let (Some(interval), Some(drc)) = (cfg.drc_flush_interval, self.drc.as_mut()) {
-            if interval > 0 && self.instructions.is_multiple_of(interval) {
-                drc.flush();
-            }
-        }
-
-        // Live re-randomization (§V-C): every N instructions a VCFR run
-        // swaps to a fresh layout, paying the flush-and-rebuild pause.
-        if let (Some(epoch), Some(rp)) = (cfg.rerand_epoch, vcfr) {
-            if epoch > 0 && self.instructions.is_multiple_of(epoch) {
-                self.rerand_swap(rp);
-            }
+        // Context switches flush the DRC; live re-randomization (§V-C)
+        // swaps to a fresh layout every epoch, pausing the pipeline.
+        if let Some(cost) = self.med.as_mut().and_then(|m| m.begin(seq)) {
+            self.rerand_pause(cost);
         }
 
         // ---- fetch ------------------------------------------------------
@@ -393,6 +330,7 @@ impl Engine {
             }
         }
         let mut stall = 0;
+        let fetch_pc = self.mode.fetch_addr(info.pc);
         let line_bytes = cfg.il1.line_bytes as Addr;
         let first = fetch_pc & !(line_bytes - 1);
         let last = (fetch_pc + info.len as Addr - 1) & !(line_bytes - 1);
@@ -413,7 +351,7 @@ impl Engine {
         if stall > 0 {
             trace_push(
                 &mut self.trace,
-                self.instructions,
+                seq,
                 info.pc,
                 fetch_done,
                 TraceEventKind::FetchStall { cycles: stall },
@@ -424,7 +362,7 @@ impl Engine {
         let exec_start = (self.backend_time + 1).max(fetch_done + DECODE_DEPTH);
         self.iq.push_back(exec_start);
 
-        let extra = Engine::exec_extra(&info.inst);
+        let extra = exec_extra_cycles(&info.inst);
         self.exec_extra += extra;
         let mut exec_end = exec_start + extra;
         for acc in info.mem_accesses() {
@@ -434,13 +372,49 @@ impl Engine {
         }
 
         // ---- VCFR mediation layer ----------------------------------------
-        if let (Some(rp), Some(_)) = (vcfr, self.drc.as_ref()) {
-            self.vcfr_events(info, rp, exec_start, &mut exec_end);
+        if let Some(med) = self.med.as_mut() {
+            // Stack-slot hygiene: a marked-slot load waits for its
+            // de-randomization walk.
+            for acc in info.mem_accesses() {
+                let walk = med.stack_access(acc, info.control, &mut self.hier, exec_start);
+                exec_end += walk;
+                trace_walk(&mut self.trace, seq, info.pc, exec_start, walk);
+            }
+            // A call pushes the *randomized* return address and marks its
+            // slot. The walk on a miss happens in the store's shadow (the
+            // push need not retire before younger instructions execute on
+            // an in-order store buffer), so it contributes table traffic
+            // but no stall.
+            if let Some(
+                ControlFlow::Call { ret_addr, .. } | ControlFlow::IndirectCall { ret_addr, .. },
+            ) = info.control
+            {
+                if let Some((rand, walk)) =
+                    med.randomize_return(ret_addr, &mut self.hier, exec_start)
+                {
+                    trace_walk(&mut self.trace, seq, info.pc, exec_start, walk);
+                    if let Some(push) = info.mem_accesses().find(|a| a.write) {
+                        med.mark_slot(push.addr, rand, ret_addr);
+                    }
+                }
+            }
         }
 
         // ---- control flow ------------------------------------------------
         if let Some(cf) = info.control {
-            self.control(info, cf, key, vcfr, fetch_done, exec_end);
+            let r = self.pred.resolve(
+                info.pc,
+                cf,
+                &self.mode,
+                self.med.as_mut(),
+                &mut self.hier,
+                fetch_done,
+                exec_end,
+            );
+            trace_walk(&mut self.trace, seq, info.pc, exec_end, r.walk);
+            if let Some(at) = r.redirect {
+                self.redirect(at);
+            }
             // A taken transfer resets the byte queue: the fetch unit
             // re-fetches the target line even when it is the line it was
             // already streaming (XIOSim's byteQ behaviour).
@@ -450,7 +424,7 @@ impl Engine {
         }
 
         self.backend_time = exec_end;
-        trace_push(&mut self.trace, self.instructions, info.pc, exec_end, TraceEventKind::Commit);
+        trace_push(&mut self.trace, seq, info.pc, exec_end, TraceEventKind::Commit);
     }
 
     /// Replays a run of superblock instructions through the timing model.
@@ -461,9 +435,9 @@ impl Engine {
     /// and fetch pc equals architectural pc (Baseline/Vcfr modes). The
     /// per-step work that is provably a no-op for such instructions —
     /// the DRC flush / rerand epoch checks (the caller caps `insts` so
-    /// no boundary falls inside the batch), `vcfr_events` (iterates an
-    /// empty access list, matches no control), the data-access loop and
-    /// the control-flow hand-off — is skipped; everything else, including
+    /// no boundary falls inside the batch), the mediation layer (an
+    /// empty access list, no control), the data-access loop and the
+    /// control-flow hand-off — is skipped; everything else, including
     /// cache/TLB/prefetcher state advanced by `fetch_line` on *hits* and
     /// FetchStall/Commit trace events, runs exactly as in `step`.
     pub(crate) fn replay_block(&mut self, insts: &[ReplayInst]) {
@@ -520,197 +494,6 @@ impl Engine {
         }
     }
 
-    fn vcfr_events(
-        &mut self,
-        info: &StepInfo,
-        rp: &RandomizedProgram,
-        exec_start: u64,
-        exec_end: &mut u64,
-    ) {
-        let drc = self.drc.as_mut().expect("vcfr mode has a DRC");
-        // Direct field access keeps the borrow disjoint from `drc`.
-        let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-
-        // Stack-slot hygiene and marked-slot loads (§IV-C): any read of a
-        // slot holding a randomized return address is transparently
-        // de-randomized (one DRC lookup); any unrelated overwrite clears
-        // the mark.
-        for acc in info.mem_accesses() {
-            if acc.write {
-                let is_call_push = matches!(
-                    info.control,
-                    Some(ControlFlow::Call { .. }) | Some(ControlFlow::IndirectCall { .. })
-                );
-                if !is_call_push && self.bitmap.is_marked(acc.addr) {
-                    self.bitmap.clear(acc.addr);
-                    self.stack_rand.remove(acc.addr);
-                    self.stack_orig.remove(acc.addr);
-                }
-            } else if self.bitmap.is_marked(acc.addr)
-                && !matches!(info.control, Some(ControlFlow::Return { .. }))
-            {
-                if let Some(v) = self.stack_rand.get(acc.addr) {
-                    if let Ok(l) = drc.derandomize(RandAddr(v), table) {
-                        if !l.hit {
-                            let walk = match self.cfg.drc_backing {
-                                DrcBacking::SharedL2 => {
-                                    self.hier.table_walk(l.entry_addr, exec_start)
-                                }
-                                DrcBacking::Dedicated { latency } => latency,
-                            };
-                            self.drc_walk += walk;
-                            *exec_end += walk;
-                            if walk > 0 {
-                                trace_push(
-                                    &mut self.trace,
-                                    self.instructions,
-                                    self.cur_pc,
-                                    exec_start,
-                                    TraceEventKind::DrcWalk { cycles: walk },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        match info.control {
-            // A call pushes the *randomized* return address: one
-            // randomization lookup, plus bitmap marking of the slot. The
-            // walk on a miss happens in the store's shadow (the push need
-            // not retire before younger instructions execute on an
-            // in-order store buffer), so it contributes table traffic but
-            // no stall.
-            Some(ControlFlow::Call { ret_addr, .. })
-            | Some(ControlFlow::IndirectCall { ret_addr, .. }) => {
-                if let Ok(l) = drc.randomize(OrigAddr(ret_addr), table) {
-                    if !l.hit {
-                        let walk = match self.cfg.drc_backing {
-                            DrcBacking::SharedL2 => {
-                                self.hier.table_walk(l.entry_addr, exec_start)
-                            }
-                            DrcBacking::Dedicated { latency } => latency,
-                        };
-                        self.drc_walk += walk;
-                        if walk > 0 {
-                            trace_push(
-                                &mut self.trace,
-                                self.instructions,
-                                self.cur_pc,
-                                exec_start,
-                                TraceEventKind::DrcWalk { cycles: walk },
-                            );
-                        }
-                    }
-                    if let Some(push) = info.mem_accesses().find(|a| a.write) {
-                        self.bitmap.mark(push.addr);
-                        self.stack_rand.insert(push.addr, l.translated);
-                        self.stack_orig.insert(push.addr, ret_addr);
-                    }
-                }
-            }
-            // Return-address bookkeeping; the de-randomization of the
-            // popped target happens in the control-flow handler, where
-            // prediction correctness decides whether the walk is on the
-            // critical path.
-            Some(ControlFlow::Return { .. }) => {
-                if let Some(pop) = info.mem_accesses().next() {
-                    self.bitmap.clear(pop.addr);
-                    self.stack_rand.remove(pop.addr);
-                    self.stack_orig.remove(pop.addr);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// De-randomizes a transfer target through the DRC; returns the walk
-    /// latency on a miss (0 on a hit). The *caller* decides whether that
-    /// latency lands on the critical path: when the orig-space predictors
-    /// were right, fetch already streams down the correct path and the
-    /// walk completes in its shadow; only a redirect must wait for it.
-    fn vcfr_derand(&mut self, target: Addr, rp: &RandomizedProgram, now: u64) -> u64 {
-        let drc = self.drc.as_mut().expect("vcfr mode has a DRC");
-        let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-        let rand = match &self.epoch_layout {
-            Some(m) => m.to_rand(OrigAddr(target)).map(|r| r.raw()).unwrap_or(target),
-            None => rp.rand_or_orig(target),
-        };
-        if let Ok(l) = drc.derandomize(RandAddr(rand), table) {
-            if !l.hit {
-                let walk = match self.cfg.drc_backing {
-                    DrcBacking::SharedL2 => self.hier.table_walk(l.entry_addr, now),
-                    DrcBacking::Dedicated { latency } => latency,
-                };
-                self.drc_walk += walk;
-                if walk > 0 {
-                    trace_push(
-                        &mut self.trace,
-                        self.instructions,
-                        self.cur_pc,
-                        now,
-                        TraceEventKind::DrcWalk { cycles: walk },
-                    );
-                }
-                return walk;
-            }
-        }
-        0
-    }
-
-    /// Swaps to a freshly re-randomized layout (§V-C): the pipeline
-    /// quiesces, the DRC is flushed, the in-memory tables are rebuilt at
-    /// the same base, and every live marked stack slot is rewritten to
-    /// hold its new randomized return address. The whole pause is charged
-    /// by advancing both clocks, so the cycle-accounting floor identity
-    /// (`cycles ≥ busy + load + rerand`) holds exactly.
-    fn rerand_swap(&mut self, rp: &RandomizedProgram) {
-        self.rerand_epochs += 1;
-        // Deterministic per epoch: seeded by the epoch ordinal alone.
-        let seed = 0x5eed_0000_0000_0000u64 ^ self.rerand_epochs;
-        let cur = self.epoch_layout.as_ref().unwrap_or(&rp.layout);
-        let fresh = rerandomize(cur, rp.region.0, rp.region.1, seed);
-        let mut table = TranslationTable::from_layout(&fresh, rp.table.base());
-        for a in rp.table.unrandomized_addrs() {
-            table.add_unrandomized(a);
-        }
-        // Hardware rewrites live randomized return addresses in place;
-        // slots holding fail-over (un-randomized) addresses keep them.
-        let remapped: Vec<(Addr, u32)> = self
-            .stack_orig
-            .iter()
-            .map(|(slot, orig)| {
-                (slot, fresh.to_rand(OrigAddr(orig)).map(|r| r.raw()).unwrap_or(orig))
-            })
-            .collect();
-        let slots = remapped.len() as u64;
-        for (slot, rand) in remapped {
-            self.stack_rand.insert(slot, rand);
-        }
-        if let Some(drc) = self.drc.as_mut() {
-            drc.flush();
-        }
-        let cost = RERAND_QUIESCE_CYCLES
-            + table.len() as u64 * RERAND_ENTRY_CYCLES
-            + slots * RERAND_SLOT_CYCLES;
-        let now = self.backend_time.max(self.fetch_time) + cost;
-        self.rerand_stall += cost;
-        self.fetch_time = now;
-        self.backend_time = now;
-        self.redirect_at = self.redirect_at.max(now);
-        self.window_line = None;
-        trace_push(
-            &mut self.trace,
-            self.instructions,
-            self.cur_pc,
-            now,
-            TraceEventKind::Rerand { cycles: cost },
-        );
-        self.epoch_layout = Some(fresh);
-        self.epoch_table = Some(table);
-    }
-
     /// Injects one scheduled fault, classifying its outcome against the
     /// live structures. Injection is counterfactual — the golden
     /// architectural run is never corrupted — but detected faults charge
@@ -720,8 +503,6 @@ impl Engine {
     pub(crate) fn inject_fault(
         &mut self,
         f: &ScheduledFault,
-        image: &Image,
-        rp: Option<&RandomizedProgram>,
         policy: ContainmentPolicy,
     ) -> Result<FaultOutcome, SimError> {
         trace_push(
@@ -732,82 +513,64 @@ impl Engine {
             TraceEventKind::FaultInjected { target: f.target },
         );
         let bit = 1u32 << (f.bit % 32);
-        let outcome = match (f.target, rp) {
+        let pc = self.cur_pc;
+        let outcome = match (f.target, self.med.as_mut()) {
             // Baseline machine: the mediation hardware does not exist, so
             // flips aimed at it land in dead state; a corrupted PC is only
             // caught when it leaves the text segment.
-            (
-                FaultTarget::DrcEntry | FaultTarget::TableSlot | FaultTarget::StackBitmap,
-                None,
-            ) => FaultOutcome::Masked,
             (FaultTarget::Rpc | FaultTarget::Upc, None) => {
-                if image.in_text(self.cur_pc ^ bit) {
+                if self.mode.image_ref().in_text(pc ^ bit) {
                     FaultOutcome::Silent
                 } else {
                     FaultOutcome::DetectedDecodeFailure
                 }
             }
+            (_, None) => FaultOutcome::Masked,
             // A flip in a valid DRC entry trips its parity on the next
             // probe and the entry scrubs (the refill is a natural miss, so
             // no extra charge); an invalid entry absorbs the flip.
-            (FaultTarget::DrcEntry, Some(_)) => match self.drc.as_mut() {
-                Some(drc) => {
-                    if drc.scrub_entry(f.lane as usize) {
-                        FaultOutcome::DetectedParityScrub
-                    } else {
-                        FaultOutcome::Masked
-                    }
+            (FaultTarget::DrcEntry, Some(med)) => {
+                if med.scrub_drc_entry(f.lane as usize) {
+                    FaultOutcome::DetectedParityScrub
+                } else {
+                    FaultOutcome::Masked
                 }
-                None => FaultOutcome::Masked,
-            },
+            }
             // Table slots are parity-protected too. A transient flip
             // scrubs and the slot rewrites from the layout; a sticky one
             // keeps re-asserting and must be contained.
-            (FaultTarget::TableSlot, Some(rp)) => match f.persistence {
-                FaultPersistence::Transient => FaultOutcome::DetectedParityScrub,
-                FaultPersistence::Sticky => match policy {
-                    ContainmentPolicy::Recover => {
-                        self.rerand_swap(rp);
-                        self.fstats.emergency_rerands += 1;
-                        FaultOutcome::Contained
-                    }
-                    ContainmentPolicy::Halt => {
-                        return Err(SimError::Fault {
-                            at_inst: self.instructions,
-                            target: f.target,
-                            trace: self.trace.to_vec(),
-                        });
-                    }
-                },
+            (FaultTarget::TableSlot, Some(med)) => match (f.persistence, policy) {
+                (FaultPersistence::Transient, _) => FaultOutcome::DetectedParityScrub,
+                (FaultPersistence::Sticky, ContainmentPolicy::Recover) => {
+                    let cost = med.swap_epoch();
+                    self.rerand_pause(cost);
+                    FaultOutcome::Contained
+                }
+                (FaultPersistence::Sticky, ContainmentPolicy::Halt) => {
+                    return Err(SimError::Fault {
+                        at_inst: self.instructions,
+                        target: f.target,
+                        trace: self.trace.to_vec(),
+                    });
+                }
             },
             // A flipped randomized PC almost never lands on another valid
             // randomized address: de-randomization rejects it — the same
-            // prohibited/unmapped check that stops an attacker. Classify
-            // through the pure table walk so the DRC state and stats of
-            // the golden run are untouched.
-            (FaultTarget::Rpc, Some(rp)) => {
-                let rand = match &self.epoch_layout {
-                    Some(m) => {
-                        m.to_rand(OrigAddr(self.cur_pc)).map(|r| r.raw()).unwrap_or(self.cur_pc)
-                    }
-                    None => rp.rand_or_orig(self.cur_pc),
-                };
-                let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-                match table.derand(RandAddr(rand ^ bit)) {
-                    Err(_) => FaultOutcome::DetectedTranslationFault,
-                    Ok(o) if o.raw() == self.cur_pc => FaultOutcome::Masked,
-                    Ok(_) => FaultOutcome::Silent,
-                }
-            }
+            // prohibited/unmapped check that stops an attacker.
+            (FaultTarget::Rpc, Some(med)) => match med.derand_flipped_rpc(pc, bit) {
+                None => FaultOutcome::DetectedTranslationFault,
+                Some(orig) if orig == pc => FaultOutcome::Masked,
+                Some(_) => FaultOutcome::Silent,
+            },
             // A flipped un-randomized (fetch-space) PC: the TLB
             // page-visibility bit catches wanders into table pages,
             // decode catches exits from the text segment.
             (FaultTarget::Upc, Some(_)) => {
-                let flipped = self.cur_pc ^ bit;
+                let flipped = pc ^ bit;
                 if !self.hier.dtlb.user_visible(flipped) {
                     self.hier.dtlb.record_visibility_fault();
                     FaultOutcome::DetectedVisibilityFault
-                } else if !image.in_text(flipped) {
+                } else if !self.mode.image_ref().in_text(flipped) {
                     FaultOutcome::DetectedDecodeFailure
                 } else {
                     FaultOutcome::Silent
@@ -817,8 +580,8 @@ impl Engine {
             // plain value or returns a raw randomized address — both fail
             // de-randomization when any slot is live; an idle bitmap
             // absorbs the flip.
-            (FaultTarget::StackBitmap, Some(_)) => {
-                if self.bitmap.marked_count() > 0 {
+            (FaultTarget::StackBitmap, Some(med)) => {
+                if med.live_slots() > 0 {
                     FaultOutcome::DetectedTranslationFault
                 } else {
                     FaultOutcome::Masked
@@ -829,7 +592,7 @@ impl Engine {
             trace_push(
                 &mut self.trace,
                 self.instructions,
-                self.cur_pc,
+                pc,
                 self.backend_time,
                 TraceEventKind::FaultDetected { target: f.target },
             );
@@ -845,224 +608,43 @@ impl Engine {
         Ok(outcome)
     }
 
-    fn control(
-        &mut self,
-        info: &StepInfo,
-        cf: ControlFlow,
-        key: &impl Fn(Addr) -> Addr,
-        vcfr: Option<&RandomizedProgram>,
-        fetch_done: u64,
-        exec_end: u64,
-    ) {
-        let cfg = self.cfg;
-        let kpc = key(info.pc);
-        match cf {
-            ControlFlow::Branch { taken, target } => {
-                self.bstats.predictions += 1;
-                let predicted = self.gshare.predict(kpc);
-                self.gshare.update(kpc, taken);
-                if predicted != taken {
-                    self.bstats.mispredictions += 1;
-                    // A mispredicted *taken* branch redirects to a
-                    // randomized target: the redirect waits for the DRC.
-                    let walk = match (taken, vcfr) {
-                        (true, Some(rp)) => self.vcfr_derand(target, rp, exec_end),
-                        _ => 0,
-                    };
-                    self.redirect(exec_end + cfg.mispredict_penalty + walk);
-                } else if taken {
-                    self.taken_target_lookup(kpc, key(target), target, vcfr, fetch_done, exec_end);
-                }
-            }
-            ControlFlow::Jump { target } => {
-                self.taken_target_lookup(kpc, key(target), target, vcfr, fetch_done, exec_end);
-            }
-            ControlFlow::Call { target, ret_addr } => {
-                self.taken_target_lookup(kpc, key(target), target, vcfr, fetch_done, exec_end);
-                self.ras.push(key(ret_addr));
-            }
-            ControlFlow::IndirectCall { target, ret_addr } => {
-                self.indirect_target_lookup(kpc, key(target), target, vcfr, exec_end);
-                self.ras.push(key(ret_addr));
-            }
-            ControlFlow::IndirectJump { target } => {
-                self.indirect_target_lookup(kpc, key(target), target, vcfr, exec_end);
-            }
-            ControlFlow::Return { target } => {
-                self.bstats.ras_predictions += 1;
-                // The popped randomized return address always consults the
-                // DRC to recover the orig-space fetch address; a correct
-                // RAS prediction hides the walk.
-                let walk = match vcfr {
-                    Some(rp) => self.vcfr_derand(target, rp, exec_end),
-                    None => 0,
-                };
-                match self.ras.pop() {
-                    Some(p) if p == key(target) => {}
-                    _ => {
-                        self.bstats.ras_mispredictions += 1;
-                        self.redirect(exec_end + cfg.mispredict_penalty + walk);
-                    }
-                }
-            }
-        }
-    }
-
-    fn taken_target_lookup(
-        &mut self,
-        kpc: Addr,
-        ktarget: Addr,
-        target: Addr,
-        vcfr: Option<&RandomizedProgram>,
-        fetch_done: u64,
-        exec_end: u64,
-    ) {
-        self.bstats.btb_lookups += 1;
-        match self.btb.lookup(kpc) {
-            Some(t) if t == ktarget => {}
-            found => {
-                if found.is_none() {
-                    self.bstats.btb_misses += 1;
-                } else {
-                    self.bstats.btb_wrong_target += 1;
-                }
-                // In VCFR mode a BTB miss means the cached translation is
-                // absent too: the redirect additionally waits for the DRC.
-                let walk = match vcfr {
-                    Some(rp) => self.vcfr_derand(target, rp, exec_end),
-                    None => 0,
-                };
-                self.redirect(fetch_done + self.cfg.btb_miss_penalty + walk);
-                self.btb.update(kpc, ktarget);
-            }
-        }
-    }
-
-    fn indirect_target_lookup(
-        &mut self,
-        kpc: Addr,
-        ktarget: Addr,
-        target: Addr,
-        vcfr: Option<&RandomizedProgram>,
-        exec_end: u64,
-    ) {
-        self.bstats.btb_lookups += 1;
-        // Indirect targets live in the randomized space; every resolution
-        // consults the DRC (hidden when the BTB was right).
-        let walk = match vcfr {
-            Some(rp) => self.vcfr_derand(target, rp, exec_end),
-            None => 0,
-        };
-        match self.btb.lookup(kpc) {
-            Some(t) if t == ktarget => {}
-            found => {
-                if found.is_none() {
-                    self.bstats.btb_misses += 1;
-                } else {
-                    self.bstats.btb_wrong_target += 1;
-                }
-                self.redirect(exec_end + self.cfg.mispredict_penalty + walk);
-                self.btb.update(kpc, ktarget);
-            }
-        }
-    }
-
     pub(crate) fn stats_now(&self) -> SimStats {
         SimStats {
             instructions: self.instructions,
             cycles: self.backend_time.max(self.fetch_time),
-            il1: self.hier.il1.stats(),
-            dl1: self.hier.dl1.stats(),
-            l2: self.hier.l2.stats(),
-            itlb: self.hier.itlb.stats(),
-            dtlb: self.hier.dtlb.stats(),
-            dram: self.hier.dram.stats(),
-            branch: self.bstats,
-            drc: self.drc.as_ref().map(|d| d.stats()),
-            drc_walk_cycles: self.drc_walk,
             fetch_stall_cycles: self.fetch_stall,
             load_stall_cycles: self.load_stall,
             redirect_stall_cycles: self.redirect_stall,
-            l2_reads_from_l1: self.hier.l2_reads_from_l1,
             exec_extra_cycles: self.exec_extra,
-            rerand_epochs: self.rerand_epochs,
-            rerand_stall_cycles: self.rerand_stall,
-            contention_stall_cycles: self.hier.contention_cycles,
+            ..SimStats::of_components(&self.hier, &self.pred, self.med.as_ref())
         }
     }
 
-    /// Serialises the entire engine state in field-declaration order
-    /// (checkpoint support). The configuration itself is *not* written:
-    /// the checkpoint envelope's context fingerprint pins it, and
-    /// [`Engine::restore`] rebuilds from the same `cfg`.
+    /// Serialises the entire engine state (checkpoint support). The
+    /// configuration and mode are *not* written: the checkpoint
+    /// envelope's context fingerprint pins them, and [`Engine::restore`]
+    /// rebuilds from the same ones.
     pub(crate) fn save(&self, w: &mut Writer) {
         self.hier.save(w);
-        self.gshare.save(w);
-        self.btb.save(w);
-        self.ras.save(w);
-        let b = &self.bstats;
-        w.u64(b.predictions);
-        w.u64(b.mispredictions);
-        w.u64(b.btb_lookups);
-        w.u64(b.btb_misses);
-        w.u64(b.btb_wrong_target);
-        w.u64(b.ras_predictions);
-        w.u64(b.ras_mispredictions);
+        self.pred.save(w);
         w.u64(self.fetch_time);
         w.u64(self.backend_time);
         w.u64(self.redirect_at);
-        match self.window_line {
-            Some(line) => {
-                w.u8(1);
-                w.u32(line);
-            }
-            None => w.u8(0),
+        save_line(self.window_line, w);
+        save_queue(&self.iq, w);
+        if let Some(med) = &self.med {
+            med.save(w);
         }
-        w.u64(self.iq.len() as u64);
-        for &t in &self.iq {
-            w.u64(t);
+        for v in [
+            self.fetch_stall,
+            self.load_stall,
+            self.redirect_stall,
+            self.exec_extra,
+            self.instructions,
+            self.trace.total_pushed(),
+        ] {
+            w.u64(v);
         }
-        match &self.drc {
-            Some(d) => {
-                w.u8(1);
-                d.save(w);
-            }
-            None => w.u8(0),
-        }
-        self.bitmap.save(w);
-        self.stack_rand.save(w);
-        self.stack_orig.save(w);
-        match &self.epoch_layout {
-            Some(m) => {
-                w.u8(1);
-                m.save(w);
-            }
-            None => w.u8(0),
-        }
-        match &self.epoch_table {
-            Some(t) => {
-                w.u8(1);
-                t.save(w);
-            }
-            None => w.u8(0),
-        }
-        w.u64(self.rerand_epochs);
-        w.u64(self.rerand_stall);
-        save_fault_stats(&self.fstats, w);
-        w.u64(self.frecords.len() as u64);
-        for rec in &self.frecords {
-            w.u64(rec.at_inst);
-            w.u8(target_tag(rec.target));
-            w.u8(persistence_tag(rec.persistence));
-            w.u8(outcome_tag(rec.outcome));
-        }
-        w.u64(self.fetch_stall);
-        w.u64(self.load_stall);
-        w.u64(self.redirect_stall);
-        w.u64(self.drc_walk);
-        w.u64(self.exec_extra);
-        w.u64(self.instructions);
-        w.u64(self.trace.total_pushed());
         let items = self.trace.to_vec();
         w.u64(items.len() as u64);
         for e in &items {
@@ -1071,83 +653,28 @@ impl Engine {
         w.u32(self.cur_pc);
     }
 
-    /// Rebuilds an engine from [`Engine::save`] output. `cfg` and `drc`
-    /// must match the configuration the saved engine ran under (the
-    /// checkpoint envelope enforces this before the bytes get here).
+    /// Rebuilds an engine from [`Engine::save`] output. `cfg` and `mode`
+    /// must match the ones the saved engine ran under (the checkpoint
+    /// envelope enforces this before the bytes get here).
     pub(crate) fn restore(
         cfg: &SimConfig,
-        drc: Option<DrcConfig>,
+        mode: Mode<'a>,
         r: &mut Reader<'_>,
-    ) -> Result<Engine, WireError> {
-        let hier = MemoryHierarchy::restore(cfg, r)?;
-        let gshare = Gshare::restore(cfg.gshare, r)?;
-        let btb = Btb::restore(cfg.btb, r)?;
-        let ras = Ras::restore(r)?;
-        let bstats = BranchStats {
-            predictions: r.u64()?,
-            mispredictions: r.u64()?,
-            btb_lookups: r.u64()?,
-            btb_misses: r.u64()?,
-            btb_wrong_target: r.u64()?,
-            ras_predictions: r.u64()?,
-            ras_mispredictions: r.u64()?,
-        };
-        let fetch_time = r.u64()?;
-        let backend_time = r.u64()?;
-        let redirect_at = r.u64()?;
-        let window_line = match r.u8()? {
-            0 => None,
-            1 => Some(r.u32()?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        let n_iq = r.u64()?;
-        if n_iq > 1 << 20 {
-            return Err(WireError::LengthOutOfRange { len: n_iq });
-        }
-        let mut iq = VecDeque::with_capacity(n_iq as usize);
-        for _ in 0..n_iq {
-            iq.push_back(r.u64()?);
-        }
-        let drc = match (r.u8()?, drc) {
-            (0, None) => None,
-            (1, Some(cfg)) => Some(Drc::restore(cfg, r)?),
-            (tag, _) => return Err(WireError::BadTag { tag }),
-        };
-        let bitmap = StackBitmap::restore(r)?;
-        let stack_rand = FlatMap::restore(r)?;
-        let stack_orig = FlatMap::restore(r)?;
-        let epoch_layout = match r.u8()? {
-            0 => None,
-            1 => Some(LayoutMap::restore(r)?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        let epoch_table = match r.u8()? {
-            0 => None,
-            1 => Some(TranslationTable::restore(r)?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        let rerand_epochs = r.u64()?;
-        let rerand_stall = r.u64()?;
-        let fstats = load_fault_stats(r)?;
-        let n_rec = r.u64()?;
-        if n_rec > 1 << 32 {
-            return Err(WireError::LengthOutOfRange { len: n_rec });
-        }
-        let mut frecords = Vec::with_capacity(n_rec as usize);
-        for _ in 0..n_rec {
-            frecords.push(FaultRecord {
-                at_inst: r.u64()?,
-                target: target_from_tag(r.u8()?)?,
-                persistence: persistence_from_tag(r.u8()?)?,
-                outcome: outcome_from_tag(r.u8()?)?,
-            });
-        }
-        let fetch_stall = r.u64()?;
-        let load_stall = r.u64()?;
-        let redirect_stall = r.u64()?;
-        let drc_walk = r.u64()?;
-        let exec_extra = r.u64()?;
-        let instructions = r.u64()?;
+    ) -> Result<Engine<'a>, WireError> {
+        let mut e = Engine::new(cfg, mode);
+        e.hier = MemoryHierarchy::restore(cfg, r)?;
+        e.pred = Predictors::restore(cfg, r)?;
+        e.fetch_time = r.u64()?;
+        e.backend_time = r.u64()?;
+        e.redirect_at = r.u64()?;
+        e.window_line = load_line(r)?;
+        e.iq = load_queue(r)?;
+        e.med = e.med.take().map(|m| m.restored(r)).transpose()?;
+        e.fetch_stall = r.u64()?;
+        e.load_stall = r.u64()?;
+        e.redirect_stall = r.u64()?;
+        e.exec_extra = r.u64()?;
+        e.instructions = r.u64()?;
         let pushed = r.u64()?;
         let n_trace = r.u64()?;
         if n_trace > 1 << 24 || n_trace > pushed {
@@ -1157,127 +684,49 @@ impl Engine {
         for _ in 0..n_trace {
             items.push(load_trace_event(r)?);
         }
-        let trace = TraceRing::from_parts(cfg.trace_events, items, pushed);
-        let cur_pc = r.u32()?;
-        Ok(Engine {
-            cfg: *cfg,
-            hier,
-            gshare,
-            btb,
-            ras,
-            bstats,
-            fetch_time,
-            backend_time,
-            redirect_at,
-            window_line,
-            iq,
-            drc,
-            bitmap,
-            stack_rand,
-            stack_orig,
-            epoch_layout,
-            epoch_table,
-            rerand_epochs,
-            rerand_stall,
-            fstats,
-            frecords,
-            fetch_stall,
-            load_stall,
-            redirect_stall,
-            drc_walk,
-            exec_extra,
-            instructions,
-            trace,
-            cur_pc,
-        })
+        e.trace = TraceRing::from_parts(cfg.trace_events, items, pushed);
+        e.cur_pc = r.u32()?;
+        Ok(e)
     }
 }
 
-fn target_tag(t: FaultTarget) -> u8 {
-    match t {
-        FaultTarget::DrcEntry => 0,
-        FaultTarget::TableSlot => 1,
-        FaultTarget::Rpc => 2,
-        FaultTarget::Upc => 3,
-        FaultTarget::StackBitmap => 4,
+/// Writes a fetch window's current line (checkpoint support; shared by
+/// both cores).
+pub(crate) fn save_line(line: Option<Addr>, w: &mut Writer) {
+    match line {
+        Some(line) => {
+            w.u8(1);
+            w.u32(line);
+        }
+        None => w.u8(0),
     }
 }
 
-fn target_from_tag(tag: u8) -> Result<FaultTarget, WireError> {
-    Ok(match tag {
-        0 => FaultTarget::DrcEntry,
-        1 => FaultTarget::TableSlot,
-        2 => FaultTarget::Rpc,
-        3 => FaultTarget::Upc,
-        4 => FaultTarget::StackBitmap,
-        tag => return Err(WireError::BadTag { tag }),
-    })
-}
-
-fn persistence_tag(p: FaultPersistence) -> u8 {
-    match p {
-        FaultPersistence::Transient => 0,
-        FaultPersistence::Sticky => 1,
+/// Reads [`save_line`] output.
+pub(crate) fn load_line(r: &mut Reader<'_>) -> Result<Option<Addr>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u32()?)),
+        tag => Err(WireError::BadTag { tag }),
     }
 }
 
-fn persistence_from_tag(tag: u8) -> Result<FaultPersistence, WireError> {
-    Ok(match tag {
-        0 => FaultPersistence::Transient,
-        1 => FaultPersistence::Sticky,
-        tag => return Err(WireError::BadTag { tag }),
-    })
-}
-
-fn outcome_tag(o: FaultOutcome) -> u8 {
-    match o {
-        FaultOutcome::DetectedParityScrub => 0,
-        FaultOutcome::DetectedTranslationFault => 1,
-        FaultOutcome::DetectedVisibilityFault => 2,
-        FaultOutcome::DetectedDecodeFailure => 3,
-        FaultOutcome::Silent => 4,
-        FaultOutcome::Masked => 5,
-        FaultOutcome::Contained => 6,
+/// Writes a queue of completion cycles (checkpoint support; shared by
+/// both cores).
+pub(crate) fn save_queue(q: &VecDeque<u64>, w: &mut Writer) {
+    w.u64(q.len() as u64);
+    for &t in q {
+        w.u64(t);
     }
 }
 
-fn outcome_from_tag(tag: u8) -> Result<FaultOutcome, WireError> {
-    Ok(match tag {
-        0 => FaultOutcome::DetectedParityScrub,
-        1 => FaultOutcome::DetectedTranslationFault,
-        2 => FaultOutcome::DetectedVisibilityFault,
-        3 => FaultOutcome::DetectedDecodeFailure,
-        4 => FaultOutcome::Silent,
-        5 => FaultOutcome::Masked,
-        6 => FaultOutcome::Contained,
-        tag => return Err(WireError::BadTag { tag }),
-    })
-}
-
-fn save_fault_stats(s: &FaultStats, w: &mut Writer) {
-    w.u64(s.injected);
-    w.u64(s.detected_parity);
-    w.u64(s.detected_translation);
-    w.u64(s.detected_visibility);
-    w.u64(s.detected_decode);
-    w.u64(s.contained);
-    w.u64(s.silent);
-    w.u64(s.masked);
-    w.u64(s.emergency_rerands);
-}
-
-fn load_fault_stats(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
-    Ok(FaultStats {
-        injected: r.u64()?,
-        detected_parity: r.u64()?,
-        detected_translation: r.u64()?,
-        detected_visibility: r.u64()?,
-        detected_decode: r.u64()?,
-        contained: r.u64()?,
-        silent: r.u64()?,
-        masked: r.u64()?,
-        emergency_rerands: r.u64()?,
-    })
+/// Reads [`save_queue`] output.
+pub(crate) fn load_queue(r: &mut Reader<'_>) -> Result<VecDeque<u64>, WireError> {
+    let n = r.u64()?;
+    if n > 1 << 20 {
+        return Err(WireError::LengthOutOfRange { len: n });
+    }
+    (0..n).map(|_| r.u64()).collect()
 }
 
 fn save_trace_event(e: &TraceEvent, w: &mut Writer) {
@@ -1347,13 +796,15 @@ pub struct IntervalSample {
     pub drc_miss_rate: f64,
 }
 
-/// Runs one program to completion (or `max_insts`) under `mode`.
+/// Runs one program to completion (or `max_insts`) under `mode`, on the
+/// engine `cfg.engine` selects. One [`Session`] call.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Exec`] when the program faults; reaching
-/// `max_insts` is *not* an error — the run is truncated, mirroring the
-/// paper's 500-million-instruction windows.
+/// [`VcfrError::Sim`] when the program faults; reaching `max_insts` is
+/// *not* an error — the run is truncated, mirroring the paper's
+/// 500-million-instruction windows. [`VcfrError::Config`] when `cfg`
+/// does not fit `mode` (see [`Session::new`]).
 ///
 /// # Example
 ///
@@ -1370,22 +821,8 @@ pub struct IntervalSample {
 /// assert_eq!(out.outcome.output, vec![7]);
 /// assert!(out.stats.cycles > 0);
 /// ```
-pub fn simulate(mode: Mode<'_>, cfg: &SimConfig, max_insts: u64) -> Result<SimOutput, SimError> {
-    let outcome = crate::session::Session::new(mode, cfg, max_insts)
-        .and_then(|mut s| s.run())
-        .map_err(unwrap_sim_error)?;
-    Ok(outcome.output)
-}
-
-/// Collapses a [`crate::VcfrError`] back into the legacy [`SimError`]
-/// signature of [`simulate`] and friends. Configuration and checkpoint
-/// errors cannot arise on these paths (they take no checkpoint and any
-/// config reaches the engine unvalidated, as before), so they panic.
-fn unwrap_sim_error(e: crate::VcfrError) -> SimError {
-    match e {
-        crate::VcfrError::Sim(e) => e,
-        other => panic!("legacy simulate entry point hit a non-simulation error: {other}"),
-    }
+pub fn simulate(mode: Mode<'_>, cfg: &SimConfig, max_insts: u64) -> Result<SimOutput, VcfrError> {
+    Ok(Session::new(mode, cfg, max_insts)?.run()?.output)
 }
 
 /// The result of a fault-injection run (see [`simulate_faulted`]).
@@ -1408,20 +845,17 @@ pub struct FaultedRun {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Exec`] when the program faults architecturally,
-/// and [`SimError::Fault`] when a sticky table fault hits under
-/// [`ContainmentPolicy::Halt`].
+/// As [`simulate`], plus [`SimError::Fault`] (inside [`VcfrError::Sim`])
+/// when a sticky table fault hits under [`ContainmentPolicy::Halt`], and
+/// [`VcfrError::Config`] off the in-order engine.
 pub fn simulate_faulted(
     mode: Mode<'_>,
     cfg: &SimConfig,
     max_insts: u64,
     plan: &FaultPlan,
-) -> Result<FaultedRun, SimError> {
-    let outcome = crate::session::Session::new(mode, cfg, max_insts)
-        .map(|s| s.with_faults(plan))
-        .and_then(|mut s| s.run())
-        .map_err(unwrap_sim_error)?;
-    Ok(FaultedRun { sim: outcome.output, faults: outcome.faults, records: outcome.records })
+) -> Result<FaultedRun, VcfrError> {
+    let out = Session::new(mode, cfg, max_insts)?.with_faults(plan).run()?;
+    Ok(FaultedRun { sim: out.output, faults: out.faults, records: out.records })
 }
 
 /// Like [`simulate`], but additionally returns one [`IntervalSample`] per
@@ -1436,19 +870,16 @@ pub fn simulate_sampled(
     cfg: &SimConfig,
     max_insts: u64,
     interval: u64,
-) -> Result<(SimOutput, Vec<IntervalSample>), SimError> {
-    let outcome = crate::session::Session::new(mode, cfg, max_insts)
-        .map(|s| s.with_sampling(interval))
-        .and_then(|mut s| s.run())
-        .map_err(unwrap_sim_error)?;
-    Ok((outcome.output, outcome.samples))
+) -> Result<(SimOutput, Vec<IntervalSample>), VcfrError> {
+    let out = Session::new(mode, cfg, max_insts)?.with_sampling(interval).run()?;
+    Ok((out.output, out.samples))
 }
-
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcfr_isa::{AluOp, Asm, Cond, Machine, Reg};
+    use vcfr_core::DrcConfig;
+    use vcfr_isa::{AluOp, Asm, Cond, Image, Machine, Reg};
     use vcfr_rewriter::{randomize, RandomizeConfig};
 
     /// A loop calling ~120 small functions per iteration: the hot code
@@ -1486,7 +917,8 @@ mod tests {
         // already reached costs the front end nothing, but still moves
         // the resume point so later fetches cannot start earlier.
         let cfg = SimConfig::default();
-        let mut e = Engine::new(&cfg, None);
+        let img = workload();
+        let mut e = Engine::new(&cfg, Mode::Baseline(&img));
         e.fetch_time = 100;
 
         // Exactly on fetch_time: zero stall, redirect point recorded.
@@ -1527,19 +959,18 @@ mod tests {
         let img = a.finish().unwrap();
 
         let cfg = SimConfig::default();
-        let mut stepped = Engine::new(&cfg, None);
-        let mut batched = Engine::new(&cfg, None);
+        let mut stepped = Engine::new(&cfg, Mode::Baseline(&img));
+        let mut batched = Engine::new(&cfg, Mode::Baseline(&img));
         let mut m = Machine::new(&img);
         let mut replay = Vec::new();
-        let ident = |a: Addr| a;
         for _ in 0..72 {
             let info = m.step().unwrap().unwrap();
             replay.push(ReplayInst {
                 pc: info.pc,
                 last: info.pc + info.len as Addr - 1,
-                extra: Engine::exec_extra(&info.inst),
+                extra: exec_extra_cycles(&info.inst),
             });
-            stepped.step(&info, info.pc, &ident, None);
+            stepped.step(&info);
         }
         batched.replay_block(&replay);
 
@@ -1744,7 +1175,10 @@ mod tests {
         a.alu_rr(AluOp::Div, Reg::Rax, Reg::Rbx);
         a.halt();
         let img = a.finish().unwrap();
-        let err = simulate(Mode::Baseline(&img), &SimConfig::default(), 100).unwrap_err();
+        let Err(VcfrError::Sim(err)) = simulate(Mode::Baseline(&img), &SimConfig::default(), 100)
+        else {
+            panic!("expected an architectural fault");
+        };
         let SimError::Exec { cause, trace } = &err else {
             panic!("expected an architectural fault, got {err:?}");
         };
@@ -1768,7 +1202,9 @@ mod tests {
         a.halt();
         let img = a.finish().unwrap();
         let cfg = SimConfig { trace_events: 0, ..SimConfig::default() };
-        let err = simulate(Mode::Baseline(&img), &cfg, 100).unwrap_err();
+        let Err(VcfrError::Sim(err)) = simulate(Mode::Baseline(&img), &cfg, 100) else {
+            panic!("expected an architectural fault");
+        };
         let SimError::Exec { trace, .. } = &err else {
             panic!("expected an architectural fault, got {err:?}");
         };
@@ -1953,7 +1389,7 @@ mod tests {
         )
         .unwrap_err();
         match &err {
-            SimError::Fault { at_inst, target, trace } => {
+            VcfrError::Sim(SimError::Fault { at_inst, target, trace }) => {
                 assert_eq!(*at_inst, 500);
                 assert_eq!(*target, FaultTarget::TableSlot);
                 assert!(!trace.is_empty(), "the post-mortem ring is attached");

@@ -29,6 +29,7 @@
 //! so a faulted run stays deterministic and its timing stays auditable.
 
 use std::fmt;
+use vcfr_isa::wire::{Reader, WireError, Writer};
 
 /// Where an injected bit flip lands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -264,7 +265,121 @@ impl FaultStats {
             FaultOutcome::Masked => self.masked += 1,
         }
     }
+
+    /// Serialises the counters (checkpoint support).
+    pub(crate) fn save(&self, w: &mut Writer) {
+        for v in [
+            self.injected,
+            self.detected_parity,
+            self.detected_translation,
+            self.detected_visibility,
+            self.detected_decode,
+            self.contained,
+            self.silent,
+            self.masked,
+            self.emergency_rerands,
+        ] {
+            w.u64(v);
+        }
+    }
+
+    /// Rebuilds [`FaultStats::save`] output.
+    pub(crate) fn restore(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
+        Ok(FaultStats {
+            injected: r.u64()?,
+            detected_parity: r.u64()?,
+            detected_translation: r.u64()?,
+            detected_visibility: r.u64()?,
+            detected_decode: r.u64()?,
+            contained: r.u64()?,
+            silent: r.u64()?,
+            masked: r.u64()?,
+            emergency_rerands: r.u64()?,
+        })
+    }
 }
+
+impl FaultRecord {
+    /// Serialises the record (checkpoint support).
+    pub(crate) fn save(&self, w: &mut Writer) {
+        w.u64(self.at_inst);
+        w.u8(target_tag(self.target));
+        w.u8(persistence_tag(self.persistence));
+        w.u8(outcome_tag(self.outcome));
+    }
+
+    /// Rebuilds [`FaultRecord::save`] output.
+    pub(crate) fn restore(r: &mut Reader<'_>) -> Result<FaultRecord, WireError> {
+        Ok(FaultRecord {
+            at_inst: r.u64()?,
+            target: target_from_tag(r.u8()?)?,
+            persistence: persistence_from_tag(r.u8()?)?,
+            outcome: outcome_from_tag(r.u8()?)?,
+        })
+    }
+}
+
+pub(crate) fn target_tag(t: FaultTarget) -> u8 {
+    match t {
+        FaultTarget::DrcEntry => 0,
+        FaultTarget::TableSlot => 1,
+        FaultTarget::Rpc => 2,
+        FaultTarget::Upc => 3,
+        FaultTarget::StackBitmap => 4,
+    }
+}
+
+pub(crate) fn target_from_tag(tag: u8) -> Result<FaultTarget, WireError> {
+    Ok(match tag {
+        0 => FaultTarget::DrcEntry,
+        1 => FaultTarget::TableSlot,
+        2 => FaultTarget::Rpc,
+        3 => FaultTarget::Upc,
+        4 => FaultTarget::StackBitmap,
+        tag => return Err(WireError::BadTag { tag }),
+    })
+}
+
+fn persistence_tag(p: FaultPersistence) -> u8 {
+    match p {
+        FaultPersistence::Transient => 0,
+        FaultPersistence::Sticky => 1,
+    }
+}
+
+fn persistence_from_tag(tag: u8) -> Result<FaultPersistence, WireError> {
+    Ok(match tag {
+        0 => FaultPersistence::Transient,
+        1 => FaultPersistence::Sticky,
+        tag => return Err(WireError::BadTag { tag }),
+    })
+}
+
+fn outcome_tag(o: FaultOutcome) -> u8 {
+    match o {
+        FaultOutcome::DetectedParityScrub => 0,
+        FaultOutcome::DetectedTranslationFault => 1,
+        FaultOutcome::DetectedVisibilityFault => 2,
+        FaultOutcome::DetectedDecodeFailure => 3,
+        FaultOutcome::Silent => 4,
+        FaultOutcome::Masked => 5,
+        FaultOutcome::Contained => 6,
+    }
+}
+
+fn outcome_from_tag(tag: u8) -> Result<FaultOutcome, WireError> {
+    Ok(match tag {
+        0 => FaultOutcome::DetectedParityScrub,
+        1 => FaultOutcome::DetectedTranslationFault,
+        2 => FaultOutcome::DetectedVisibilityFault,
+        3 => FaultOutcome::DetectedDecodeFailure,
+        4 => FaultOutcome::Silent,
+        5 => FaultOutcome::Masked,
+        6 => FaultOutcome::Contained,
+        tag => return Err(WireError::BadTag { tag }),
+    })
+}
+
 
 #[cfg(test)]
 mod tests {

@@ -50,6 +50,7 @@ mod error;
 mod faults;
 mod flatmap;
 mod hierarchy;
+mod mediation;
 mod multicore;
 mod ooo;
 mod predict;
@@ -67,8 +68,8 @@ pub use error::VcfrError;
 pub use dram::{Dram, DramStats};
 pub use emulator::{emulate, EmulationReport, EmulatorCostModel};
 pub use engine::{
-    simulate, simulate_faulted, simulate_sampled, FaultedRun, IntervalSample, Mode, SimError,
-    SimOutput, TraceEvent, TraceEventKind,
+    simulate, simulate_faulted, simulate_sampled, FaultedRun, IntervalSample, SimError, SimOutput,
+    TraceEvent, TraceEventKind,
 };
 pub use faults::{
     ContainmentPolicy, FaultOutcome, FaultPersistence, FaultPlan, FaultRecord, FaultStats,
@@ -76,6 +77,7 @@ pub use faults::{
 };
 pub use flatmap::FlatMap;
 pub use hierarchy::MemoryHierarchy;
+pub use mediation::Mode;
 pub use multicore::{simulate_multicore, MultiCoreOutput};
 pub use ooo::{simulate_ooo, OooConfig};
 pub use predict::{BranchStats, Btb, Gshare, Ras};

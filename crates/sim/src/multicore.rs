@@ -23,10 +23,13 @@
 //! reproducible global order regardless of host threading.
 
 use crate::cache::{Cache, CacheStats};
-use crate::config::SimConfig;
+use crate::config::{EngineKind, SimConfig};
 use crate::dram::Dram;
-use crate::engine::{Engine, Mode, SimError};
+use crate::engine::{Engine, SimError};
+use crate::error::VcfrError;
 use crate::hierarchy::SharedPort;
+use crate::mediation::Mode;
+use crate::session::Session;
 use crate::stats::SimStats;
 use std::mem;
 use vcfr_core::DrcStats;
@@ -64,9 +67,8 @@ pub(crate) struct SharedLevel {
 /// N in-order cores over a shared L2/DRAM, stepped one instruction at a
 /// time by the deterministic event loop ([`MultiCore::step_next`]).
 pub(crate) struct MultiCore<'a> {
-    modes: Vec<Mode<'a>>,
     machines: Vec<Machine>,
-    engines: Vec<Engine>,
+    engines: Vec<Engine<'a>>,
     done: Vec<bool>,
     shared: SharedLevel,
     max_insts: u64,
@@ -78,27 +80,13 @@ impl<'a> MultiCore<'a> {
         let engines = modes
             .iter()
             .enumerate()
-            .map(|(i, m)| {
-                let drc = match m {
-                    Mode::Vcfr { drc, .. } => Some(*drc),
-                    _ => None,
-                };
-                let mut e = Engine::new(cfg, drc);
+            .map(|(i, &m)| {
+                let mut e = Engine::new(cfg, m);
                 e.hier.core_id = i as u8;
-                // Hide the translation-table pages from user space (TLB
-                // page-visibility bit), as Session does for the
-                // single-core engines.
-                if let Mode::Vcfr { program, .. } = m {
-                    let base = program.table.base();
-                    for page in 0..64u32 {
-                        e.hier.dtlb.set_invisible(base + page * 4096);
-                    }
-                }
                 e
             })
             .collect();
         MultiCore {
-            modes: modes.to_vec(),
             machines,
             engines,
             done: vec![false; modes.len()],
@@ -129,14 +117,7 @@ impl<'a> MultiCore<'a> {
             }
             Err(e) => return Err(self.engines[i].fault(e)),
         };
-        let engine = &mut self.engines[i];
-        match &self.modes[i] {
-            Mode::Baseline(_) => engine.step(&info, info.pc, &|a| a, None),
-            Mode::NaiveIlr(rp) => {
-                engine.step(&info, rp.rand_or_orig(info.pc), &|a| rp.rand_or_orig(a), None);
-            }
-            Mode::Vcfr { program, .. } => engine.step(&info, info.pc, &|a| a, Some(program)),
-        }
+        self.engines[i].step(&info);
         Ok(())
     }
 
@@ -228,13 +209,9 @@ impl<'a> MultiCore<'a> {
         let mut machines = Vec::with_capacity(modes.len());
         let mut engines = Vec::with_capacity(modes.len());
         let mut done = Vec::with_capacity(modes.len());
-        for m in modes {
+        for &m in modes {
             machines.push(Machine::restore(m.image_ref(), r)?);
-            let drc = match m {
-                Mode::Vcfr { drc, .. } => Some(*drc),
-                _ => None,
-            };
-            engines.push(Engine::restore(cfg, drc, r)?);
+            engines.push(Engine::restore(cfg, m, r)?);
             done.push(match r.u8()? {
                 0 => false,
                 1 => true,
@@ -246,7 +223,7 @@ impl<'a> MultiCore<'a> {
             dram: Dram::restore(cfg.dram, r)?,
             port: SharedPort::restore(r)?,
         };
-        Ok(MultiCore { modes: modes.to_vec(), machines, engines, done, shared, max_insts })
+        Ok(MultiCore { machines, engines, done, shared, max_insts })
     }
 }
 
@@ -312,11 +289,13 @@ fn add_tlb(a: &mut crate::tlb::TlbStats, b: &crate::tlb::TlbStats) {
 }
 
 /// Runs several programs concurrently on private in-order cores over a
-/// shared L2 + DRAM, up to `max_insts` instructions per core.
+/// shared L2 + DRAM, up to `max_insts` instructions per core (whatever
+/// engine `cfg` names). One [`Session`] call.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Exec`] if any core's program faults.
+/// [`VcfrError::Sim`] if any core's program faults;
+/// [`VcfrError::Config`] when `cfg` does not fit the modes.
 ///
 /// # Example
 ///
@@ -325,10 +304,11 @@ pub fn simulate_multicore(
     modes: &[Mode<'_>],
     cfg: &SimConfig,
     max_insts: u64,
-) -> Result<MultiCoreOutput, SimError> {
-    let mut mc = MultiCore::new(modes, cfg, max_insts);
-    while mc.step_next()? {}
-    Ok(mc.output())
+) -> Result<MultiCoreOutput, VcfrError> {
+    let cores = u32::try_from(modes.len()).unwrap_or(u32::MAX);
+    let cfg = SimConfig { engine: EngineKind::Multicore { cores }, ..*cfg };
+    let out = Session::new_heterogeneous(modes, &cfg, max_insts)?.run()?;
+    Ok(out.multicore.expect("a multicore session reports its per-core results"))
 }
 
 #[cfg(test)]

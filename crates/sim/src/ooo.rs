@@ -7,10 +7,10 @@
 //! register/flag/memory-order dependences are satisfied (execution
 //! resources are idealised — a standard limit-study simplification,
 //! stated here so the numbers are read correctly), and commit in order at
-//! up to `width` per cycle. The front end, memory hierarchy, predictors
-//! and the VCFR/DRC mediation layer are the same components the in-order
-//! model uses, so the three machines (baseline / naive ILR / VCFR) remain
-//! directly comparable.
+//! up to `width` per cycle. The front end, memory hierarchy, the
+//! control-flow resolver and the VCFR mediation unit are the same
+//! components the in-order model uses, so the three machines (baseline /
+//! naive ILR / VCFR) remain directly comparable.
 //!
 //! The core is a first-class [`crate::Session`] backend
 //! ([`crate::EngineKind::Ooo`]): it tracks redirect stall cycles, pays
@@ -18,24 +18,23 @@
 //! a front-end floor identity the audit can check exactly — the fetch
 //! clock absorbs every fetch, redirect and rerand stall cycle serially,
 //! so `cycles ≥ fetch_stall + redirect_stall + rerand_stall` always.
-//! Unlike the in-order core, the OoO model does not track stack-slot
-//! hygiene, so an epoch swap costs quiesce + table rebuild only (no live
-//! return-address rewrite).
 
-use crate::config::{DrcBacking, SimConfig};
+use crate::config::{EngineKind, SimConfig};
 use crate::engine::{
-    exec_extra_cycles, Mode, SimError, SimOutput, RERAND_ENTRY_CYCLES, RERAND_QUIESCE_CYCLES,
+    exec_extra_cycles, load_line, load_queue, save_line, save_queue, SimOutput,
 };
+use crate::error::VcfrError;
 use crate::hierarchy::MemoryHierarchy;
-use crate::predict::{BranchStats, Btb, Gshare, Ras};
+use crate::mediation::{Mediation, Mode};
+use crate::predict::Predictors;
+use crate::session::Session;
 use crate::stats::SimStats;
 use std::collections::VecDeque;
-use vcfr_core::{rerandomize, Drc, DrcConfig, LayoutMap, OrigAddr, RandAddr, TranslationTable};
 use vcfr_isa::wire::{Reader, WireError, Writer};
-use vcfr_isa::{Addr, ControlFlow, Machine, Reg, RunOutcome, StepInfo};
-use vcfr_rewriter::RandomizedProgram;
+use vcfr_isa::{Addr, ControlFlow, Reg, StepInfo};
 
-/// Geometry of the out-of-order core.
+/// Geometry of the out-of-order core. Sessions run the default; a
+/// different geometry reaches the core only through [`simulate_ooo`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OooConfig {
     /// Fetch/dispatch/commit width (instructions per cycle).
@@ -55,56 +54,53 @@ const DECODE_DEPTH: u64 = 4;
 /// Depth between the last execution cycle and retirement.
 const COMMIT_DEPTH: u64 = 2;
 
-pub(crate) struct OooEngine {
-    pub(crate) cfg: SimConfig,
-    pub(crate) ooo: OooConfig,
-    pub(crate) hier: MemoryHierarchy,
-    pub(crate) gshare: Gshare,
-    pub(crate) btb: Btb,
-    pub(crate) ras: Ras,
-    pub(crate) bstats: BranchStats,
+pub(crate) struct OooEngine<'a> {
+    cfg: SimConfig,
+    ooo: OooConfig,
+    mode: Mode<'a>,
+    hier: MemoryHierarchy,
+    pred: Predictors,
+    /// The VCFR mediation unit (`None` outside VCFR mode).
+    med: Option<Mediation<'a>>,
     // Front end.
-    pub(crate) fetch_cycle: u64,
-    pub(crate) fetch_slots: usize,
-    pub(crate) redirect_at: u64,
-    pub(crate) window_line: Option<Addr>,
+    fetch_cycle: u64,
+    fetch_slots: usize,
+    redirect_at: u64,
+    window_line: Option<Addr>,
     // Dataflow state.
-    pub(crate) reg_ready: [u64; 16],
-    pub(crate) flags_ready: u64,
-    pub(crate) last_store_done: u64,
+    reg_ready: [u64; 16],
+    flags_ready: u64,
+    last_store_done: u64,
     // In-order retire bookkeeping.
-    pub(crate) rob: VecDeque<u64>,
-    pub(crate) lsq: VecDeque<u64>,
-    pub(crate) commit_cycle: u64,
-    pub(crate) commit_slots: usize,
-    pub(crate) last_retire: u64,
-    // VCFR.
-    pub(crate) drc: Option<Drc>,
-    /// Layout of the current re-randomization epoch (None before the
-    /// first swap: `rp.layout` is live).
-    pub(crate) epoch_layout: Option<LayoutMap>,
-    /// Tables of the current epoch, rebuilt at `rp.table.base()`.
-    pub(crate) epoch_table: Option<TranslationTable>,
-    pub(crate) rerand_epochs: u64,
-    pub(crate) rerand_stall: u64,
-    pub(crate) drc_walk: u64,
-    pub(crate) fetch_stall: u64,
-    pub(crate) load_stall: u64,
-    pub(crate) redirect_stall: u64,
-    pub(crate) exec_extra: u64,
+    rob: VecDeque<u64>,
+    lsq: VecDeque<u64>,
+    commit_cycle: u64,
+    commit_slots: usize,
+    last_retire: u64,
+    fetch_stall: u64,
+    load_stall: u64,
+    redirect_stall: u64,
+    exec_extra: u64,
     pub(crate) instructions: u64,
 }
 
-impl OooEngine {
-    pub(crate) fn new(cfg: &SimConfig, ooo: OooConfig, drc: Option<DrcConfig>) -> OooEngine {
+impl<'a> OooEngine<'a> {
+    pub(crate) fn new(cfg: &SimConfig, ooo: OooConfig, mode: Mode<'a>) -> OooEngine<'a> {
+        let mut hier = MemoryHierarchy::new(cfg);
+        // The OoO core models no stack-slot hygiene: it never marks a
+        // slot, so its unit holds no live return addresses and an epoch
+        // swap costs quiesce plus table rebuild only.
+        let med = Mediation::new(&mode, cfg);
+        if let Some(med) = &med {
+            med.hide_tables(&mut hier.dtlb);
+        }
         OooEngine {
             cfg: *cfg,
             ooo,
-            hier: MemoryHierarchy::new(cfg),
-            gshare: Gshare::new(cfg.gshare),
-            btb: Btb::new(cfg.btb),
-            ras: Ras::new(cfg.ras_entries),
-            bstats: BranchStats::default(),
+            mode,
+            hier,
+            pred: Predictors::new(cfg),
+            med,
             fetch_cycle: 0,
             fetch_slots: 0,
             redirect_at: 0,
@@ -117,50 +113,11 @@ impl OooEngine {
             commit_cycle: 0,
             commit_slots: 0,
             last_retire: 0,
-            drc: drc.map(Drc::new),
-            epoch_layout: None,
-            epoch_table: None,
-            rerand_epochs: 0,
-            rerand_stall: 0,
-            drc_walk: 0,
             fetch_stall: 0,
             load_stall: 0,
             redirect_stall: 0,
             exec_extra: 0,
             instructions: 0,
-        }
-    }
-
-    fn walk(&mut self, entry_addr: Addr, now: u64) -> u64 {
-        match self.cfg.drc_backing {
-            DrcBacking::SharedL2 => self.hier.table_walk(entry_addr, now),
-            DrcBacking::Dedicated { latency } => latency,
-        }
-    }
-
-    /// De-randomizes a transfer target through the DRC; returns the walk
-    /// latency on a miss (0 on a hit).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::MissingDrc`] when the engine was built without a DRC.
-    fn derand(&mut self, target: Addr, rp: &RandomizedProgram, now: u64) -> Result<u64, SimError> {
-        let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-        let rand = match &self.epoch_layout {
-            Some(m) => m.to_rand(OrigAddr(target)).map(|r| r.raw()).unwrap_or(target),
-            None => rp.rand_or_orig(target),
-        };
-        let lookup = match self.drc.as_mut() {
-            Some(drc) => drc.derandomize(RandAddr(rand), table),
-            None => return Err(SimError::MissingDrc),
-        };
-        match lookup {
-            Ok(l) if !l.hit => {
-                let w = self.walk(l.entry_addr, now);
-                self.drc_walk += w;
-                Ok(w)
-            }
-            _ => Ok(0),
         }
     }
 
@@ -177,28 +134,11 @@ impl OooEngine {
         }
     }
 
-    /// Swaps to a freshly re-randomized layout (§V-C): the whole window
-    /// drains, the DRC is flushed and the tables are rebuilt at the same
-    /// base. Both the fetch and commit clocks advance past the pause, so
-    /// the front-end floor identity stays exact.
-    fn rerand_swap(&mut self, rp: &RandomizedProgram) {
-        self.rerand_epochs += 1;
-        // Deterministic per epoch: seeded by the epoch ordinal alone.
-        let seed = 0x5eed_0000_0000_0000u64 ^ self.rerand_epochs;
-        let cur = self.epoch_layout.as_ref().unwrap_or(&rp.layout);
-        let fresh = rerandomize(cur, rp.region.0, rp.region.1, seed);
-        let mut table = TranslationTable::from_layout(&fresh, rp.table.base());
-        for a in rp.table.unrandomized_addrs() {
-            table.add_unrandomized(a);
-        }
-        if let Some(drc) = self.drc.as_mut() {
-            drc.flush();
-        }
-        // No live stack-slot rewrite: the OoO model does not track stack
-        // hygiene, so the swap costs quiesce + table rebuild only.
-        let cost = RERAND_QUIESCE_CYCLES + table.len() as u64 * RERAND_ENTRY_CYCLES;
+    /// Quiesces for an epoch swap of `cost` cycles (§V-C): the whole
+    /// window drains, and both the fetch and commit clocks advance past
+    /// the pause, so the front-end floor identity stays exact.
+    fn rerand_pause(&mut self, cost: u64) {
         let now = self.last_retire.max(self.fetch_cycle) + cost;
-        self.rerand_stall += cost;
         self.fetch_cycle = now;
         self.fetch_slots = 0;
         self.redirect_at = self.redirect_at.max(now);
@@ -208,44 +148,22 @@ impl OooEngine {
         self.commit_cycle = now;
         self.commit_slots = 0;
         self.last_retire = now;
-        self.epoch_layout = Some(fresh);
-        self.epoch_table = Some(table);
     }
 
     /// One instruction through the timing model.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::MissingDrc`] when a VCFR mediation event fires on an
-    /// engine built without a DRC (mode/configuration mismatch).
-    pub(crate) fn step(
-        &mut self,
-        info: &StepInfo,
-        fetch_pc: Addr,
-        key: &impl Fn(Addr) -> Addr,
-        vcfr: Option<&RandomizedProgram>,
-    ) -> Result<(), SimError> {
+    pub(crate) fn step(&mut self, info: &StepInfo) {
         self.instructions += 1;
         let cfg = self.cfg;
 
-        // Context-switch model: periodically invalidate the DRC (other
-        // processes own it in between).
-        if let (Some(interval), Some(drc)) = (cfg.drc_flush_interval, self.drc.as_mut()) {
-            if interval > 0 && self.instructions.is_multiple_of(interval) {
-                drc.flush();
-            }
-        }
-
-        // Live re-randomization (§V-C): every N instructions a VCFR run
-        // swaps to a fresh layout, paying the flush-and-rebuild pause.
-        if let (Some(epoch), Some(rp)) = (cfg.rerand_epoch, vcfr) {
-            if epoch > 0 && self.instructions.is_multiple_of(epoch) {
-                self.rerand_swap(rp);
-            }
+        // Context switches flush the DRC; live re-randomization (§V-C)
+        // swaps to a fresh layout every epoch, draining the window.
+        if let Some(cost) = self.med.as_mut().and_then(|m| m.begin(self.instructions)) {
+            self.rerand_pause(cost);
         }
 
         // ---- fetch (width per cycle, same byte-queue/line model) -------
         self.drain_redirect();
+        let fetch_pc = self.mode.fetch_addr(info.pc);
         let line_bytes = cfg.il1.line_bytes as Addr;
         let first = fetch_pc & !(line_bytes - 1);
         let last = (fetch_pc + info.len as Addr - 1) & !(line_bytes - 1);
@@ -316,76 +234,29 @@ impl OooEngine {
         }
         let mut exec_done = ready + lat;
 
-        // ---- VCFR mediation ------------------------------------------------
-        if let Some(rp) = vcfr {
-            match info.control {
-                Some(ControlFlow::Call { ret_addr, .. })
-                | Some(ControlFlow::IndirectCall { ret_addr, .. }) => {
-                    let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-                    let lookup = match self.drc.as_mut() {
-                        Some(drc) => drc.randomize(OrigAddr(ret_addr), table),
-                        None => return Err(SimError::MissingDrc),
-                    };
-                    if let Ok(l) = lookup {
-                        if !l.hit {
-                            let w = self.walk(l.entry_addr, ready);
-                            self.drc_walk += w;
-                        }
-                    }
-                }
-                _ => {}
-            }
+        // ---- VCFR mediation: the call's return address is randomized
+        // through the DRC ----------------------------------------------------
+        if let (
+            Some(med),
+            Some(ControlFlow::Call { ret_addr, .. } | ControlFlow::IndirectCall { ret_addr, .. }),
+        ) = (self.med.as_mut(), info.control)
+        {
+            med.randomize_return(ret_addr, &mut self.hier, ready);
         }
 
         // ---- control flow ----------------------------------------------------
         if let Some(cf) = info.control {
-            let kpc = key(info.pc);
-            match cf {
-                ControlFlow::Branch { taken, target } => {
-                    self.bstats.predictions += 1;
-                    let predicted = self.gshare.predict(kpc);
-                    self.gshare.update(kpc, taken);
-                    if predicted != taken {
-                        self.bstats.mispredictions += 1;
-                        let w = match (taken, vcfr) {
-                            (true, Some(rp)) => self.derand(target, rp, exec_done)?,
-                            _ => 0,
-                        };
-                        self.redirect_at =
-                            self.redirect_at.max(exec_done + cfg.mispredict_penalty + w);
-                    } else if taken {
-                        self.taken_lookup(kpc, key(target), target, vcfr, fetch_done, exec_done)?;
-                    }
-                }
-                ControlFlow::Jump { target } => {
-                    self.taken_lookup(kpc, key(target), target, vcfr, fetch_done, exec_done)?;
-                }
-                ControlFlow::Call { target, ret_addr } => {
-                    self.taken_lookup(kpc, key(target), target, vcfr, fetch_done, exec_done)?;
-                    self.ras.push(key(ret_addr));
-                }
-                ControlFlow::IndirectCall { target, ret_addr } => {
-                    self.indirect_lookup(kpc, key(target), target, vcfr, exec_done)?;
-                    self.ras.push(key(ret_addr));
-                }
-                ControlFlow::IndirectJump { target } => {
-                    self.indirect_lookup(kpc, key(target), target, vcfr, exec_done)?;
-                }
-                ControlFlow::Return { target } => {
-                    self.bstats.ras_predictions += 1;
-                    let w = match vcfr {
-                        Some(rp) => self.derand(target, rp, exec_done)?,
-                        None => 0,
-                    };
-                    match self.ras.pop() {
-                        Some(p) if p == key(target) => {}
-                        _ => {
-                            self.bstats.ras_mispredictions += 1;
-                            self.redirect_at =
-                                self.redirect_at.max(exec_done + cfg.mispredict_penalty + w);
-                        }
-                    }
-                }
+            let r = self.pred.resolve(
+                info.pc,
+                cf,
+                &self.mode,
+                self.med.as_mut(),
+                &mut self.hier,
+                fetch_done,
+                exec_done,
+            );
+            if let Some(at) = r.redirect {
+                self.redirect_at = self.redirect_at.max(at);
             }
             if cf.taken_target().is_some() {
                 self.window_line = None;
@@ -426,282 +297,104 @@ impl OooEngine {
         retire = retire.max(self.commit_cycle);
         self.last_retire = retire;
         self.rob.push_back(retire);
-        Ok(())
-    }
-
-    fn taken_lookup(
-        &mut self,
-        kpc: Addr,
-        ktarget: Addr,
-        target: Addr,
-        vcfr: Option<&RandomizedProgram>,
-        fetch_done: u64,
-        exec_done: u64,
-    ) -> Result<(), SimError> {
-        self.bstats.btb_lookups += 1;
-        match self.btb.lookup(kpc) {
-            Some(t) if t == ktarget => {}
-            found => {
-                if found.is_none() {
-                    self.bstats.btb_misses += 1;
-                } else {
-                    self.bstats.btb_wrong_target += 1;
-                }
-                let w = match vcfr {
-                    Some(rp) => self.derand(target, rp, exec_done)?,
-                    None => 0,
-                };
-                self.redirect_at =
-                    self.redirect_at.max(fetch_done + self.cfg.btb_miss_penalty + w);
-                self.btb.update(kpc, ktarget);
-            }
-        }
-        Ok(())
-    }
-
-    fn indirect_lookup(
-        &mut self,
-        kpc: Addr,
-        ktarget: Addr,
-        target: Addr,
-        vcfr: Option<&RandomizedProgram>,
-        exec_done: u64,
-    ) -> Result<(), SimError> {
-        self.bstats.btb_lookups += 1;
-        let w = match vcfr {
-            Some(rp) => self.derand(target, rp, exec_done)?,
-            None => 0,
-        };
-        match self.btb.lookup(kpc) {
-            Some(t) if t == ktarget => {}
-            found => {
-                if found.is_none() {
-                    self.bstats.btb_misses += 1;
-                } else {
-                    self.bstats.btb_wrong_target += 1;
-                }
-                self.redirect_at =
-                    self.redirect_at.max(exec_done + self.cfg.mispredict_penalty + w);
-                self.btb.update(kpc, ktarget);
-            }
-        }
-        Ok(())
     }
 
     pub(crate) fn stats_now(&self) -> SimStats {
         SimStats {
             instructions: self.instructions,
             cycles: self.last_retire.max(self.fetch_cycle),
-            il1: self.hier.il1.stats(),
-            dl1: self.hier.dl1.stats(),
-            l2: self.hier.l2.stats(),
-            itlb: self.hier.itlb.stats(),
-            dtlb: self.hier.dtlb.stats(),
-            dram: self.hier.dram.stats(),
-            branch: self.bstats,
-            drc: self.drc.as_ref().map(|d| d.stats()),
-            drc_walk_cycles: self.drc_walk,
             fetch_stall_cycles: self.fetch_stall,
             load_stall_cycles: self.load_stall,
             redirect_stall_cycles: self.redirect_stall,
-            l2_reads_from_l1: self.hier.l2_reads_from_l1,
             exec_extra_cycles: self.exec_extra,
-            rerand_epochs: self.rerand_epochs,
-            rerand_stall_cycles: self.rerand_stall,
-            contention_stall_cycles: self.hier.contention_cycles,
+            ..SimStats::of_components(&self.hier, &self.pred, self.med.as_ref())
         }
     }
 
-    /// Serialises the engine in field-declaration order (checkpoint
-    /// support). The geometry (`width`, `rob_entries`) is written too, so
-    /// a restored engine cannot silently run a different window.
+    /// Serialises the engine (checkpoint support). The geometry (`width`,
+    /// `rob_entries`) is written too, so a restored engine cannot
+    /// silently run a different window.
     pub(crate) fn save(&self, w: &mut Writer) {
         w.u64(self.ooo.width as u64);
         w.u64(self.ooo.rob_entries as u64);
         self.hier.save(w);
-        self.gshare.save(w);
-        self.btb.save(w);
-        self.ras.save(w);
-        let b = &self.bstats;
-        w.u64(b.predictions);
-        w.u64(b.mispredictions);
-        w.u64(b.btb_lookups);
-        w.u64(b.btb_misses);
-        w.u64(b.btb_wrong_target);
-        w.u64(b.ras_predictions);
-        w.u64(b.ras_mispredictions);
+        self.pred.save(w);
         w.u64(self.fetch_cycle);
         w.u64(self.fetch_slots as u64);
         w.u64(self.redirect_at);
-        match self.window_line {
-            Some(line) => {
-                w.u8(1);
-                w.u32(line);
-            }
-            None => w.u8(0),
-        }
+        save_line(self.window_line, w);
         for r in self.reg_ready {
             w.u64(r);
         }
         w.u64(self.flags_ready);
         w.u64(self.last_store_done);
-        w.u64(self.rob.len() as u64);
-        for &t in &self.rob {
-            w.u64(t);
-        }
-        w.u64(self.lsq.len() as u64);
-        for &t in &self.lsq {
-            w.u64(t);
-        }
+        save_queue(&self.rob, w);
+        save_queue(&self.lsq, w);
         w.u64(self.commit_cycle);
         w.u64(self.commit_slots as u64);
         w.u64(self.last_retire);
-        match &self.drc {
-            Some(d) => {
-                w.u8(1);
-                d.save(w);
-            }
-            None => w.u8(0),
+        if let Some(med) = &self.med {
+            med.save(w);
         }
-        match &self.epoch_layout {
-            Some(m) => {
-                w.u8(1);
-                m.save(w);
-            }
-            None => w.u8(0),
+        for v in [
+            self.fetch_stall,
+            self.load_stall,
+            self.redirect_stall,
+            self.exec_extra,
+            self.instructions,
+        ] {
+            w.u64(v);
         }
-        match &self.epoch_table {
-            Some(t) => {
-                w.u8(1);
-                t.save(w);
-            }
-            None => w.u8(0),
-        }
-        w.u64(self.rerand_epochs);
-        w.u64(self.rerand_stall);
-        w.u64(self.drc_walk);
-        w.u64(self.fetch_stall);
-        w.u64(self.load_stall);
-        w.u64(self.redirect_stall);
-        w.u64(self.exec_extra);
-        w.u64(self.instructions);
     }
 
     /// Rebuilds an engine from [`OooEngine::save`] output. `cfg` and
-    /// `drc` must match the configuration the saved engine ran under (the
+    /// `mode` must match the ones the saved engine ran under (the
     /// checkpoint envelope enforces this before the bytes get here).
     pub(crate) fn restore(
         cfg: &SimConfig,
-        drc: Option<DrcConfig>,
+        mode: Mode<'a>,
         r: &mut Reader<'_>,
-    ) -> Result<OooEngine, WireError> {
+    ) -> Result<OooEngine<'a>, WireError> {
         let width = r.u64()?;
         let rob_entries = r.u64()?;
         if width == 0 || width > 1 << 10 || rob_entries > 1 << 20 {
             return Err(WireError::LengthOutOfRange { len: width.max(rob_entries) });
         }
         let ooo = OooConfig { width: width as usize, rob_entries: rob_entries as usize };
-        let hier = MemoryHierarchy::restore(cfg, r)?;
-        let gshare = Gshare::restore(cfg.gshare, r)?;
-        let btb = Btb::restore(cfg.btb, r)?;
-        let ras = Ras::restore(r)?;
-        let bstats = BranchStats {
-            predictions: r.u64()?,
-            mispredictions: r.u64()?,
-            btb_lookups: r.u64()?,
-            btb_misses: r.u64()?,
-            btb_wrong_target: r.u64()?,
-            ras_predictions: r.u64()?,
-            ras_mispredictions: r.u64()?,
-        };
-        let fetch_cycle = r.u64()?;
-        let fetch_slots = r.u64()? as usize;
-        let redirect_at = r.u64()?;
-        let window_line = match r.u8()? {
-            0 => None,
-            1 => Some(r.u32()?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        let mut reg_ready = [0u64; 16];
-        for slot in reg_ready.iter_mut() {
+        let mut e = OooEngine::new(cfg, ooo, mode);
+        e.hier = MemoryHierarchy::restore(cfg, r)?;
+        e.pred = Predictors::restore(cfg, r)?;
+        e.fetch_cycle = r.u64()?;
+        e.fetch_slots = r.u64()? as usize;
+        e.redirect_at = r.u64()?;
+        e.window_line = load_line(r)?;
+        for slot in e.reg_ready.iter_mut() {
             *slot = r.u64()?;
         }
-        let flags_ready = r.u64()?;
-        let last_store_done = r.u64()?;
-        let n_rob = r.u64()?;
-        if n_rob > 1 << 20 {
-            return Err(WireError::LengthOutOfRange { len: n_rob });
-        }
-        let mut rob = VecDeque::with_capacity(n_rob as usize);
-        for _ in 0..n_rob {
-            rob.push_back(r.u64()?);
-        }
-        let n_lsq = r.u64()?;
-        if n_lsq > 1 << 20 {
-            return Err(WireError::LengthOutOfRange { len: n_lsq });
-        }
-        let mut lsq = VecDeque::with_capacity(n_lsq as usize);
-        for _ in 0..n_lsq {
-            lsq.push_back(r.u64()?);
-        }
-        let commit_cycle = r.u64()?;
-        let commit_slots = r.u64()? as usize;
-        let last_retire = r.u64()?;
-        let drc = match (r.u8()?, drc) {
-            (0, None) => None,
-            (1, Some(cfg)) => Some(Drc::restore(cfg, r)?),
-            (tag, _) => return Err(WireError::BadTag { tag }),
-        };
-        let epoch_layout = match r.u8()? {
-            0 => None,
-            1 => Some(LayoutMap::restore(r)?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        let epoch_table = match r.u8()? {
-            0 => None,
-            1 => Some(TranslationTable::restore(r)?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        Ok(OooEngine {
-            cfg: *cfg,
-            ooo,
-            hier,
-            gshare,
-            btb,
-            ras,
-            bstats,
-            fetch_cycle,
-            fetch_slots,
-            redirect_at,
-            window_line,
-            reg_ready,
-            flags_ready,
-            last_store_done,
-            rob,
-            lsq,
-            commit_cycle,
-            commit_slots,
-            last_retire,
-            drc,
-            epoch_layout,
-            epoch_table,
-            rerand_epochs: r.u64()?,
-            rerand_stall: r.u64()?,
-            drc_walk: r.u64()?,
-            fetch_stall: r.u64()?,
-            load_stall: r.u64()?,
-            redirect_stall: r.u64()?,
-            exec_extra: r.u64()?,
-            instructions: r.u64()?,
-        })
+        e.flags_ready = r.u64()?;
+        e.last_store_done = r.u64()?;
+        e.rob = load_queue(r)?;
+        e.lsq = load_queue(r)?;
+        e.commit_cycle = r.u64()?;
+        e.commit_slots = r.u64()? as usize;
+        e.last_retire = r.u64()?;
+        e.med = e.med.take().map(|m| m.restored(r)).transpose()?;
+        e.fetch_stall = r.u64()?;
+        e.load_stall = r.u64()?;
+        e.redirect_stall = r.u64()?;
+        e.exec_extra = r.u64()?;
+        e.instructions = r.u64()?;
+        Ok(e)
     }
 }
 
-/// Runs one program on the out-of-order core model.
+/// Runs one program on the out-of-order core model with geometry `ooo`
+/// (whatever engine `cfg` names). One [`Session`] call.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Exec`] when the program faults architecturally.
+/// [`VcfrError::Sim`] when the program faults architecturally;
+/// [`VcfrError::Config`] when `cfg` does not fit `mode`.
 ///
 /// # Example
 ///
@@ -725,51 +418,17 @@ pub fn simulate_ooo(
     cfg: &SimConfig,
     ooo: OooConfig,
     max_insts: u64,
-) -> Result<SimOutput, SimError> {
-    let image = mode.image_ref();
-    let mut machine = Machine::new(image);
-    let drc_cfg = match &mode {
-        Mode::Vcfr { drc, .. } => Some(*drc),
-        _ => None,
-    };
-    let mut engine = OooEngine::new(cfg, ooo, drc_cfg);
-
-    let identity = |a: Addr| a;
-    let outcome = loop {
-        if engine.instructions >= max_insts {
-            break RunOutcome {
-                output: machine.output().to_vec(),
-                steps: machine.steps(),
-                stop: machine.stop_reason().unwrap_or(vcfr_isa::StopReason::Halt),
-            };
-        }
-        let Some(info) = machine.step()? else {
-            break RunOutcome {
-                output: machine.output().to_vec(),
-                steps: machine.steps(),
-                stop: machine.stop_reason().expect("stopped machine has a reason"),
-            };
-        };
-        match &mode {
-            Mode::Baseline(_) => engine.step(&info, info.pc, &identity, None)?,
-            Mode::NaiveIlr(rp) => {
-                let key = |a: Addr| rp.rand_or_orig(a);
-                engine.step(&info, rp.rand_or_orig(info.pc), &key, None)?;
-            }
-            Mode::Vcfr { program, .. } => {
-                engine.step(&info, info.pc, &identity, Some(program))?;
-            }
-        }
-    };
-
-    Ok(SimOutput { stats: engine.stats_now(), outcome })
+) -> Result<SimOutput, VcfrError> {
+    let cfg = SimConfig { engine: EngineKind::Ooo, ..*cfg };
+    Ok(Session::with_ooo_geometry(mode, &cfg, ooo, max_insts)?.run()?.output)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::simulate;
-    use vcfr_isa::{AluOp, Asm, Cond, Image, Reg};
+    use vcfr_core::DrcConfig;
+    use vcfr_isa::{AluOp, Asm, Cond, Image, Machine, Reg};
     use vcfr_rewriter::{randomize, RandomizeConfig};
 
     /// Independent parallel work: an OoO core must beat the scalar core.
@@ -938,7 +597,8 @@ mod tests {
     #[test]
     fn redirect_landing_on_or_behind_fetch_adds_no_stall() {
         let cfg = SimConfig::default();
-        let mut e = OooEngine::new(&cfg, OooConfig::default(), None);
+        let img = ilp_workload();
+        let mut e = OooEngine::new(&cfg, OooConfig::default(), Mode::Baseline(&img));
         e.fetch_cycle = 100;
         e.redirect_at = 90; // stale redirect behind fetch
         e.drain_redirect();
@@ -984,7 +644,9 @@ mod tests {
             .build()
             .unwrap();
         let rp = randomize(&img, &RandomizeConfig::with_seed(1)).unwrap();
-        let base = simulate_ooo(Mode::Baseline(&img), &cfg, OooConfig::default(), 50_000)
+        // The baseline has no tables to swap: it runs without the epoch.
+        let base_cfg = SimConfig::default();
+        let base = simulate_ooo(Mode::Baseline(&img), &base_cfg, OooConfig::default(), 50_000)
             .unwrap();
         let vcfr = simulate_ooo(
             Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
@@ -1006,16 +668,15 @@ mod tests {
         let img = branchy_workload();
         let cfg = SimConfig::default();
         let rp = randomize(&img, &RandomizeConfig::with_seed(3)).unwrap();
-        let drc = DrcConfig::direct_mapped(64);
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(64) };
         let split = 5_000u64;
 
         let run = |resume: bool| {
             let mut machine = Machine::new(&rp.original);
-            let mut engine = OooEngine::new(&cfg, OooConfig::default(), Some(drc));
-            let identity = |a: Addr| a;
+            let mut engine = OooEngine::new(&cfg, OooConfig::default(), mode);
             let mut saved: Option<Vec<u8>> = None;
             while let Some(info) = machine.step().unwrap() {
-                engine.step(&info, info.pc, &identity, Some(&rp)).unwrap();
+                engine.step(&info);
                 if engine.instructions == split {
                     const MAGIC: [u8; 8] = *b"OOOTEST1";
                     let mut w = Writer::with_magic(MAGIC);
@@ -1024,7 +685,7 @@ mod tests {
                     if resume {
                         let bytes = saved.clone().unwrap();
                         let mut r = Reader::with_magic(&bytes, MAGIC).unwrap();
-                        engine = OooEngine::restore(&cfg, Some(drc), &mut r).unwrap();
+                        engine = OooEngine::restore(&cfg, mode, &mut r).unwrap();
                         assert!(r.is_exhausted(), "trailing bytes after restore");
                     }
                 }
@@ -1035,31 +696,5 @@ mod tests {
         let (resumed, bytes_b) = run(true);
         assert_eq!(bytes_a, bytes_b, "save is deterministic");
         assert_eq!(straight, resumed, "resume diverged from the uninterrupted run");
-    }
-
-    /// The DRC-less misconfiguration surfaces as a typed error instead of
-    /// a panic: stepping with VCFR mediation on an engine built without a
-    /// DRC reports [`SimError::MissingDrc`].
-    #[test]
-    fn vcfr_step_without_a_drc_is_a_typed_error() {
-        let mut a = Asm::new(0x1000);
-        let f = a.label();
-        a.call(f);
-        a.halt();
-        a.bind(f);
-        a.ret();
-        let img = a.finish().unwrap();
-        let rp = randomize(&img, &RandomizeConfig::with_seed(1)).unwrap();
-        let mut machine = Machine::new(&rp.original);
-        let mut engine = OooEngine::new(&SimConfig::default(), OooConfig::default(), None);
-        let identity = |a: Addr| a;
-        let mut saw = None;
-        while let Some(info) = machine.step().unwrap() {
-            if let Err(e) = engine.step(&info, info.pc, &identity, Some(&rp)) {
-                saw = Some(e);
-                break;
-            }
-        }
-        assert_eq!(saw, Some(SimError::MissingDrc));
     }
 }

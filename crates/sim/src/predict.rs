@@ -2,9 +2,11 @@
 //! branch target buffer, and a return address stack — the §VI-C predictor
 //! complement.
 
-use crate::config::{BtbConfig, GshareConfig};
+use crate::config::{BtbConfig, GshareConfig, SimConfig};
+use crate::hierarchy::MemoryHierarchy;
+use crate::mediation::{Mediation, Mode};
 use vcfr_isa::wire::{Reader, WireError, Writer};
-use vcfr_isa::Addr;
+use vcfr_isa::{Addr, ControlFlow};
 
 /// Direction-predictor counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -275,6 +277,167 @@ impl Ras {
         ras.top = top as usize;
         ras.depth = depth as usize;
         Ok(ras)
+    }
+}
+
+/// The control-flow resolver both cores share: gshare, BTB and RAS, plus
+/// the DRC walk a VCFR redirect waits for.
+pub(crate) struct Predictors {
+    gshare: Gshare,
+    btb: Btb,
+    ras: Ras,
+    pub(crate) stats: BranchStats,
+    mispredict_penalty: u64,
+    btb_miss_penalty: u64,
+}
+
+/// What resolving one control transfer asks of the pipeline.
+pub(crate) struct Resolved {
+    /// The cycle fetch resumes at, when the front end must redirect.
+    pub(crate) redirect: Option<u64>,
+    /// Latency of the DRC walk the target's de-randomization took (0 on
+    /// a hit or off VCFR), already folded into `redirect`.
+    pub(crate) walk: u64,
+}
+
+impl Predictors {
+    pub(crate) fn new(cfg: &SimConfig) -> Predictors {
+        Predictors {
+            gshare: Gshare::new(cfg.gshare),
+            btb: Btb::new(cfg.btb),
+            ras: Ras::new(cfg.ras_entries),
+            stats: BranchStats::default(),
+            mispredict_penalty: cfg.mispredict_penalty,
+            btb_miss_penalty: cfg.btb_miss_penalty,
+        }
+    }
+
+    /// Resolves the transfer `cf` of the instruction at `pc`, fetched at
+    /// `fetch_done` and executed by `exec_end`. The predictors see the
+    /// mode's front-end address space. Under VCFR a transfer whose target
+    /// must be recovered from the randomized space (a redirect, an
+    /// indirect, a return) de-randomizes it through `med`: a correct
+    /// prediction hides that walk, a redirect waits for it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn resolve(
+        &mut self,
+        pc: Addr,
+        cf: ControlFlow,
+        mode: &Mode<'_>,
+        med: Option<&mut Mediation<'_>>,
+        hier: &mut MemoryHierarchy,
+        fetch_done: u64,
+        exec_end: u64,
+    ) -> Resolved {
+        let key = |a| mode.fetch_addr(a);
+        let kpc = key(pc);
+        let mispredict = exec_end + self.mispredict_penalty;
+        let btb_miss = fetch_done + self.btb_miss_penalty;
+        // (target to de-randomize, redirect before the walk)
+        let (derand, redirect) = match cf {
+            ControlFlow::Branch { taken, target } => {
+                self.stats.predictions += 1;
+                let predicted = self.gshare.predict(kpc);
+                self.gshare.update(kpc, taken);
+                if predicted != taken {
+                    self.stats.mispredictions += 1;
+                    // A mispredicted *taken* branch redirects to a
+                    // randomized target.
+                    (taken.then_some(target), Some(mispredict))
+                } else if taken && !self.btb_hit(kpc, key(target)) {
+                    (Some(target), Some(btb_miss))
+                } else {
+                    (None, None)
+                }
+            }
+            // A BTB miss means the cached translation is absent too.
+            ControlFlow::Jump { target } | ControlFlow::Call { target, .. } => {
+                match self.btb_hit(kpc, key(target)) {
+                    true => (None, None),
+                    false => (Some(target), Some(btb_miss)),
+                }
+            }
+            // Indirect targets live in the randomized space: every
+            // resolution consults the DRC.
+            ControlFlow::IndirectJump { target } | ControlFlow::IndirectCall { target, .. } => {
+                let hit = self.btb_hit(kpc, key(target));
+                (Some(target), (!hit).then_some(mispredict))
+            }
+            // The popped randomized return address always consults the
+            // DRC to recover the original-space fetch address.
+            ControlFlow::Return { target } => {
+                self.stats.ras_predictions += 1;
+                let hit = self.ras.pop() == Some(key(target));
+                if !hit {
+                    self.stats.ras_mispredictions += 1;
+                }
+                (Some(target), (!hit).then_some(mispredict))
+            }
+        };
+        if let ControlFlow::Call { ret_addr, .. } | ControlFlow::IndirectCall { ret_addr, .. } = cf
+        {
+            self.ras.push(key(ret_addr));
+        }
+        let walk = match (derand, med) {
+            (Some(target), Some(med)) => med.derandomize_target(target, hier, exec_end),
+            _ => 0,
+        };
+        Resolved { redirect: redirect.map(|at| at + walk), walk }
+    }
+
+    /// Looks up the BTB for the transfer at `kpc`; on a miss or a wrong
+    /// target, counts it and trains the entry. `true` when it was right.
+    fn btb_hit(&mut self, kpc: Addr, ktarget: Addr) -> bool {
+        self.stats.btb_lookups += 1;
+        match self.btb.lookup(kpc) {
+            Some(t) if t == ktarget => true,
+            found => {
+                if found.is_none() {
+                    self.stats.btb_misses += 1;
+                } else {
+                    self.stats.btb_wrong_target += 1;
+                }
+                self.btb.update(kpc, ktarget);
+                false
+            }
+        }
+    }
+
+    /// Serialises the predictors and their counters (checkpoint support).
+    pub(crate) fn save(&self, w: &mut Writer) {
+        self.gshare.save(w);
+        self.btb.save(w);
+        self.ras.save(w);
+        let b = &self.stats;
+        for v in [
+            b.predictions,
+            b.mispredictions,
+            b.btb_lookups,
+            b.btb_misses,
+            b.btb_wrong_target,
+            b.ras_predictions,
+            b.ras_mispredictions,
+        ] {
+            w.u64(v);
+        }
+    }
+
+    /// Rebuilds [`Predictors::save`] output under the same `cfg`.
+    pub(crate) fn restore(cfg: &SimConfig, r: &mut Reader<'_>) -> Result<Predictors, WireError> {
+        let mut p = Predictors::new(cfg);
+        p.gshare = Gshare::restore(cfg.gshare, r)?;
+        p.btb = Btb::restore(cfg.btb, r)?;
+        p.ras = Ras::restore(r)?;
+        p.stats = BranchStats {
+            predictions: r.u64()?,
+            mispredictions: r.u64()?,
+            btb_lookups: r.u64()?,
+            btb_misses: r.u64()?,
+            btb_wrong_target: r.u64()?,
+            ras_predictions: r.u64()?,
+            ras_mispredictions: r.u64()?,
+        };
+        Ok(p)
     }
 }
 

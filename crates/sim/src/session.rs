@@ -16,17 +16,21 @@
 //! and all three route through the same sampling, telemetry, manifest
 //! and checkpoint paths. Boundaries are instruction counts (aggregate
 //! across cores for multicore), so results stay bit-deterministic per
-//! kind. Fault injection and superblock replay remain in-order-only:
-//! plans are rejected at [`Session::run_for`] on other kinds, and the
-//! fast path silently falls back to per-instruction stepping.
+//! kind. What each kind models beyond that (fault injection, the trace
+//! ring, superblock replay) is stated once, on [`EngineKind`]: fault
+//! plans are rejected at [`Session::run_for`] on kinds that do not model
+//! them, and the fast path only runs where superblocks apply.
+//!
+//! Every simulation in the workspace runs through [`Session::run_for`]:
+//! the free functions ([`crate::simulate`], [`crate::simulate_ooo`],
+//! [`crate::simulate_multicore`] and friends) are one session call each.
 
 use crate::checkpoint::{self, CheckpointError, PAYLOAD_MAGIC};
 use crate::config::{EngineKind, SimConfig};
-use crate::engine::{
-    exec_extra_cycles, Engine, IntervalSample, Mode, ReplayInst, SimError, SimOutput,
-};
+use crate::engine::{exec_extra_cycles, Engine, IntervalSample, ReplayInst, SimError, SimOutput};
 use crate::error::VcfrError;
-use crate::faults::{FaultPlan, FaultRecord, FaultStats};
+use crate::faults::{FaultOutcome, FaultPlan, FaultRecord, FaultStats};
+use crate::mediation::Mode;
 use crate::multicore::{MultiCore, MultiCoreOutput};
 use crate::ooo::{OooConfig, OooEngine};
 use crate::stats::SimStats;
@@ -36,7 +40,6 @@ use vcfr_isa::{
     SUPERBLOCK_MAX_INSTS,
 };
 use vcfr_obs::ProgressEvent;
-use vcfr_rewriter::RandomizedProgram;
 
 /// A telemetry callback receiving [`ProgressEvent`]s as the run crosses
 /// instruction-count boundaries (see [`Session::with_progress`]).
@@ -75,9 +78,9 @@ pub enum SessionStatus {
 /// the run, together with its functional machine(s).
 enum Backend<'a> {
     /// The paper's single-issue in-order core.
-    InOrder { machine: Machine, engine: Engine },
+    InOrder { machine: Machine, engine: Engine<'a> },
     /// The wide out-of-order core.
-    Ooo { machine: Machine, engine: OooEngine },
+    Ooo { machine: Machine, engine: OooEngine<'a> },
     /// N in-order cores over a shared L2/DRAM.
     Multicore(MultiCore<'a>),
 }
@@ -105,11 +108,7 @@ impl Backend<'_> {
     /// instruction window truncates the run).
     fn current_outcome(&self) -> RunOutcome {
         match self {
-            Backend::InOrder { machine, .. } | Backend::Ooo { machine, .. } => RunOutcome {
-                output: machine.output().to_vec(),
-                steps: machine.steps(),
-                stop: machine.stop_reason().unwrap_or(StopReason::Halt),
-            },
+            Backend::InOrder { machine, .. } | Backend::Ooo { machine, .. } => outcome_of(machine),
             Backend::Multicore(mc) => mc
                 .output()
                 .outcomes
@@ -117,6 +116,17 @@ impl Backend<'_> {
                 .next()
                 .expect("a multicore session has at least one core"),
         }
+    }
+}
+
+/// The architectural result of `machine` as it stands (a machine still
+/// running was truncated by the instruction window: that reads as a
+/// halt).
+fn outcome_of(machine: &Machine) -> RunOutcome {
+    RunOutcome {
+        output: machine.output().to_vec(),
+        steps: machine.steps(),
+        stop: machine.stop_reason().unwrap_or(StopReason::Halt),
     }
 }
 
@@ -141,16 +151,18 @@ impl Backend<'_> {
 /// assert_eq!(out.output.outcome.output, vec![7]);
 /// ```
 pub struct Session<'a> {
-    mode: Mode<'a>,
-    /// Per-core modes. One entry for the single-core kinds (aliasing
-    /// `mode`); one per core for multicore (see
-    /// [`Session::new_heterogeneous`]).
+    /// Per-core modes: one entry for the single-core kinds, one per core
+    /// for multicore (see [`Session::new_heterogeneous`]).
     modes: Vec<Mode<'a>>,
     cfg: SimConfig,
     max_insts: u64,
     backend: Backend<'a>,
     plan: Option<FaultPlan>,
     fault_idx: usize,
+    /// Aggregate counters of the faults injected so far.
+    faults: FaultStats,
+    /// Per-fault resolutions so far, in injection order.
+    records: Vec<FaultRecord>,
     samples: Vec<IntervalSample>,
     last: SimStats,
     stride: u64,
@@ -207,46 +219,12 @@ impl<'a> Session<'a> {
     /// # Errors
     ///
     /// [`VcfrError::Config`] on an inconsistent request — re-randomization
-    /// outside VCFR mode, a zero-entry DRC, or a zero-instruction epoch.
+    /// outside VCFR mode, an invalid DRC geometry, a zero-instruction
+    /// epoch, or a core count outside `1..=`[`EngineKind::MAX_CORES`].
     pub fn new(mode: Mode<'a>, cfg: &SimConfig, max_insts: u64) -> Result<Session<'a>, VcfrError> {
-        if let EngineKind::Multicore { cores } = cfg.engine {
-            let modes = vec![mode; cores as usize];
-            return Session::new_heterogeneous(&modes, cfg, max_insts);
-        }
-        Session::validate(std::slice::from_ref(&mode), cfg)?;
-        let machine = Machine::new(mode.image_ref());
-        let drc_cfg = match &mode {
-            Mode::Vcfr { drc, .. } => Some(*drc),
-            _ => None,
-        };
-        let table_base = match &mode {
-            Mode::Vcfr { program, .. } => Some(program.table.base()),
-            _ => None,
-        };
-        let backend = match cfg.engine {
-            EngineKind::InOrder => {
-                let mut engine = Engine::new(cfg, drc_cfg);
-                // Hide the translation-table pages from user space (TLB
-                // page-visibility bit).
-                if let Some(base) = table_base {
-                    for page in 0..64u32 {
-                        engine.hier.dtlb.set_invisible(base + page * 4096);
-                    }
-                }
-                Backend::InOrder { machine, engine }
-            }
-            EngineKind::Ooo => {
-                let mut engine = OooEngine::new(cfg, OooConfig::default(), drc_cfg);
-                if let Some(base) = table_base {
-                    for page in 0..64u32 {
-                        engine.hier.dtlb.set_invisible(base + page * 4096);
-                    }
-                }
-                Backend::Ooo { machine, engine }
-            }
-            EngineKind::Multicore { .. } => unreachable!("routed to new_heterogeneous above"),
-        };
-        Ok(Session::assemble(mode, vec![mode], cfg, max_insts, backend))
+        cfg.engine.validate()?;
+        let modes = vec![mode; cfg.engine.cores() as usize];
+        Session::open(modes, cfg, OooConfig::default(), max_insts)
     }
 
     /// Builds a multicore session running a *different* mode on each
@@ -264,74 +242,64 @@ impl<'a> Session<'a> {
         cfg: &SimConfig,
         max_insts: u64,
     ) -> Result<Session<'a>, VcfrError> {
-        let EngineKind::Multicore { cores } = cfg.engine else {
+        if !matches!(cfg.engine, EngineKind::Multicore { .. }) {
             return Err(VcfrError::Config(
                 "a heterogeneous session needs EngineKind::Multicore in the config".into(),
             ));
-        };
-        if cores == 0 || cores as usize != modes.len() {
-            return Err(VcfrError::Config(format!(
-                "the engine kind declares {cores} cores but {} modes were given",
-                modes.len()
-            )));
         }
-        Session::validate(modes, cfg)?;
-        let mc = MultiCore::new(modes, cfg, max_insts);
-        Ok(Session::assemble(modes[0], modes.to_vec(), cfg, max_insts, Backend::Multicore(mc)))
+        Session::open(modes.to_vec(), cfg, OooConfig::default(), max_insts)
     }
 
-    /// The mode/config consistency rules shared by both constructors.
-    /// For multicore, `rerand_epoch` needs at least one VCFR core (the
-    /// in-order engines only swap tables under VCFR).
-    fn validate(modes: &[Mode<'a>], cfg: &SimConfig) -> Result<(), VcfrError> {
-        if cfg.rerand_epoch == Some(0) {
-            return Err(VcfrError::Config(
-                "rerand_epoch must be positive (use None to disable re-randomization) (got 0)"
-                    .into(),
-            ));
-        }
-        if cfg.rerand_epoch.is_some() && !modes.iter().any(|m| matches!(m, Mode::Vcfr { .. })) {
-            return Err(VcfrError::Config(
-                "rerand_epoch requires a VCFR run (live table swaps flush the DRC)".into(),
-            ));
-        }
-        for mode in modes {
-            if let Mode::Vcfr { drc, .. } = mode {
-                if drc.entries == 0 {
-                    return Err(VcfrError::Config(
-                        "DRC entries must be positive for a VCFR mode (got 0)".into(),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Wires the common session fields around a constructed backend.
-    fn assemble(
+    /// [`Session::new`] on the out-of-order core with a non-default
+    /// window geometry (`cfg.engine` must be [`EngineKind::Ooo`]).
+    pub(crate) fn with_ooo_geometry(
         mode: Mode<'a>,
+        cfg: &SimConfig,
+        ooo: OooConfig,
+        max_insts: u64,
+    ) -> Result<Session<'a>, VcfrError> {
+        Session::open(vec![mode], cfg, ooo, max_insts)
+    }
+
+    /// Validates the request and builds the backend `cfg.engine` names.
+    fn open(
         modes: Vec<Mode<'a>>,
         cfg: &SimConfig,
+        ooo: OooConfig,
         max_insts: u64,
-        backend: Backend<'a>,
-    ) -> Session<'a> {
+    ) -> Result<Session<'a>, VcfrError> {
+        Session::validate(&modes, cfg)?;
+        let backend = match cfg.engine {
+            EngineKind::InOrder => Backend::InOrder {
+                machine: Machine::new(modes[0].image_ref()),
+                engine: Engine::new(cfg, modes[0]),
+            },
+            EngineKind::Ooo => Backend::Ooo {
+                machine: Machine::new(modes[0].image_ref()),
+                engine: OooEngine::new(cfg, ooo, modes[0]),
+            },
+            EngineKind::Multicore { .. } => {
+                Backend::Multicore(MultiCore::new(&modes, cfg, max_insts))
+            }
+        };
         let last = backend.stats_now();
         let mut sb_cache = SuperblockCache::new();
-        if matches!(backend, Backend::InOrder { .. }) {
-            for s in &mode.image_ref().sections {
+        if cfg.engine.uses_superblocks() {
+            for s in &modes[0].image_ref().sections {
                 if s.kind == SectionKind::Text {
                     sb_cache.add_range(s.base, s.end());
                 }
             }
         }
-        Session {
-            mode,
+        Ok(Session {
             modes,
             cfg: *cfg,
             max_insts,
             backend,
             plan: None,
             fault_idx: 0,
+            faults: FaultStats::default(),
+            records: Vec::new(),
             samples: Vec::new(),
             last,
             stride: 0,
@@ -346,7 +314,37 @@ impl<'a> Session<'a> {
             progress_sink: None,
             sb_batches: 0,
             sb_insts: 0,
+        })
+    }
+
+    /// The mode/config consistency rules shared by every constructor.
+    /// For multicore, `rerand_epoch` needs at least one VCFR core (the
+    /// in-order engines only swap tables under VCFR).
+    fn validate(modes: &[Mode<'a>], cfg: &SimConfig) -> Result<(), VcfrError> {
+        cfg.engine.validate()?;
+        let cores = cfg.engine.cores();
+        if cores as usize != modes.len() {
+            return Err(VcfrError::Config(format!(
+                "the engine kind declares {cores} cores but {} modes were given",
+                modes.len()
+            )));
         }
+        if cfg.rerand_epoch == Some(0) {
+            return Err(VcfrError::Config(
+                "rerand_epoch must be positive (use None to disable re-randomization) (got 0)"
+                    .into(),
+            ));
+        }
+        if cfg.rerand_epoch.is_some() && !modes.iter().any(|m| m.vcfr().is_some()) {
+            return Err(VcfrError::Config(
+                "rerand_epoch requires a VCFR run (live table swaps flush the DRC)".into(),
+            ));
+        }
+        for (_, drc) in modes.iter().filter_map(Mode::vcfr) {
+            drc.validate()
+                .map_err(|e| VcfrError::Config(format!("a VCFR mode needs a valid DRC: {e}")))?;
+        }
+        Ok(())
     }
 
     /// Enables interval sampling: one [`IntervalSample`] per `interval`
@@ -358,9 +356,9 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Schedules the faults of `plan` for injection. Fault injection is
-    /// modeled on the in-order engine only; on other kinds the plan is
-    /// rejected when the session runs.
+    /// Schedules the faults of `plan` for injection. On kinds that do not
+    /// model faults ([`EngineKind::models_faults`]) the plan is rejected
+    /// when the session runs.
     pub fn with_faults(mut self, plan: &FaultPlan) -> Session<'a> {
         self.plan = Some(plan.clone());
         self
@@ -396,9 +394,8 @@ impl<'a> Session<'a> {
     /// samples, fault records, trace events and checkpoint bytes are
     /// bit-identical either way (`tests/superblock_equiv.rs` enforces
     /// this). Disabling is useful for differential debugging and for
-    /// timing the per-instruction path. A no-op off the in-order engine
-    /// (the out-of-order and multicore backends always step
-    /// per-instruction).
+    /// timing the per-instruction path. A no-op on kinds that step
+    /// per-instruction ([`EngineKind::uses_superblocks`]).
     pub fn with_superblocks(mut self, enabled: bool) -> Session<'a> {
         self.superblocks = enabled;
         self
@@ -417,28 +414,12 @@ impl<'a> Session<'a> {
     }
 
     /// The engine's post-mortem trace ring, oldest event first (empty
-    /// when `SimConfig::trace_events` is 0, and always empty off the
-    /// in-order engine — the other kinds do not keep a ring).
+    /// when `SimConfig::trace_events` is 0, and on kinds that keep no
+    /// ring — see [`EngineKind::keeps_trace_ring`]).
     pub fn trace_events(&self) -> Vec<crate::TraceEvent> {
         match &self.backend {
             Backend::InOrder { engine, .. } => engine.trace.to_vec(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Aggregate fault counters so far (zero off the in-order engine).
-    fn fault_stats(&self) -> FaultStats {
-        match &self.backend {
-            Backend::InOrder { engine, .. } => engine.fstats,
-            _ => FaultStats::default(),
-        }
-    }
-
-    /// Per-fault records so far (empty off the in-order engine).
-    fn fault_records(&self) -> Vec<FaultRecord> {
-        match &self.backend {
-            Backend::InOrder { engine, .. } => engine.frecords.clone(),
-            _ => Vec::new(),
+            Backend::Ooo { .. } | Backend::Multicore(_) => Vec::new(),
         }
     }
 
@@ -448,7 +429,7 @@ impl<'a> Session<'a> {
     /// number.
     pub fn progress_now(&self) -> ProgressEvent {
         let s = self.backend.stats_now();
-        let f = self.fault_stats();
+        let f = self.faults;
         ProgressEvent {
             seq: self.progress_seq,
             instructions: s.instructions,
@@ -484,7 +465,8 @@ impl<'a> Session<'a> {
     ///
     /// [`VcfrError::Sim`] when the program faults architecturally or an
     /// injected sticky fault halts the machine; [`VcfrError::Config`]
-    /// when a fault plan is attached off the in-order engine.
+    /// when a fault plan is attached on a kind that does not model
+    /// faults.
     pub fn run(&mut self) -> Result<SessionOutcome, VcfrError> {
         match self.run_for(u64::MAX)? {
             SessionStatus::Done(out) => Ok(*out),
@@ -503,12 +485,12 @@ impl<'a> Session<'a> {
         if let Some(out) = &self.finished {
             return Ok(SessionStatus::Done(Box::new(out.clone())));
         }
-        if self.plan.is_some() && !matches!(self.backend, Backend::InOrder { .. }) {
-            return Err(VcfrError::Config(
+        if self.plan.is_some() && !self.cfg.engine.models_faults() {
+            return Err(VcfrError::Config(format!(
                 "fault injection is only modeled on the in-order engine \
-                 (run with EngineKind::InOrder)"
-                    .into(),
-            ));
+                 (run with EngineKind::InOrder, not {})",
+                self.cfg.engine
+            )));
         }
         let stop_at = self.backend.instructions().saturating_add(budget.max(1));
         loop {
@@ -541,65 +523,24 @@ impl<'a> Session<'a> {
     /// Advances the run by one instruction on whichever engine backs it.
     /// Returns the architectural outcome when the run just finished.
     fn step_once(&mut self) -> Result<Option<RunOutcome>, VcfrError> {
-        let identity = |a: Addr| a;
         match &mut self.backend {
-            Backend::InOrder { machine, engine } => {
-                let step = machine.step();
-                let Some(info) = step.map_err(|e| VcfrError::Sim(engine.fault(e)))? else {
-                    return Ok(Some(RunOutcome {
-                        output: machine.output().to_vec(),
-                        steps: machine.steps(),
-                        stop: machine.stop_reason().expect("stopped machine has a reason"),
-                    }));
-                };
-                match &self.mode {
-                    Mode::Baseline(_) => engine.step(&info, info.pc, &identity, None),
-                    Mode::NaiveIlr(rp) => {
-                        let key = |a: Addr| rp.rand_or_orig(a);
-                        engine.step(&info, rp.rand_or_orig(info.pc), &key, None);
-                    }
-                    Mode::Vcfr { program, .. } => {
-                        engine.step(&info, info.pc, &identity, Some(program));
-                    }
-                }
-                Ok(None)
-            }
-            Backend::Ooo { machine, engine } => {
-                let step = machine.step();
-                let Some(info) = step.map_err(|e| VcfrError::Sim(SimError::from(e)))? else {
-                    return Ok(Some(RunOutcome {
-                        output: machine.output().to_vec(),
-                        steps: machine.steps(),
-                        stop: machine.stop_reason().expect("stopped machine has a reason"),
-                    }));
-                };
-                let stepped = match &self.mode {
-                    Mode::Baseline(_) => engine.step(&info, info.pc, &identity, None),
-                    Mode::NaiveIlr(rp) => {
-                        let key = |a: Addr| rp.rand_or_orig(a);
-                        engine.step(&info, rp.rand_or_orig(info.pc), &key, None)
-                    }
-                    Mode::Vcfr { program, .. } => {
-                        engine.step(&info, info.pc, &identity, Some(program))
-                    }
-                };
-                stepped.map_err(VcfrError::Sim)?;
-                Ok(None)
-            }
+            Backend::InOrder { machine, engine } => match machine.step() {
+                Ok(Some(info)) => engine.step(&info),
+                Ok(None) => return Ok(Some(outcome_of(machine))),
+                Err(e) => return Err(engine.fault(e).into()),
+            },
+            Backend::Ooo { machine, engine } => match machine.step() {
+                Ok(Some(info)) => engine.step(&info),
+                Ok(None) => return Ok(Some(outcome_of(machine))),
+                Err(e) => return Err(SimError::from(e).into()),
+            },
             Backend::Multicore(mc) => {
-                if mc.step_next().map_err(VcfrError::Sim)? {
-                    Ok(None)
-                } else {
-                    Ok(Some(
-                        mc.output()
-                            .outcomes
-                            .into_iter()
-                            .next()
-                            .expect("a multicore session has at least one core"),
-                    ))
+                if !mc.step_next()? {
+                    return Ok(Some(self.backend.current_outcome()));
                 }
             }
         }
+        Ok(None)
     }
 
     /// Attempts to advance the run through a superblock replay. Returns
@@ -619,14 +560,13 @@ impl<'a> Session<'a> {
         let Backend::InOrder { machine, engine } = &mut self.backend else {
             return false;
         };
-        let vcfr = match &self.mode {
-            Mode::Baseline(_) => false,
-            Mode::Vcfr { .. } => true,
-            // Naive ILR fetches every instruction from its scattered
-            // randomized address: the fast path's pc-contiguity premise
-            // does not hold.
-            Mode::NaiveIlr(_) => return false,
-        };
+        let mode = self.modes[0];
+        // Naive ILR fetches every instruction from its scattered
+        // randomized address: the fast path's pc-contiguity premise does
+        // not hold.
+        if let Mode::NaiveIlr(_) = mode {
+            return false;
+        }
         if machine.stop_reason().is_some() {
             return false;
         }
@@ -672,7 +612,7 @@ impl<'a> Session<'a> {
                 n = n.min(f.at_inst.saturating_sub(i));
             }
         }
-        if vcfr {
+        if mode.vcfr().is_some() {
             // The instruction landing exactly on a flush/epoch multiple
             // must take the slow path: `Engine::step` performs the flush
             // or table swap *before* that instruction's fetch.
@@ -701,23 +641,21 @@ impl<'a> Session<'a> {
     /// boundary was reached. Both paths land on identical instruction
     /// boundaries, so the records and samples are identical too.
     fn post_step(&mut self) -> Result<(), VcfrError> {
-        if let Some(p) = &self.plan {
-            let Backend::InOrder { engine, .. } = &mut self.backend else {
-                unreachable!("run_for rejects fault plans off the in-order engine");
-            };
-            let image = self.mode.image_ref();
-            let fault_rp: Option<&RandomizedProgram> = match &self.mode {
-                Mode::Vcfr { program, .. } => Some(program),
-                _ => None,
-            };
+        // `run_for` admits a plan only on kinds that model faults, so it
+        // always finds the in-order engine here.
+        if let (Some(p), Backend::InOrder { engine, .. }) = (&self.plan, &mut self.backend) {
             while let Some(f) = p.faults.get(self.fault_idx) {
                 if f.at_inst > engine.instructions {
                     break;
                 }
-                let outcome =
-                    engine.inject_fault(f, image, fault_rp, p.policy).map_err(VcfrError::Sim)?;
-                engine.fstats.record(outcome);
-                engine.frecords.push(FaultRecord {
+                let outcome = engine.inject_fault(f, p.policy)?;
+                self.faults.record(outcome);
+                // Recover contains a sticky table fault by an emergency
+                // epoch swap.
+                if outcome == FaultOutcome::Contained {
+                    self.faults.emergency_rerands += 1;
+                }
+                self.records.push(FaultRecord {
                     at_inst: engine.instructions,
                     target: f.target,
                     persistence: f.persistence,
@@ -782,8 +720,8 @@ impl<'a> Session<'a> {
         let out = SessionOutcome {
             output: SimOutput { stats: self.backend.stats_now(), outcome },
             samples: self.samples.clone(),
-            faults: self.fault_stats(),
-            records: self.fault_records(),
+            faults: self.faults,
+            records: self.records.clone(),
             multicore,
         };
         self.finished = Some(out.clone());
@@ -826,6 +764,11 @@ impl<'a> Session<'a> {
             Backend::Multicore(mc) => mc.save(&mut w),
         }
         w.u64(self.fault_idx as u64);
+        self.faults.save(&mut w);
+        w.u64(self.records.len() as u64);
+        for rec in &self.records {
+            rec.save(&mut w);
+        }
         w.u64(self.samples.len() as u64);
         for s in &self.samples {
             w.u64(s.first_inst);
@@ -854,19 +797,16 @@ impl<'a> Session<'a> {
         let payload = checkpoint::open(bytes, self.context())?;
         let wire = |e: WireError| VcfrError::Checkpoint(CheckpointError::Wire(e));
         let mut r = Reader::with_magic(&payload, PAYLOAD_MAGIC).map_err(wire)?;
-        let drc_cfg = match &self.mode {
-            Mode::Vcfr { drc, .. } => Some(*drc),
-            _ => None,
-        };
+        let mode = self.modes[0];
         let backend = match self.cfg.engine {
             EngineKind::InOrder => {
-                let machine = Machine::restore(self.mode.image_ref(), &mut r).map_err(wire)?;
-                let engine = Engine::restore(&self.cfg, drc_cfg, &mut r).map_err(wire)?;
+                let machine = Machine::restore(mode.image_ref(), &mut r).map_err(wire)?;
+                let engine = Engine::restore(&self.cfg, mode, &mut r).map_err(wire)?;
                 Backend::InOrder { machine, engine }
             }
             EngineKind::Ooo => {
-                let machine = Machine::restore(self.mode.image_ref(), &mut r).map_err(wire)?;
-                let engine = OooEngine::restore(&self.cfg, drc_cfg, &mut r).map_err(wire)?;
+                let machine = Machine::restore(mode.image_ref(), &mut r).map_err(wire)?;
+                let engine = OooEngine::restore(&self.cfg, mode, &mut r).map_err(wire)?;
                 Backend::Ooo { machine, engine }
             }
             EngineKind::Multicore { .. } => Backend::Multicore(
@@ -882,6 +822,15 @@ impl<'a> Session<'a> {
         } else if fault_idx > 0 {
             return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
         }
+        let faults = FaultStats::restore(&mut r).map_err(wire)?;
+        let n_records = r.u64().map_err(wire)?;
+        if n_records != fault_idx as u64 {
+            return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
+        }
+        let records = (0..n_records)
+            .map(|_| FaultRecord::restore(&mut r))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(wire)?;
         let n_samples = r.u64().map_err(wire)?;
         if n_samples > 1 << 32 {
             return Err(wire(WireError::LengthOutOfRange { len: n_samples }));
@@ -904,6 +853,8 @@ impl<'a> Session<'a> {
         }
         self.backend = backend;
         self.fault_idx = fault_idx;
+        self.faults = faults;
+        self.records = records;
         self.samples = samples;
         self.last = last;
         self.next_sample = next_sample;

@@ -1,8 +1,12 @@
 //! Aggregate statistics of one simulation.
 
 use crate::cache::CacheStats;
+use crate::config::EngineKind;
 use crate::dram::DramStats;
-use crate::predict::BranchStats;
+use crate::hierarchy::MemoryHierarchy;
+use crate::mediation::Mediation;
+use crate::ooo::OooConfig;
+use crate::predict::{BranchStats, Predictors};
 use crate::tlb::TlbStats;
 use vcfr_core::DrcStats;
 use vcfr_isa::wire::{Reader, WireError, Writer};
@@ -62,6 +66,32 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// The counters of a core's shared components (memory hierarchy,
+    /// predictors, mediation unit), with every pipeline counter zero for
+    /// the engine to fill in.
+    pub(crate) fn of_components(
+        hier: &MemoryHierarchy,
+        pred: &Predictors,
+        med: Option<&Mediation<'_>>,
+    ) -> SimStats {
+        SimStats {
+            il1: hier.il1.stats(),
+            dl1: hier.dl1.stats(),
+            l2: hier.l2.stats(),
+            itlb: hier.itlb.stats(),
+            dtlb: hier.dtlb.stats(),
+            dram: hier.dram.stats(),
+            l2_reads_from_l1: hier.l2_reads_from_l1,
+            contention_stall_cycles: hier.contention_cycles,
+            branch: pred.stats,
+            drc: med.map(Mediation::drc_stats),
+            drc_walk_cycles: med.map_or(0, Mediation::walk_cycles),
+            rerand_epochs: med.map_or(0, Mediation::epochs),
+            rerand_stall_cycles: med.map_or(0, Mediation::rerand_stall),
+            ..SimStats::default()
+        }
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -93,6 +123,21 @@ impl SimStats {
             drc_walk: self.drc_walk_cycles,
             rerand_stall: self.rerand_stall_cycles,
             contention: self.contention_stall_cycles,
+        }
+    }
+
+    /// The cycle-accounting audit of stats produced by `engine`: the
+    /// wide core gets the out-of-order identities (its cycles may
+    /// legitimately undercut the in-order floor when IPC exceeds 1),
+    /// every other kind the in-order ones (the multicore aggregate sums
+    /// per-core counters, so those identities still close).
+    pub fn audit(&self, engine: EngineKind) -> vcfr_obs::AuditReport {
+        let accounting = self.accounting();
+        match engine {
+            EngineKind::Ooo => {
+                accounting.audit_ooo(OooConfig::default().width as u64, self.instructions)
+            }
+            EngineKind::InOrder | EngineKind::Multicore { .. } => accounting.audit(),
         }
     }
 

@@ -16,7 +16,7 @@ use std::io;
 use std::path::Path;
 use vcfr_gadget::FuzzConfig;
 use vcfr_obs::{fingerprint, BenchRecord, BenchRun, Json, Manifest, Snapshot};
-use vcfr_sim::{EngineKind, IntervalSample, OooConfig, SimConfig, SimStats};
+use vcfr_sim::{EngineKind, IntervalSample, SimConfig, SimStats};
 
 /// DRC entries per matrix column (`None` for the non-VCFR machines),
 /// read out of the typed [`ModeSpec`] vocabulary.
@@ -97,19 +97,10 @@ fn audit_json(stats: &SimStats) -> Json {
 }
 
 /// [`audit_json`] with the identity set matched to the engine that
-/// produced `stats`: the out-of-order core is audited through
-/// `audit_ooo` (its cycles may legitimately undercut the in-order
-/// floor when IPC exceeds 1); the multicore aggregate sums per-core
-/// counters, so the in-order identities close on it unchanged.
+/// produced `stats` ([`SimStats::audit`]).
 fn engine_audit_json(engine: EngineKind, stats: &SimStats) -> Json {
-    let accounting = stats.accounting();
-    let report = match engine {
-        EngineKind::Ooo => {
-            accounting.audit_ooo(OooConfig::default().width as u64, stats.instructions)
-        }
-        EngineKind::InOrder | EngineKind::Multicore { .. } => accounting.audit(),
-    };
-    let mut j = accounting.to_json();
+    let report = stats.audit(engine);
+    let mut j = stats.accounting().to_json();
     j.set("tolerance", Json::F64(report.tolerance));
     j.set("passed", Json::Bool(report.passed()));
     j

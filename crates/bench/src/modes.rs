@@ -11,6 +11,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use vcfr_core::{DrcConfig, MAX_DRC_ENTRIES};
 
 /// How a run executes: unmodified, naive hardware ILR, or VCFR with a
 /// de-randomization cache of a given size.
@@ -85,7 +86,7 @@ impl fmt::Display for ModeParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "mode must be base, naive, or vcfr<drc entries, a positive power of two> (got {:?})",
+            "mode must be base, naive, or vcfr<drc entries, a power of two in 1..={MAX_DRC_ENTRIES}> (got {:?})",
             self.0
         )
     }
@@ -94,12 +95,12 @@ impl fmt::Display for ModeParseError {
 impl std::error::Error for ModeParseError {}
 
 fn validated_vcfr(drc_entries: usize) -> Result<ModeSpec, ModeParseError> {
-    // Direct-mapped DRCs need a power-of-two set count; rejecting here
-    // keeps Drc::new's panic unreachable from parsed input.
-    if drc_entries == 0 || !drc_entries.is_power_of_two() {
-        return Err(ModeParseError(format!("vcfr{drc_entries}")));
+    // Rejecting here keeps Drc::new's panic (and an oversized
+    // allocation) unreachable from parsed input.
+    match DrcConfig::direct_mapped(drc_entries).validate() {
+        Ok(()) => Ok(ModeSpec::Vcfr { drc_entries }),
+        Err(_) => Err(ModeParseError(format!("vcfr{drc_entries}"))),
     }
-    Ok(ModeSpec::Vcfr { drc_entries })
 }
 
 impl FromStr for ModeSpec {
@@ -162,6 +163,8 @@ mod tests {
         }
         assert!(ModeSpec::from_wire("vcfr", 0).is_err());
         assert!(ModeSpec::from_wire("vcfr", 96).is_err());
+        assert!(ModeSpec::from_wire("vcfr", 1 << 40).is_err());
+        assert!(format!("vcfr{}", MAX_DRC_ENTRIES * 2).parse::<ModeSpec>().is_err());
     }
 
     #[test]

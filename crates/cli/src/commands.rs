@@ -14,7 +14,7 @@ use vcfr_rewriter::{
     PROGRAM_MAGIC,
 };
 use vcfr_obs::{fingerprint, CycleAccounting, Json, Manifest};
-use vcfr_sim::{EngineKind, Mode, OooConfig, Session, SimConfig, SimStats, VcfrError};
+use vcfr_sim::{EngineKind, Mode, Session, SimConfig, SimStats, VcfrError};
 
 /// A CLI failure. Usage mistakes exit with status 2, everything else
 /// with status 1; simulation-stack failures stay typed all the way to
@@ -310,20 +310,6 @@ fn render_stats(stats: &SimStats) -> String {
     out
 }
 
-/// The cycle-accounting audit appropriate to the config's engine kind:
-/// the wide core gets the OoO identities (front-end floor, throughput,
-/// containment), everything else the in-order ones (the multicore
-/// aggregate sums per-core counters, so those identities still hold).
-fn run_audit(cfg: &SimConfig, stats: &SimStats) -> vcfr_obs::AuditReport {
-    let accounting = stats.accounting();
-    match cfg.engine {
-        EngineKind::Ooo => {
-            accounting.audit_ooo(OooConfig::default().width as u64, stats.instructions)
-        }
-        _ => accounting.audit(),
-    }
-}
-
 /// Builds the single-run manifest written by `vcfr simulate --manifest`.
 /// Same schema as the experiment-matrix manifests, with an empty sample
 /// array (the one-shot run is not interval-sampled).
@@ -373,7 +359,7 @@ fn single_run_manifest(
         },
     );
     let accounting = stats.accounting();
-    let audit = run_audit(cfg, stats);
+    let audit = stats.audit(cfg.engine);
     let mut audit_json = accounting.to_json();
     audit_json.set("tolerance", Json::F64(audit.tolerance));
     audit_json.set("passed", Json::Bool(audit.passed()));
@@ -421,22 +407,22 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         return Err(fail("--rerand-epoch requires --mode vcfr (live table swaps need the DRC)"));
     }
     let cores = args.u64_or("cores", 1)?;
-    if cores == 0 {
-        return Err(fail("--cores needs at least 1 core"));
-    }
-    if cores > 64 {
-        return Err(fail("--cores is capped at 64"));
-    }
     if args.flag("ooo") && cores > 1 {
         return Err(fail("--ooo and --cores select different engines; pick one"));
     }
     let engine = if args.flag("ooo") {
         EngineKind::Ooo
-    } else if cores > 1 {
-        EngineKind::Multicore { cores: cores as u32 }
-    } else {
+    } else if cores == 1 {
         EngineKind::InOrder
+    } else {
+        EngineKind::Multicore { cores: u32::try_from(cores).unwrap_or(u32::MAX) }
     };
+    engine.validate().map_err(|_| {
+        fail(format!(
+            "--cores must be at least 1 and is capped at {} (got {cores})",
+            EngineKind::MAX_CORES
+        ))
+    })?;
     // --entropy-bits/--sparsity pick a point on the randomization
     // frontier; a VCFR run always carries its RandParams so the point
     // lands in the checkpoint fingerprint and the manifest.
@@ -521,7 +507,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         (_, None) => return Err(fail("randomized artefact required for this mode")),
     };
 
-    if args.flag("dump-trace") && !matches!(engine, EngineKind::InOrder) {
+    if args.flag("dump-trace") && !engine.keeps_trace_ring() {
         return Err(fail("--dump-trace needs the in-order engine (only it keeps a trace ring)"));
     }
 
@@ -595,7 +581,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         report.push_str(&trace_dump);
     }
     if args.flag("audit") {
-        let audit = run_audit(&cfg, &out.stats);
+        let audit = out.stats.audit(cfg.engine);
         report.push_str(&audit.render());
         if !audit.passed() {
             return Err(CliError::Msg(report));

@@ -28,7 +28,7 @@ use vcfr_bench::{
 use vcfr_core::DrcConfig;
 use vcfr_obs::{parse_json, Backoff, Json, ProgressEvent};
 use vcfr_rewriter::{randomize, RandomizeConfig, RandomizedProgram};
-use vcfr_sim::{Mode, Session, SessionStatus, SimConfig};
+use vcfr_sim::{CheckpointError, Mode, Session, SessionStatus, SimConfig, VcfrError};
 use vcfr_workloads::{by_name, by_name_scaled};
 
 /// How the daemon is configured.
@@ -306,12 +306,18 @@ fn run_job(inner: &Inner, id: u64) {
         });
     });
 
-    // Resume from the latest snapshot, if the previous daemon left one.
+    // Resume from the latest snapshot, if the previous daemon (or a
+    // fleet re-dispatch) left one. A snapshot of another format version
+    // cannot be read; per the version policy the job then re-runs from
+    // instruction 0 rather than failing.
     let ckpt_path = ckpt_file(&inner.jobs_dir, id);
     if let Ok(bytes) = std::fs::read(&ckpt_path) {
-        if let Err(e) = session.restore(&bytes) {
-            fail_job(inner, id, started, format!("checkpoint rejected: {e}"));
-            return;
+        match session.restore(&bytes) {
+            Ok(()) | Err(VcfrError::Checkpoint(CheckpointError::Version { .. })) => {}
+            Err(e) => {
+                fail_job(inner, id, started, format!("checkpoint rejected: {e}"));
+                return;
+            }
         }
     }
 
@@ -718,4 +724,76 @@ pub fn serve(opts: &ServeOptions) -> Result<(), ServiceError> {
     pool.stop();
     let _ = std::fs::remove_file(opts.dir.join(ENDPOINT_FILE));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A small VCFR job, chunked so it checkpoints along the way.
+    fn spec() -> JobSpec {
+        let mut spec = JobSpec::new("bzip2");
+        spec.max_insts = 20_000;
+        spec.checkpoint_every = 5_000;
+        spec
+    }
+
+    /// Runs job 1 of a fresh store holding `ckpt` (if any) as its
+    /// snapshot; returns the final phase and the manifest bytes.
+    fn run_in_store(tag: &str, ckpt: Option<&[u8]>) -> (JobPhase, Vec<u8>) {
+        let dir = std::env::temp_dir().join(format!("vcfr-daemon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp store");
+        let inner = Inner {
+            jobs_dir: dir.clone(),
+            stopping: AtomicBool::new(false),
+            jobs: Mutex::new(BTreeMap::from([(1, JobState::new(spec(), JobPhase::Queued, None))])),
+            changed: Condvar::new(),
+            metrics: MetricsHub::new(),
+        };
+        if let Some(bytes) = ckpt {
+            std::fs::write(ckpt_file(&dir, 1), bytes).expect("write snapshot");
+        }
+        run_job(&inner, 1);
+        let phase = inner.jobs.lock().expect("registry lock")[&1].phase;
+        let manifest = std::fs::read(manifest_file(&dir, 1)).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        (phase, manifest)
+    }
+
+    /// A genuine mid-run snapshot of [`spec`]'s job, as the daemon
+    /// builds it.
+    fn snapshot() -> Vec<u8> {
+        let spec = spec();
+        let w = by_name_scaled(&spec.workload, spec.scale).expect("workload");
+        let rp = randomize(&w.image, &RandomizeConfig::with_seed(spec.seed)).expect("randomizes");
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
+        let mut session = Session::new(mode, &SimConfig::default(), spec.max_insts)
+            .expect("valid")
+            .with_sampling((spec.max_insts / 10).max(1));
+        session.run_for(spec.checkpoint_every).expect("first chunk");
+        session.checkpoint()
+    }
+
+    #[test]
+    fn an_other_version_checkpoint_restarts_the_job() {
+        let mut future = snapshot();
+        let version = vcfr_sim::CHECKPOINT_VERSION + 1;
+        future[8..12].copy_from_slice(&version.to_le_bytes());
+        let (phase, resumed) = run_in_store("future-ckpt", Some(&future));
+        let (_, fresh) = run_in_store("fresh", None);
+        assert_eq!(phase, JobPhase::Done);
+        assert!(!fresh.is_empty());
+        assert_eq!(resumed, fresh, "the restarted job matches a fresh run");
+    }
+
+    #[test]
+    fn a_corrupt_checkpoint_still_fails_the_job() {
+        let mut corrupt = snapshot();
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0x10;
+        let (phase, manifest) = run_in_store("corrupt-ckpt", Some(&corrupt));
+        assert_eq!(phase, JobPhase::Failed);
+        assert!(manifest.is_empty());
+    }
 }

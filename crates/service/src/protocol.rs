@@ -136,14 +136,8 @@ impl JobSpec {
                 self.scale
             )));
         }
-        if let EngineKind::Multicore { cores } = self.engine {
-            if !(1..=64).contains(&cores) {
-                return Err(ServiceError::Protocol(format!(
-                    "engine cores must be in 1..=64 (got {cores})"
-                )));
-            }
-        }
-        if self.faults && self.engine != EngineKind::InOrder {
+        self.engine.validate().map_err(|e| ServiceError::Protocol(e.to_string()))?;
+        if self.faults && !self.engine.models_faults() {
             return Err(ServiceError::Protocol(
                 "fault campaigns are only modeled on the in-order engine".to_string(),
             ));
@@ -412,6 +406,18 @@ mod tests {
         j.set("scale", Json::U64(2048));
         assert!(JobSpec::from_json(&j).is_err());
         assert!(JobSpec::from_json(&Json::obj()).is_err());
+    }
+
+    #[test]
+    fn an_unbuildable_drc_is_refused_at_parse_time() {
+        // A DRC this size would abort the daemon on allocation — and,
+        // persisted before the run, again on every restart.
+        let text = r#"{"workload":"bzip2","mode":"vcfr","drc":1099511627776}"#;
+        let j = vcfr_obs::parse_json(text).expect("valid JSON");
+        match JobSpec::from_json(&j) {
+            Err(ServiceError::Protocol(msg)) => assert!(msg.contains("vcfr"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,11 +14,12 @@ repro-check:
 bench-smoke:
     cargo bench -p vcfr-bench --bench components -- engine
 
-# Superblock equivalence smoke: every workload x {base, vcfr, rerand,
-# faulted}, fast path on vs off, byte-identical stats, samples, fault
-# records, and checkpoints (docs/superblocks.md).
-superblock-smoke:
-    cargo test --release -p vcfr-sim --test superblock_equiv
+# Simulator suite: every vcfr-sim test, including the engine-kind
+# differential suite, checkpoint round trips and the superblock
+# equivalence grid (fast path on vs off, byte-identical results; see
+# docs/superblocks.md).
+sim-smoke:
+    cargo test --release -p vcfr-sim
 
 # Observability smoke: manifests byte-identical across thread counts,
 # parse round trip, and audit identity (see docs/observability.md).
@@ -69,7 +70,7 @@ docs-check:
     cargo test -p vcfr --test docs_check
 
 # Every end-to-end smoke in one go.
-smoke: obs-smoke faults-smoke serve-smoke fleet-smoke superblock-smoke telemetry-smoke multicore-smoke security-smoke docs-check
+smoke: obs-smoke faults-smoke serve-smoke fleet-smoke sim-smoke telemetry-smoke multicore-smoke security-smoke docs-check
 
 # Full test suite across the workspace.
 test:

@@ -10,10 +10,15 @@
 //! Runs are capped at 20 000 instructions per core, so the whole grid
 //! finishes in seconds in a debug build while still crossing several
 //! re-randomization epochs, DRC flushes and contained sticky faults.
+//!
+//! Two more tests pin configurations that used to panic inside the
+//! simulator: each must come back as a typed configuration error.
 
 use vcfr::core::DrcConfig;
 use vcfr::rewriter::{randomize, RandomizeConfig, RandomizedProgram};
-use vcfr::sim::{DrcBacking, EngineKind, FaultPlan, Mode, Session, SimConfig};
+use vcfr::sim::{
+    simulate_ooo, DrcBacking, EngineKind, FaultPlan, Mode, OooConfig, Session, SimConfig, VcfrError,
+};
 use vcfr::workloads::Workload;
 
 /// Instructions per core.
@@ -178,4 +183,29 @@ fn engine_results_match_the_golden_digests() {
         diffs.len(),
         diffs.join("\n")
     );
+}
+
+/// Re-randomization on a baseline run is a configuration error, not a
+/// panic inside the legacy entry point.
+#[test]
+fn rerand_on_a_baseline_run_is_a_config_error() {
+    let (w, _) = prepare("bzip2");
+    let cfg = SimConfig { rerand_epoch: Some(1_000), ..SimConfig::default() };
+    let err = vcfr::sim::simulate(Mode::Baseline(&w.image), &cfg, BUDGET).unwrap_err();
+    assert!(matches!(err, VcfrError::Config(_)), "{err:?}");
+}
+
+/// Every entry point validates the DRC geometry before building one:
+/// an empty DRC and one too large to allocate are both refused.
+#[test]
+fn invalid_drc_geometries_are_config_errors() {
+    let (_, rp) = prepare("bzip2");
+    for entries in [0, 1 << 40] {
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(entries) };
+        let err = simulate_ooo(mode, &SimConfig::default(), OooConfig::default(), BUDGET)
+            .unwrap_err();
+        assert!(matches!(err, VcfrError::Config(_)), "{entries}: {err:?}");
+        let err = Session::new(mode, &SimConfig::default(), BUDGET).err().expect("refused");
+        assert!(matches!(err, VcfrError::Config(_)), "{entries}: {err:?}");
+    }
 }

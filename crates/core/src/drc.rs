@@ -97,7 +97,7 @@ impl DrcConfig {
         if self.entries == 0 || self.entries > MAX_DRC_ENTRIES {
             return Err(DrcConfigError::Entries(self.entries));
         }
-        if self.ways == 0 || self.entries % self.ways != 0 {
+        if self.ways == 0 || !self.entries.is_multiple_of(self.ways) {
             return Err(DrcConfigError::Ways { entries: self.entries, ways: self.ways });
         }
         let sets = self.entries / self.ways;

@@ -107,14 +107,8 @@ pub enum EngineKind {
     },
 }
 
-/// What each engine kind models beyond the shared timing contract, in
-/// one place (docs/architecture.md tabulates it):
-///
-/// | kind        | faults | trace ring | superblocks | stack-slot hygiene |
-/// |-------------|--------|------------|-------------|--------------------|
-/// | `InOrder`   | yes    | yes        | yes         | yes                |
-/// | `Ooo`       | no     | no         | no          | no                 |
-/// | `Multicore` | no     | no         | no          | yes (per core)     |
+/// What each kind models beyond the shared Session contract is answered
+/// here, once (docs/architecture.md tabulates it).
 impl EngineKind {
     /// Largest core count a multicore run accepts.
     pub const MAX_CORES: u32 = 64;

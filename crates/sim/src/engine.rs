@@ -174,7 +174,7 @@ pub struct SimOutput {
 const DECODE_DEPTH: u64 = 3;
 
 pub(crate) struct Engine<'a> {
-    pub(crate) cfg: SimConfig,
+    cfg: SimConfig,
     mode: Mode<'a>,
     pub(crate) hier: MemoryHierarchy,
     pred: Predictors,
@@ -182,18 +182,18 @@ pub(crate) struct Engine<'a> {
     med: Option<Mediation<'a>>,
     pub(crate) fetch_time: u64,
     pub(crate) backend_time: u64,
-    pub(crate) redirect_at: u64,
-    pub(crate) window_line: Option<Addr>,
-    pub(crate) iq: VecDeque<u64>,
-    pub(crate) fetch_stall: u64,
-    pub(crate) load_stall: u64,
-    pub(crate) redirect_stall: u64,
-    pub(crate) exec_extra: u64,
+    redirect_at: u64,
+    window_line: Option<Addr>,
+    iq: VecDeque<u64>,
+    fetch_stall: u64,
+    load_stall: u64,
+    redirect_stall: u64,
+    exec_extra: u64,
     pub(crate) instructions: u64,
     pub(crate) trace: TraceRing<TraceEvent>,
     /// PC of the instruction currently stepping (for events recorded in
     /// helpers that don't see `StepInfo`).
-    pub(crate) cur_pc: Addr,
+    cur_pc: Addr,
 }
 
 /// Per-instruction timing precompute for superblock replay: everything
@@ -265,6 +265,13 @@ impl<'a> Engine<'a> {
             trace: TraceRing::new(cfg.trace_events),
             cur_pc: 0,
         }
+    }
+
+    /// Instructions that can commit before the mediation unit's next DRC
+    /// flush or epoch boundary (the superblock fast path stops short of
+    /// one).
+    pub(crate) fn quiet_insts(&self) -> u64 {
+        self.med.as_ref().map_or(u64::MAX, |m| m.quiet_after(self.instructions))
     }
 
     /// Packages an architectural fault with the post-mortem trace.

@@ -380,7 +380,6 @@ fn outcome_from_tag(tag: u8) -> Result<FaultOutcome, WireError> {
     })
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;

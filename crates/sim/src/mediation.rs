@@ -20,8 +20,8 @@ use crate::flatmap::FlatMap;
 use crate::hierarchy::MemoryHierarchy;
 use crate::tlb::Tlb;
 use vcfr_core::{
-    rerandomize, Drc, DrcConfig, DrcLookup, DrcStats, LayoutMap, OrigAddr, RandAddr,
-    StackBitmap, TranslationTable,
+    rerandomize, Drc, DrcConfig, DrcLookup, DrcStats, LayoutMap, OrigAddr, RandAddr, StackBitmap,
+    TranslationTable,
 };
 use vcfr_isa::wire::{Reader, WireError, Writer};
 use vcfr_isa::{Addr, ControlFlow, Image, MemAccess};
@@ -105,9 +105,12 @@ pub(crate) struct Mediation<'a> {
     /// Tables of the current epoch, rebuilt at the program's table base
     /// so the hidden TLB pages stay valid across swaps.
     epoch_table: Option<TranslationTable>,
-    epochs: u64,
-    rerand_stall: u64,
-    walk_cycles: u64,
+    /// Epoch swaps so far.
+    pub(crate) epochs: u64,
+    /// Cycles of re-randomization pause charged so far.
+    pub(crate) rerand_stall: u64,
+    /// Cycles spent walking the tables on DRC misses.
+    pub(crate) walk_cycles: u64,
 }
 
 impl<'a> Mediation<'a> {
@@ -181,6 +184,18 @@ impl<'a> Mediation<'a> {
         self.rerand_epoch.is_some_and(|e| n.is_multiple_of(e)).then(|| self.swap_epoch())
     }
 
+    /// How many instructions after the `n`th commit before the next DRC
+    /// flush or epoch boundary (`u64::MAX` when neither is scheduled).
+    pub(crate) fn quiet_after(&self, n: u64) -> u64 {
+        [self.flush_interval, self.rerand_epoch]
+            .into_iter()
+            .flatten()
+            .filter(|&k| k > 0)
+            .map(|k| (n / k + 1) * k - n - 1)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Randomizes the return address a call pushes (one DRC lookup).
     /// Returns the randomized value and the walk latency, or `None` when
     /// the address has no translation.
@@ -220,10 +235,8 @@ impl<'a> Mediation<'a> {
         hier: &mut MemoryHierarchy,
         now: u64,
     ) -> u64 {
-        let is_call = matches!(
-            control,
-            Some(ControlFlow::Call { .. } | ControlFlow::IndirectCall { .. })
-        );
+        let is_call =
+            matches!(control, Some(ControlFlow::Call { .. } | ControlFlow::IndirectCall { .. }));
         if acc.write {
             if !is_call && self.bitmap.is_marked(acc.addr) {
                 self.clear_slot(acc.addr);
@@ -314,21 +327,6 @@ impl<'a> Mediation<'a> {
     /// DRC lookup counters.
     pub(crate) fn drc_stats(&self) -> DrcStats {
         self.drc.stats()
-    }
-
-    /// Cycles spent walking the tables on DRC misses.
-    pub(crate) fn walk_cycles(&self) -> u64 {
-        self.walk_cycles
-    }
-
-    /// Epoch swaps so far.
-    pub(crate) fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Cycles of re-randomization pause charged so far.
-    pub(crate) fn rerand_stall(&self) -> u64 {
-        self.rerand_stall
     }
 
     /// Serialises the unit's state (checkpoint support). The epoch layout

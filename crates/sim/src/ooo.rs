@@ -20,9 +20,7 @@
 //! so `cycles ≥ fetch_stall + redirect_stall + rerand_stall` always.
 
 use crate::config::{EngineKind, SimConfig};
-use crate::engine::{
-    exec_extra_cycles, load_line, load_queue, save_line, save_queue, SimOutput,
-};
+use crate::engine::{exec_extra_cycles, load_line, load_queue, save_line, save_queue, SimOutput};
 use crate::error::VcfrError;
 use crate::hierarchy::MemoryHierarchy;
 use crate::mediation::{Mediation, Mode};

@@ -560,11 +560,10 @@ impl<'a> Session<'a> {
         let Backend::InOrder { machine, engine } = &mut self.backend else {
             return false;
         };
-        let mode = self.modes[0];
         // Naive ILR fetches every instruction from its scattered
         // randomized address: the fast path's pc-contiguity premise does
         // not hold.
-        if let Mode::NaiveIlr(_) = mode {
+        if let Mode::NaiveIlr(_) = self.modes[0] {
             return false;
         }
         if machine.stop_reason().is_some() {
@@ -612,19 +611,10 @@ impl<'a> Session<'a> {
                 n = n.min(f.at_inst.saturating_sub(i));
             }
         }
-        if mode.vcfr().is_some() {
-            // The instruction landing exactly on a flush/epoch multiple
-            // must take the slow path: `Engine::step` performs the flush
-            // or table swap *before* that instruction's fetch.
-            if let Some(q) = self.cfg.drc_flush_interval.and_then(|v| i.checked_div(v)) {
-                let interval = self.cfg.drc_flush_interval.expect("division succeeded");
-                n = n.min((q + 1) * interval - i - 1);
-            }
-            if let Some(q) = self.cfg.rerand_epoch.and_then(|v| i.checked_div(v)) {
-                let epoch = self.cfg.rerand_epoch.expect("division succeeded");
-                n = n.min((q + 1) * epoch - i - 1);
-            }
-        }
+        // The instruction landing exactly on a DRC flush or epoch
+        // boundary must take the slow path: `Engine::step` performs the
+        // flush or table swap *before* that instruction's fetch.
+        n = n.min(engine.quiet_insts());
         if n == 0 {
             return false;
         }

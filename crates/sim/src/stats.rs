@@ -85,9 +85,9 @@ impl SimStats {
             contention_stall_cycles: hier.contention_cycles,
             branch: pred.stats,
             drc: med.map(Mediation::drc_stats),
-            drc_walk_cycles: med.map_or(0, Mediation::walk_cycles),
-            rerand_epochs: med.map_or(0, Mediation::epochs),
-            rerand_stall_cycles: med.map_or(0, Mediation::rerand_stall),
+            drc_walk_cycles: med.map_or(0, |m| m.walk_cycles),
+            rerand_epochs: med.map_or(0, |m| m.epochs),
+            rerand_stall_cycles: med.map_or(0, |m| m.rerand_stall),
             ..SimStats::default()
         }
     }

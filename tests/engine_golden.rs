@@ -168,8 +168,7 @@ fn all_digests() -> Vec<(String, String)> {
 #[test]
 fn engine_results_match_the_golden_digests() {
     let got = all_digests();
-    let table: String =
-        got.iter().map(|(k, d)| format!("    (\"{k}\", \"{d}\"),\n")).collect();
+    let table: String = got.iter().map(|(k, d)| format!("    (\"{k}\", \"{d}\"),\n")).collect();
     assert_eq!(got.len(), GOLDEN.len(), "the grid changed shape; current digests:\n{table}");
     let diffs: Vec<String> = got
         .iter()
@@ -202,8 +201,8 @@ fn invalid_drc_geometries_are_config_errors() {
     let (_, rp) = prepare("bzip2");
     for entries in [0, 1 << 40] {
         let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(entries) };
-        let err = simulate_ooo(mode, &SimConfig::default(), OooConfig::default(), BUDGET)
-            .unwrap_err();
+        let err =
+            simulate_ooo(mode, &SimConfig::default(), OooConfig::default(), BUDGET).unwrap_err();
         assert!(matches!(err, VcfrError::Config(_)), "{entries}: {err:?}");
         let err = Session::new(mode, &SimConfig::default(), BUDGET).err().expect("refused");
         assert!(matches!(err, VcfrError::Config(_)), "{entries}: {err:?}");

@@ -242,10 +242,7 @@ pub(crate) fn exec_extra_cycles(inst: &Inst) -> u64 {
 impl<'a> Engine<'a> {
     pub(crate) fn new(cfg: &SimConfig, mode: Mode<'a>) -> Engine<'a> {
         let mut hier = MemoryHierarchy::new(cfg);
-        let med = Mediation::new(&mode, cfg);
-        if let Some(med) = &med {
-            med.hide_tables(&mut hier.dtlb);
-        }
+        let med = Mediation::new(&mode, cfg, &mut hier.dtlb);
         Engine {
             cfg: *cfg,
             mode,

@@ -114,9 +114,15 @@ pub(crate) struct Mediation<'a> {
 }
 
 impl<'a> Mediation<'a> {
-    /// The unit of a VCFR run (`None` for the other modes).
-    pub(crate) fn new(mode: &Mode<'a>, cfg: &SimConfig) -> Option<Mediation<'a>> {
+    /// The unit of a VCFR run (`None` for the other modes). Its table
+    /// pages are hidden from user space in `dtlb` (the TLB
+    /// page-visibility bit, §IV-A).
+    pub(crate) fn new(mode: &Mode<'a>, cfg: &SimConfig, dtlb: &mut Tlb) -> Option<Mediation<'a>> {
         let (program, drc) = mode.vcfr()?;
+        let base = program.table.base();
+        for page in 0..TABLE_PAGES {
+            dtlb.set_invisible(base + page * 4096);
+        }
         Some(Mediation {
             program,
             backing: cfg.drc_backing,
@@ -132,15 +138,6 @@ impl<'a> Mediation<'a> {
             rerand_stall: 0,
             walk_cycles: 0,
         })
-    }
-
-    /// Hides the translation-table pages from user space (the TLB
-    /// page-visibility bit, §IV-A).
-    pub(crate) fn hide_tables(&self, dtlb: &mut Tlb) {
-        let base = self.program.table.base();
-        for page in 0..TABLE_PAGES {
-            dtlb.set_invisible(base + page * 4096);
-        }
     }
 
     /// The live randomized address of original `addr` (itself for

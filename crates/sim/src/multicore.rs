@@ -3,7 +3,8 @@
 //! applied to multi-core or multi-processor based systems with ease."
 //!
 //! N cores, each a full in-order [`Engine`] with private L1s, TLBs,
-//! predictors, DRC, stack hygiene and re-randomization state, share the
+//! predictors and VCFR mediation unit (DRC, stack hygiene,
+//! re-randomization state), share the
 //! unified L2 and DRAM behind a single-ported [`SharedPort`]: a demand
 //! access (fetch-line miss, data-load miss, table walk) issued while the
 //! port is busy with a *different* core's request queues, and the wait is

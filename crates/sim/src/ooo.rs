@@ -88,10 +88,7 @@ impl<'a> OooEngine<'a> {
         // The OoO core models no stack-slot hygiene: it never marks a
         // slot, so its unit holds no live return addresses and an epoch
         // swap costs quiesce plus table rebuild only.
-        let med = Mediation::new(&mode, cfg);
-        if let Some(med) = &med {
-            med.hide_tables(&mut hier.dtlb);
-        }
+        let med = Mediation::new(&mode, cfg, &mut hier.dtlb);
         OooEngine {
             cfg: *cfg,
             ooo,

@@ -1,6 +1,7 @@
 //! Branch prediction: 2-level gshare direction predictor, set-associative
 //! branch target buffer, and a return address stack — the §VI-C predictor
-//! complement.
+//! complement — plus [`Predictors`], the control-flow resolver both cores
+//! share.
 
 use crate::config::{BtbConfig, GshareConfig, SimConfig};
 use crate::hierarchy::MemoryHierarchy;

@@ -418,16 +418,20 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
+                    // Copy the whole run up to the next quote or
+                    // backslash at once. Both are ASCII, so the run ends
+                    // on a char boundary of the `&str` input, and each
+                    // byte is validated once: parsing stays linear in
+                    // the document, however long the string.
                     let rest = &self.bytes[self.at..];
-                    let c = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8"))?
-                        .chars()
-                        .next()
-                        .expect("non-empty");
-                    s.push(c);
-                    self.at += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    s.push_str(run);
+                    self.at += len;
                 }
             }
         }
@@ -533,6 +537,25 @@ mod tests {
         assert_eq!(e.at, 6);
         assert!(parse_json("[1, 2] junk").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn strings_round_trip_byte_for_byte() {
+        // Escapes, control characters (emitted as `\u00XX`), and 2-, 3-
+        // and 4-byte UTF-8 next to each other and at both ends.
+        let mixed = "\"é\\a\"b\n\r\tc\u{1}€\u{1f}𝄞\\\\x\u{7f}日本\"";
+        for s in ["", "\\", "\"", "é", mixed] {
+            let text = Json::Str(s.to_string()).compact();
+            let back = parse_json(&text).unwrap();
+            assert_eq!(back.as_str().unwrap().as_bytes(), s.as_bytes());
+            assert_eq!(back.compact(), text);
+        }
+        // Escapes the emitter never writes still decode.
+        let v = parse_json(r#""a\/b\u00e9é\u20ac€\b\f""#).unwrap();
+        assert_eq!(v.as_str(), Some("a/béé€€\u{8}\u{c}"));
+        for bad in [r#""abc"#, r#""a\q""#, r#""\u12""#, r#""\ud834""#] {
+            assert!(parse_json(bad).is_err(), "{bad} should be rejected");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! A blocking JSON-lines client for the daemon, used by the `vcfr
 //! submit` / `vcfr jobs` subcommands and the smoke tests.
 
-use crate::protocol::{hex_encode, JobSpec, ServiceError, ENDPOINT_FILE};
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::TcpStream;
+use crate::protocol::{hex_encode, send_lines, JobSpec, ServiceError, ENDPOINT_FILE};
+use std::io::{BufRead, BufReader};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
+use std::time::Duration;
 use vcfr_obs::{parse_json, Json};
 
 /// One connection to a running daemon.
@@ -15,6 +16,8 @@ pub struct Client {
 
 impl Client {
     /// Connects via the endpoint file in the service state directory.
+    /// Every call on the connection may wait indefinitely (a `watch` can
+    /// legitimately go seconds between events).
     ///
     /// # Errors
     ///
@@ -22,21 +25,47 @@ impl Client {
     /// endpoint there; [`ServiceError::Io`] when the connect fails
     /// (e.g. a stale endpoint file after a hard kill).
     pub fn connect(dir: &Path) -> Result<Client, ServiceError> {
+        Client::open(dir, None)
+    }
+
+    /// [`Client::connect`], but the connect and every later read and
+    /// write on the connection give up after `timeout` with
+    /// [`ServiceError::Io`]: a peer that accepts but never answers (a
+    /// stopped or deadlocked daemon) cannot block the caller forever.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::connect`], plus [`ServiceError::Io`] when the connect
+    /// times out.
+    pub fn connect_within(dir: &Path, timeout: Duration) -> Result<Client, ServiceError> {
+        Client::open(dir, Some(timeout))
+    }
+
+    fn open(dir: &Path, timeout: Option<Duration>) -> Result<Client, ServiceError> {
         let path = dir.join(ENDPOINT_FILE);
-        let addr = std::fs::read_to_string(&path).map_err(|_| {
+        let text = std::fs::read_to_string(&path).map_err(|_| {
             ServiceError::Protocol(format!(
                 "no service endpoint at {} (is `vcfr serve` running?)",
                 path.display()
             ))
         })?;
-        let stream = TcpStream::connect(addr.trim())?;
+        let addr: SocketAddr = text.trim().parse().map_err(|_| {
+            ServiceError::Protocol(format!("bad endpoint {:?} in {}", text.trim(), path.display()))
+        })?;
+        let stream = match timeout {
+            None => TcpStream::connect(addr)?,
+            Some(t) => TcpStream::connect_timeout(&addr, t)?,
+        };
+        // Socket options, so the reader's clone below shares them.
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client { reader, writer: stream })
     }
 
     /// Sends one request line and reads one response line.
     fn roundtrip(&mut self, req: &Json) -> Result<Json, ServiceError> {
-        writeln!(self.writer, "{}", req.compact())?;
+        send_lines(&mut self.writer, [req])?;
         self.read_line()
     }
 
@@ -204,7 +233,7 @@ impl Client {
     ) -> Result<(), ServiceError> {
         let mut req = Self::op("watch");
         req.set("id", Json::U64(id));
-        writeln!(self.writer, "{}", req.compact())?;
+        send_lines(&mut self.writer, [&req])?;
         loop {
             let line = self.read_line()?;
             if let Some(err) = line.get("error").and_then(Json::as_str) {

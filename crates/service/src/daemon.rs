@@ -13,10 +13,11 @@
 
 use crate::metrics::MetricsHub;
 use crate::protocol::{
-    err_response, hex_decode, ok_response, JobPhase, JobSpec, ServiceError, ENDPOINT_FILE,
+    err_response, hex_decode, ok_response, send_lines, JobPhase, JobSpec, ServiceError,
+    ENDPOINT_FILE,
 };
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -493,18 +494,19 @@ fn handle_fetch(inner: &Inner, id: u64) -> Json {
 /// when the phase changes (plus one up front, so a watcher always sees
 /// where the job stands). The wait between registry changes backs off
 /// exponentially (capped) while nothing moves, so idle watchers cost
-/// the daemon next to nothing; any change snaps it back down.
+/// the daemon next to nothing; any change snaps it back down. The lines
+/// of one wakeup, the final `end` included, go out as one write.
 fn handle_watch(inner: &Inner, out: &mut TcpStream, id: u64) -> std::io::Result<()> {
     let mut last_seq: Option<u64> = None;
     let mut last_progress = 0u64;
     let mut last_phase: Option<JobPhase> = None;
     let mut wait = Backoff::new(Duration::from_millis(25), Duration::from_millis(1_600));
     loop {
-        let (lines, terminal) = {
+        let (mut lines, terminal) = {
             let mut jobs = inner.jobs.lock().expect("registry lock");
             loop {
                 let Some(st) = jobs.get(&id) else {
-                    return writeln!(out, "{}", err_response("no such job").compact());
+                    return send_lines(out, [&err_response("no such job")]);
                 };
                 if last_seq != Some(st.seq) || st.phase.is_terminal() || inner.stopping() {
                     last_seq = Some(st.seq);
@@ -545,15 +547,14 @@ fn handle_watch(inner: &Inner, out: &mut TcpStream, id: u64) -> std::io::Result<
                 }
             }
         };
-        for line in &lines {
-            writeln!(out, "{}", line.compact())?;
-        }
         if terminal {
             let mut end = Json::obj();
             end.set("event", Json::Str("end".to_string()));
             end.set("id", Json::U64(id));
-            return writeln!(out, "{}", end.compact());
+            lines.push(end);
+            return send_lines(out, &lines);
         }
+        send_lines(out, &lines)?;
     }
 }
 
@@ -651,7 +652,7 @@ fn handle_conn(
                     // Acknowledge before triggering the stop, so the
                     // reply reaches the client even if the daemon wins
                     // the race and exits first.
-                    if writeln!(writer, "{}", ok_response().compact()).is_err() {
+                    if send_lines(&mut writer, [&ok_response()]).is_err() {
                         return;
                     }
                     inner.stopping.store(true, Ordering::SeqCst);
@@ -663,7 +664,7 @@ fn handle_conn(
                 _ => err_response("unknown op"),
             },
         };
-        if writeln!(writer, "{}", resp.compact()).is_err() {
+        if send_lines(&mut writer, [&resp]).is_err() {
             return;
         }
     }

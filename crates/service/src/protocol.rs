@@ -6,6 +6,7 @@
 //! machinery). Requests carry an `"op"` discriminant; responses carry
 //! `"ok"` (or, on the `watch` stream, an `"event"` discriminant).
 
+use std::io::Write;
 use vcfr_bench::ModeSpec;
 use vcfr_obs::{Json, JsonError};
 use vcfr_sim::{EngineKind, VcfrError};
@@ -345,6 +346,25 @@ pub(crate) fn ok_response() -> Json {
     j
 }
 
+/// Sends `msgs` as JSON lines in one `write_all`: every wire frame in
+/// the service goes out through here.
+///
+/// A frame written as its payload and then its `'\n'` leaves a one-byte
+/// tail that Nagle's algorithm holds until the peer's delayed ACK fires
+/// (about 40 ms on Linux), once in each direction of every round trip.
+/// One buffer per write removes that stall without any socket option.
+pub(crate) fn send_lines<'a>(
+    out: &mut impl Write,
+    msgs: impl IntoIterator<Item = &'a Json>,
+) -> std::io::Result<()> {
+    let mut frame = String::new();
+    for msg in msgs {
+        frame.push_str(&msg.compact());
+        frame.push('\n');
+    }
+    out.write_all(frame.as_bytes())
+}
+
 /// Lowercase-hex encoding for binary blobs (checkpoints) carried inside
 /// JSON strings on the wire.
 pub(crate) fn hex_encode(bytes: &[u8]) -> String {
@@ -487,6 +507,30 @@ mod tests {
         j.set("engine", Json::Str("ooo".into()));
         let e = JobSpec::from_json(&j).unwrap_err();
         assert!(e.to_string().contains("in-order"), "{e}");
+    }
+
+    /// A sink that records the size of every `write` call it gets.
+    #[derive(Default)]
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_go_out_in_one_write() {
+        let mut out = Writes::default();
+        let lines = [ok_response(), err_response("x"), ok_response()];
+        send_lines(&mut out, &lines).expect("writes");
+        let total: usize = lines.iter().map(|l| l.compact().len() + 1).sum();
+        assert_eq!(out.0, [total]);
     }
 
     #[test]

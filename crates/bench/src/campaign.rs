@@ -11,9 +11,9 @@
 //! thread counts.
 
 use crate::experiments::{parallel_map, randomize_workload, SEED};
+use crate::run::RunSpec;
 use std::fmt::Write as _;
-use vcfr_core::DrcConfig;
-use vcfr_sim::{ContainmentPolicy, FaultPlan, FaultStats, Mode, Session, SimConfig, SimStats};
+use vcfr_sim::{ContainmentPolicy, FaultPlan, FaultStats, SimStats};
 use vcfr_workloads::Workload;
 
 /// Faults injected per (app, configuration) run.
@@ -50,10 +50,9 @@ pub fn fault_plan_for(app: &str, max_insts: u64) -> FaultPlan {
 
 /// Runs the campaign over `suite` on `threads` workers: each app is
 /// randomized once, then every (app, {base, vcfr128}) cell runs the same
-/// per-app fault schedule through a faulted [`Session`]. Results are in
+/// per-app fault schedule as a faulted [`RunSpec`]. Results are in
 /// (app-major, [`CAMPAIGN_MODES`]) order regardless of scheduling.
 pub fn run_campaign(suite: &[Workload], threads: usize) -> Vec<CampaignCell> {
-    let cfg = SimConfig::default();
     let programs = parallel_map(suite.iter().collect(), threads, |_, w: &Workload| {
         randomize_workload(&w.image)
     });
@@ -61,13 +60,14 @@ pub fn run_campaign(suite: &[Workload], threads: usize) -> Vec<CampaignCell> {
         (0..suite.len()).flat_map(|a| (0..CAMPAIGN_MODES.len()).map(move |m| (a, m))).collect();
     parallel_map(cells, threads, |_, (a, m)| {
         let w = &suite[a];
-        let plan = fault_plan_for(w.name, w.max_insts);
-        let mode = match m {
-            0 => Mode::Baseline(&w.image),
-            _ => Mode::Vcfr { program: &programs[a], drc: DrcConfig::direct_mapped(128) },
+        let spec = RunSpec {
+            mode: CAMPAIGN_MODES[m].parse().expect("campaign modes parse"),
+            max_insts: w.max_insts,
+            faults: true,
+            ..RunSpec::new(w.name)
         };
-        let outcome = Session::new(mode, &cfg, w.max_insts)
-            .map(|s| s.with_faults(&plan))
+        let outcome = spec
+            .session(&w.image, Some(&programs[a]))
             .and_then(|mut s| s.run())
             .expect("campaign cell runs");
         CampaignCell {

@@ -1,5 +1,6 @@
 //! One function per table/figure of the paper's evaluation.
 
+use crate::run::RunSpec;
 use std::time::Instant;
 use vcfr_core::DrcConfig;
 use vcfr_gadget::AttackSurface;
@@ -50,18 +51,6 @@ pub fn randomize_workload(image: &Image) -> RandomizedProgram {
 /// The five machine configurations of the experiment matrix, in column
 /// order.
 pub const MODE_NAMES: [&str; 5] = ["base", "naive", "vcfr512", "vcfr128", "vcfr64"];
-
-/// Builds the [`Mode`] for matrix column `mode_idx`.
-fn matrix_mode<'a>(mode_idx: usize, image: &'a Image, rp: &'a RandomizedProgram) -> Mode<'a> {
-    match mode_idx {
-        0 => Mode::Baseline(image),
-        1 => Mode::NaiveIlr(rp),
-        2 => Mode::Vcfr { program: rp, drc: DrcConfig::direct_mapped(512) },
-        3 => Mode::Vcfr { program: rp, drc: DrcConfig::direct_mapped(128) },
-        4 => Mode::Vcfr { program: rp, drc: DrcConfig::direct_mapped(64) },
-        _ => unreachable!("matrix has five configurations"),
-    }
-}
 
 /// Interval samples taken per matrix run: each run is cut into this many
 /// slices for the manifest's phase-behaviour view.
@@ -148,7 +137,6 @@ pub fn matrix_over_tapped(
     on_cell: &(dyn Fn(&RunTiming) + Sync),
 ) -> (Matrix, MatrixTiming) {
     let t_total = Instant::now();
-    let cfg = SimConfig::default();
 
     // Stage 1: randomize each app once; every configuration shares the
     // result.
@@ -163,10 +151,14 @@ pub fn matrix_over_tapped(
         (0..suite.len()).flat_map(|a| (0..MODE_NAMES.len()).map(move |m| (a, m))).collect();
     let outputs = parallel_map(cells, threads, |_, (a, m)| {
         let w = &suite[a];
+        let spec = RunSpec {
+            mode: MODE_NAMES[m].parse().expect("matrix modes parse"),
+            max_insts: w.max_insts,
+            ..RunSpec::new(w.name)
+        };
         let t = Instant::now();
-        let interval = (w.max_insts / SAMPLES_PER_RUN).max(1);
-        let outcome = Session::new(matrix_mode(m, &w.image, &programs[a]), &cfg, w.max_insts)
-            .map(|s| s.with_sampling(interval))
+        let outcome = spec
+            .session(&w.image, Some(&programs[a]))
             .map(|s| {
                 if progress_every > 0 {
                     s.with_progress(progress_every, |e| on_progress(e))

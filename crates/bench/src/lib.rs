@@ -13,6 +13,7 @@ pub mod frontier;
 pub mod manifests;
 pub mod modes;
 pub mod pool;
+pub mod run;
 pub mod shard;
 
 #[cfg(test)]
@@ -33,15 +34,15 @@ pub use frontier::{
 };
 pub use manifests::{
     bench_record, build_campaign_manifests, build_engine_manifest, build_fault_manifest,
-    build_fault_manifest_parts, build_frontier_manifest, build_frontier_manifests,
-    build_manifest, build_matrix_manifests, frontier_summary_from_manifest, rand_params_json,
-    write_manifests,
+    build_frontier_manifest, build_frontier_manifests, build_matrix_manifests,
+    frontier_summary_from_manifest, rand_params_json, write_manifests,
 };
 pub use modes::{ModeParseError, ModeSpec, DEFAULT_DRC_ENTRIES};
 pub use pool::{parallel_map, PoolFull, PoolSnapshot, WorkerPool, WorkerStat};
+pub use run::{RunSpec, SpecError};
 pub use shard::{
     merge_manifest_bytes, merge_manifest_trees, shard_campaign, shard_matrix, MergeOutcome,
-    MergeReport, ShardCell,
+    MergeReport,
 };
 
 /// Geometric mean of an iterator of positive values.

@@ -106,20 +106,8 @@ fn engine_audit_json(engine: EngineKind, stats: &SimStats) -> Json {
     j
 }
 
-/// Builds the manifest for one matrix cell.
-pub fn build_manifest(
-    app: &str,
-    mode: &str,
-    stats: &SimStats,
-    samples: &[IntervalSample],
-    host: Json,
-) -> Manifest {
-    build_engine_manifest(app, mode, EngineKind::InOrder, stats, samples, host)
-}
-
-/// [`build_manifest`] for a run of any [`EngineKind`]: same schema,
-/// with the `audit` block computed by the identity set that matches
-/// the engine. The service daemon uses this for `ooo`/`mcN` jobs.
+/// Builds the manifest for one run of any [`EngineKind`], with the
+/// `audit` block computed by the identity set that matches the engine.
 pub fn build_engine_manifest(
     app: &str,
     mode: &str,
@@ -165,7 +153,9 @@ pub fn build_matrix_manifests(matrix: &Matrix, timing: &MatrixTiming) -> Vec<Man
             host.set("wall_s", Json::F64(run.wall_s));
             host.set("insts_per_s", Json::F64(run.insts_per_s));
             host.set("threads", Json::U64(timing.threads as u64));
-            out.push(build_manifest(row.name, mode, mode_stats(row, mi), &run.samples, host));
+            let stats = mode_stats(row, mi);
+            let engine = EngineKind::InOrder;
+            out.push(build_engine_manifest(row.name, mode, engine, stats, &run.samples, host));
         }
     }
     out
@@ -205,15 +195,9 @@ fn fault_config_json(mode: &str) -> Json {
 /// `sim.*` counters plus the `fault.*` counters, detection coverage in
 /// the `derived` block, and the usual cycle-accounting audit (faulted
 /// runs stay auditable — recovery charges are ordinary stall cycles).
-pub fn build_fault_manifest(cell: &CampaignCell, host: Json) -> Manifest {
-    build_fault_manifest_parts(cell.app, cell.mode, &cell.faults, &cell.stats, host)
-}
-
-/// [`build_fault_manifest`] from loose parts, for callers (the service
-/// daemon) that hold the run's pieces rather than a [`CampaignCell`].
 /// `mode` is the matrix mode (`base`, `vcfr128`, …); the manifest mode
 /// gets the `faults-` prefix.
-pub fn build_fault_manifest_parts(
+pub fn build_fault_manifest(
     app: &str,
     mode: &str,
     f: &vcfr_sim::FaultStats,
@@ -340,7 +324,7 @@ pub fn build_campaign_manifests(cells: &[CampaignCell], threads: usize) -> Vec<M
         .map(|c| {
             let mut host = Json::obj();
             host.set("threads", Json::U64(threads as u64));
-            build_fault_manifest(c, host)
+            build_fault_manifest(c.app, c.mode, &c.faults, &c.stats, host)
         })
         .collect()
 }

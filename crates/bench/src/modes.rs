@@ -12,6 +12,9 @@
 use std::fmt;
 use std::str::FromStr;
 use vcfr_core::{DrcConfig, MAX_DRC_ENTRIES};
+use vcfr_isa::Image;
+use vcfr_rewriter::RandomizedProgram;
+use vcfr_sim::Mode;
 
 /// How a run executes: unmodified, naive hardware ILR, or VCFR with a
 /// de-randomization cache of a given size.
@@ -43,6 +46,22 @@ impl ModeSpec {
             ModeSpec::Vcfr { drc_entries } => Some(drc_entries),
             _ => None,
         }
+    }
+
+    /// The simulator [`Mode`] of this spec: `base` runs `image`, and
+    /// the randomized modes run `layout` (`None` when there is none).
+    pub fn sim_mode<'a>(
+        self,
+        image: &'a Image,
+        layout: Option<&'a RandomizedProgram>,
+    ) -> Option<Mode<'a>> {
+        Some(match self {
+            ModeSpec::Base => Mode::Baseline(image),
+            ModeSpec::Naive => Mode::NaiveIlr(layout?),
+            ModeSpec::Vcfr { drc_entries } => {
+                Mode::Vcfr { program: layout?, drc: DrcConfig::direct_mapped(drc_entries) }
+            }
+        })
     }
 
     /// Parses the historical two-field wire form: a mode word plus a

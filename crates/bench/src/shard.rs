@@ -2,11 +2,11 @@
 //! per-node manifest trees back into one canonical `results/` tree.
 //!
 //! The fleet coordinator (`vcfr fleet`, `crates/service`) schedules
-//! work in units of [`ShardCell`]: one (application, configuration)
-//! cell of the experiment matrix or the fault campaign. Cell order is a
-//! pure function of the requested apps and modes (app-major, modes in
-//! the given order), so every client that shards the same campaign
-//! produces the same chunk list — which is what makes the merged output
+//! work in units of [`RunSpec`]: one (application, configuration) cell
+//! of the experiment matrix or the fault campaign. Cell order is a pure
+//! function of the requested apps and modes (app-major, modes in the
+//! given order), so every client that shards the same campaign produces
+//! the same chunk list — which is what makes the merged output
 //! comparable byte-for-byte against a single-daemon run.
 //!
 //! Merging is idempotent and order-independent: a manifest file is the
@@ -16,45 +16,13 @@
 //! [`MergeOutcome::Conflict`], never an overwrite.
 
 use crate::campaign::CAMPAIGN_MODES;
+use crate::run::{RunSpec, SpecError};
 use std::io;
 use std::path::Path;
 use vcfr_workloads::by_name_scaled;
 
-/// One schedulable cell of a sharded campaign, in the experiment-matrix
-/// vocabulary (`base` / `naive` / `vcfr<entries>`; see
-/// `vcfr_bench::MODE_NAMES`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardCell {
-    /// Application (workload) name.
-    pub app: String,
-    /// Matrix mode column.
-    pub mode: String,
-    /// Whether this cell runs the app's deterministic fault schedule
-    /// (a fault-campaign cell, manifest mode `faults-<mode>`).
-    pub faults: bool,
-    /// Instruction budget of the run.
-    pub max_insts: u64,
-    /// Workload scale factor.
-    pub scale: u64,
-    /// Instructions between engine snapshots when a daemon runs it.
-    pub checkpoint_every: u64,
-}
-
-/// The manifest file name this cell produces (`<app>__<mode>.json`,
-/// with the `faults-` mode prefix for campaign cells).
-impl ShardCell {
-    /// See [`ShardCell`] — the merge key of this cell's output.
-    pub fn manifest_file_name(&self) -> String {
-        if self.faults {
-            format!("{}__faults-{}.json", self.app, self.mode)
-        } else {
-            format!("{}__{}.json", self.app, self.mode)
-        }
-    }
-}
-
-/// Resolves one cell, validating the app name and defaulting the budget
-/// to the scaled workload's own.
+/// Resolves and validates one cell, defaulting the budget to the scaled
+/// workload's own.
 fn cell(
     app: &str,
     mode: &str,
@@ -62,32 +30,36 @@ fn cell(
     max_insts: Option<u64>,
     scale: u64,
     checkpoint_every: u64,
-) -> Result<ShardCell, String> {
-    let w = by_name_scaled(app, scale).ok_or_else(|| format!("unknown workload {app:?}"))?;
-    Ok(ShardCell {
-        app: app.to_string(),
-        mode: mode.to_string(),
-        faults,
+) -> Result<RunSpec, SpecError> {
+    let w = by_name_scaled(app, scale)
+        .ok_or_else(|| SpecError(format!("unknown workload {app:?}")))?;
+    let spec = RunSpec {
+        mode: mode.parse().map_err(|e| SpecError(format!("{e}")))?,
         max_insts: max_insts.unwrap_or(w.max_insts),
         scale,
         checkpoint_every,
-    })
+        faults,
+        ..RunSpec::new(app)
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
-/// Shards an experiment matrix over `apps` × `modes` into cells,
-/// app-major (all of one app's modes, then the next app). `max_insts`
-/// of `None` uses each scaled workload's own budget.
+/// Shards an experiment matrix over `apps` × `modes` into validated
+/// specs, app-major (all of one app's modes, then the next app).
+/// `max_insts` of `None` uses each scaled workload's own budget.
 ///
 /// # Errors
 ///
-/// A message naming the first unknown workload.
+/// [`SpecError`] for the first cell [`RunSpec::validate`] refuses, or
+/// the first mode outside the [`ModeSpec`](crate::ModeSpec) vocabulary.
 pub fn shard_matrix(
     apps: &[&str],
     modes: &[&str],
     max_insts: Option<u64>,
     scale: u64,
     checkpoint_every: u64,
-) -> Result<Vec<ShardCell>, String> {
+) -> Result<Vec<RunSpec>, SpecError> {
     let mut out = Vec::with_capacity(apps.len() * modes.len());
     for app in apps {
         for mode in modes {
@@ -98,16 +70,16 @@ pub fn shard_matrix(
 }
 
 /// Shards the Figure-11 fault campaign over `apps` ×
-/// [`CAMPAIGN_MODES`] into faulted cells, app-major.
+/// [`CAMPAIGN_MODES`] into faulted specs, app-major.
 ///
 /// # Errors
 ///
-/// A message naming the first unknown workload.
+/// [`SpecError`] for the first cell [`RunSpec::validate`] refuses.
 pub fn shard_campaign(
     apps: &[&str],
     max_insts: Option<u64>,
     checkpoint_every: u64,
-) -> Result<Vec<ShardCell>, String> {
+) -> Result<Vec<RunSpec>, SpecError> {
     let mut out = Vec::with_capacity(apps.len() * CAMPAIGN_MODES.len());
     for app in apps {
         for mode in CAMPAIGN_MODES {
@@ -212,7 +184,7 @@ mod tests {
     fn matrix_shards_app_major_in_mode_order() {
         let cells = shard_matrix(&["bzip2", "gcc"], &["base", "vcfr128"], Some(10_000), 1, 1_000)
             .expect("known apps");
-        let keys: Vec<String> = cells.iter().map(ShardCell::manifest_file_name).collect();
+        let keys: Vec<String> = cells.iter().map(RunSpec::manifest_file_name).collect();
         assert_eq!(
             keys,
             [
@@ -236,7 +208,7 @@ mod tests {
     #[test]
     fn campaign_shards_cover_both_machines() {
         let cells = shard_campaign(&["bzip2"], Some(20_000), 1_000).expect("known app");
-        let keys: Vec<String> = cells.iter().map(ShardCell::manifest_file_name).collect();
+        let keys: Vec<String> = cells.iter().map(RunSpec::manifest_file_name).collect();
         assert_eq!(keys, ["bzip2__faults-base.json", "bzip2__faults-vcfr128.json"]);
         assert!(cells.iter().all(|c| c.faults));
     }

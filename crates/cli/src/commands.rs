@@ -5,7 +5,7 @@ use crate::args::{Args, ArgsError};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-use vcfr_bench::{rand_params_json, ModeSpec};
+use vcfr_bench::{build_engine_manifest, rand_params_json, ModeSpec};
 use vcfr_core::{DrcConfig, RandParams};
 use vcfr_gadget::{AttackSurface, Capability};
 use vcfr_isa::{Image, Machine, IMAGE_MAGIC};
@@ -14,7 +14,7 @@ use vcfr_rewriter::{
     PROGRAM_MAGIC,
 };
 use vcfr_obs::{fingerprint, CycleAccounting, Json, Manifest};
-use vcfr_sim::{EngineKind, Mode, Session, SimConfig, SimStats, VcfrError};
+use vcfr_sim::{EngineKind, Session, SimConfig, SimStats, VcfrError};
 
 /// A CLI failure. Usage mistakes exit with status 2, everything else
 /// with status 1; simulation-stack failures stay typed all the way to
@@ -310,10 +310,9 @@ fn render_stats(stats: &SimStats) -> String {
     out
 }
 
-/// Builds the single-run manifest written by `vcfr simulate --manifest`.
-/// Same schema as the experiment-matrix manifests, with an empty sample
-/// array (the one-shot run is not interval-sampled).
-#[allow(clippy::too_many_arguments)]
+/// Builds the single-run manifest written by `vcfr simulate --manifest`:
+/// the engine manifest of the run, with an empty sample array (the
+/// one-shot run is not interval-sampled) and its own `config` block.
 fn single_run_manifest(
     app: &str,
     mode: ModeSpec,
@@ -346,34 +345,35 @@ fn single_run_manifest(
     if let Some(p) = cfg.rand {
         config.set("rand", rand_params_json(&p));
     }
-    let mut derived = Json::obj();
-    derived.set("ipc", Json::F64(stats.ipc()));
-    derived.set("il1_miss_rate", Json::F64(stats.il1.miss_rate()));
-    derived.set("dl1_miss_rate", Json::F64(stats.dl1.miss_rate()));
-    derived.set("branch_mispredict_rate", Json::F64(stats.branch.mispredict_rate()));
-    derived.set(
-        "drc_miss_rate",
-        match stats.drc {
-            Some(d) => Json::F64(d.miss_rate()),
-            None => Json::Null,
-        },
-    );
-    let accounting = stats.accounting();
-    let audit = stats.audit(cfg.engine);
-    let mut audit_json = accounting.to_json();
-    audit_json.set("tolerance", Json::F64(audit.tolerance));
-    audit_json.set("passed", Json::Bool(audit.passed()));
     let mut host = Json::obj();
     host.set("wall_s", Json::F64(host_s));
     host.set("insts_per_s", Json::F64(stats.instructions as f64 / host_s.max(1e-9)));
-    let mut m = Manifest::new(app, &mode_name);
+    let mut m = build_engine_manifest(app, &mode_name, cfg.engine, stats, &[], host);
     m.set_config(config);
-    m.set_counters(&stats.snapshot());
-    m.set_derived(derived);
-    m.set_audit(audit_json);
-    m.set_samples(Vec::new());
-    m.set_host(host);
     m
+}
+
+/// The engine `--ooo` / `--cores N` select, shared by `vcfr simulate`
+/// and `vcfr submit`.
+pub(crate) fn engine_arg(args: &Args) -> Result<EngineKind, CliError> {
+    let cores = args.u64_or("cores", 1)?;
+    if args.flag("ooo") && cores > 1 {
+        return Err(fail("--ooo and --cores select different engines; pick one"));
+    }
+    let engine = if args.flag("ooo") {
+        EngineKind::Ooo
+    } else if cores == 1 {
+        EngineKind::InOrder
+    } else {
+        EngineKind::Multicore { cores: u32::try_from(cores).unwrap_or(u32::MAX) }
+    };
+    engine.validate().map_err(|_| {
+        fail(format!(
+            "--cores must be at least 1 and is capped at {} (got {cores})",
+            EngineKind::MAX_CORES
+        ))
+    })?;
+    Ok(engine)
 }
 
 /// `vcfr simulate <file> [--mode baseline|naive|vcfr] [--drc N] [--ooo]
@@ -406,23 +406,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     if rerand_epoch > 0 && mode_spec.drc_entries().is_none() {
         return Err(fail("--rerand-epoch requires --mode vcfr (live table swaps need the DRC)"));
     }
-    let cores = args.u64_or("cores", 1)?;
-    if args.flag("ooo") && cores > 1 {
-        return Err(fail("--ooo and --cores select different engines; pick one"));
-    }
-    let engine = if args.flag("ooo") {
-        EngineKind::Ooo
-    } else if cores == 1 {
-        EngineKind::InOrder
-    } else {
-        EngineKind::Multicore { cores: u32::try_from(cores).unwrap_or(u32::MAX) }
-    };
-    engine.validate().map_err(|_| {
-        fail(format!(
-            "--cores must be at least 1 and is capped at {} (got {cores})",
-            EngineKind::MAX_CORES
-        ))
-    })?;
+    let engine = engine_arg(args)?;
     // --entropy-bits/--sparsity pick a point on the randomization
     // frontier; a VCFR run always carries its RandParams so the point
     // lands in the checkpoint fingerprint and the manifest.
@@ -498,14 +482,9 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         Artefact::Randomized(rp) => (rp.original.clone(), Some(*rp)),
     };
 
-    let mode = match (mode_spec, rp.as_ref()) {
-        (ModeSpec::Base, _) => Mode::Baseline(&image),
-        (ModeSpec::Naive, Some(rp)) => Mode::NaiveIlr(rp),
-        (ModeSpec::Vcfr { drc_entries }, Some(rp)) => {
-            Mode::Vcfr { program: rp, drc: DrcConfig::direct_mapped(drc_entries) }
-        }
-        (_, None) => return Err(fail("randomized artefact required for this mode")),
-    };
+    let mode = mode_spec
+        .sim_mode(&image, rp.as_ref())
+        .ok_or_else(|| fail("randomized artefact required for this mode"))?;
 
     if args.flag("dump-trace") && !engine.keeps_trace_ring() {
         return Err(fail("--dump-trace needs the in-order engine (only it keeps a trace ring)"));
@@ -1327,5 +1306,23 @@ mod tests {
         fs::write(&junk, b"garbage").unwrap();
         let e = cmd_run(&parse(&[&junk], &[], &[])).unwrap_err();
         assert!(e.to_string().contains("not a VCFR"));
+    }
+
+    #[test]
+    fn a_core_count_past_u32_is_refused_before_any_rpc() {
+        // 2^32 + 2 cores: a plain `as u32` would submit a 2-core job.
+        let dir = tmp("no-daemon-here");
+        let engine = |cores: &str| {
+            let a = parse(&["bzip2", "--cores", cores, "--dir", &dir], &["ooo"], &["cores", "dir"]);
+            (engine_arg(&a), crate::serve::cmd_submit(&a))
+        };
+        let (kind, submitted) = engine("4294967298");
+        assert!(kind.is_err());
+        let e = submitted.unwrap_err().to_string();
+        assert!(e.contains("--cores"), "{e}");
+        assert_eq!(engine("2").0.unwrap(), EngineKind::Multicore { cores: 2 });
+        assert_eq!(engine("1").0.unwrap(), EngineKind::InOrder);
+        let ooo = parse(&["bzip2", "--ooo"], &["ooo"], &[]);
+        assert_eq!(engine_arg(&ooo).unwrap(), EngineKind::Ooo);
     }
 }

@@ -9,9 +9,9 @@ use crate::serve::render_top;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
-use vcfr_bench::{shard_campaign, shard_matrix};
+use vcfr_bench::{shard_campaign, shard_matrix, RunSpec};
 use vcfr_obs::{Backoff, Json};
-use vcfr_service::{serve, serve_fleet, Client, FleetOptions, JobSpec, ServeOptions};
+use vcfr_service::{serve, serve_fleet, Client, FleetOptions, ServeOptions};
 
 fn fleet_dir(args: &Args) -> PathBuf {
     PathBuf::from(args.value("fleet").unwrap_or("results/fleet"))
@@ -92,8 +92,10 @@ pub fn cmd_fleet_submit(args: &Args) -> Result<String, CliError> {
         Some(_) => Some(args.u64_or("max", 0)?),
         None => None,
     };
-    let checkpoint_every = args.u64_or("checkpoint-every", JobSpec::new("x").checkpoint_every)?;
-    let cells = if args.flag("campaign") {
+    let checkpoint_every = args.u64_or("checkpoint-every", RunSpec::new("x").checkpoint_every)?;
+    // Every chunk is validated here, before the first one is submitted:
+    // a bad cell never leaves its predecessors pending on the fleet.
+    let specs = if args.flag("campaign") {
         shard_campaign(&apps, max, checkpoint_every)
     } else {
         let modes_raw = args.value("modes").unwrap_or("base,naive,vcfr512,vcfr128,vcfr64");
@@ -101,16 +103,15 @@ pub fn cmd_fleet_submit(args: &Args) -> Result<String, CliError> {
             modes_raw.split(',').map(str::trim).filter(|m| !m.is_empty()).collect();
         shard_matrix(&apps, &modes, max, args.u64_or("scale", 1)?, checkpoint_every)
     }
-    .map_err(CliError::Msg)?;
+    .map_err(|e| CliError::Msg(e.0))?;
 
     let mut client = Client::connect(&fleet_dir(args))?;
     let mut out = String::new();
-    for cell in &cells {
-        let spec = JobSpec::from_cell(cell)?;
-        let id = client.submit(&spec)?;
+    for spec in &specs {
+        let id = client.submit(spec)?;
         let _ = writeln!(out, "chunk {id} submitted: {}", spec.manifest_file_name());
     }
-    let _ = write!(out, "{} chunks submitted", cells.len());
+    let _ = write!(out, "{} chunks submitted", specs.len());
     Ok(out)
 }
 

@@ -3,11 +3,12 @@
 //! it.
 
 use crate::args::Args;
-use crate::commands::CliError;
+use crate::commands::{engine_arg, CliError};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use vcfr_bench::RunSpec;
 use vcfr_obs::Json;
-use vcfr_service::{serve, Client, JobSpec, ServeOptions};
+use vcfr_service::{serve, Client, ServeOptions};
 
 fn state_dir(args: &Args) -> PathBuf {
     PathBuf::from(args.value("dir").unwrap_or("results/service"))
@@ -30,17 +31,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
 /// [--rerand-epoch N] [--checkpoint-every N] [--scale N] [--cores N]
 /// [--dir D] [--ooo] [--faults] [--watch]`.
 pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
-    let mut spec = JobSpec::new(args.positional(0, "workload name")?);
+    let mut spec = RunSpec::new(args.positional(0, "workload name")?);
     spec.faults = args.flag("faults");
-    let cores = args.u64_or("cores", 1)?;
-    if args.flag("ooo") && cores > 1 {
-        return Err(CliError::Msg("--ooo and --cores are different engines; pick one".into()));
-    }
-    if args.flag("ooo") {
-        spec.engine = vcfr_sim::EngineKind::Ooo;
-    } else if cores != 1 {
-        spec.engine = vcfr_sim::EngineKind::Multicore { cores: cores as u32 };
-    }
+    spec.engine = engine_arg(args)?;
     // `--mode` takes both the canonical (`base`/`vcfr128`) and the
     // historical (`baseline`/`vcfr` + `--drc`) vocabularies.
     let drc = args.u64_or("drc", vcfr_bench::DEFAULT_DRC_ENTRIES as u64)? as usize;
@@ -53,7 +46,7 @@ pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
     if args.value("rerand-epoch").is_some() {
         spec.rerand_epoch = Some(args.u64_or("rerand-epoch", 0)?);
     }
-    spec.validate()?;
+    spec.validate().map_err(|e| CliError::Msg(e.0))?;
 
     let mut client = Client::connect(&state_dir(args))?;
     let id = client.submit(&spec)?;

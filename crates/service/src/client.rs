@@ -1,11 +1,12 @@
 //! A blocking JSON-lines client for the daemon, used by the `vcfr
 //! submit` / `vcfr jobs` subcommands and the smoke tests.
 
-use crate::protocol::{hex_encode, send_lines, JobSpec, ServiceError, ENDPOINT_FILE};
+use crate::protocol::{hex_encode, send_lines, ServiceError, ENDPOINT_FILE};
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::Duration;
+use vcfr_bench::RunSpec;
 use vcfr_obs::{parse_json, Json};
 
 /// One connection to a running daemon.
@@ -112,7 +113,7 @@ impl Client {
     ///
     /// [`ServiceError::Protocol`] when the daemon refuses it (invalid
     /// spec, or the bounded queue is full).
-    pub fn submit(&mut self, spec: &JobSpec) -> Result<u64, ServiceError> {
+    pub fn submit(&mut self, spec: &RunSpec) -> Result<u64, ServiceError> {
         self.submit_with(spec, None)
     }
 
@@ -126,7 +127,7 @@ impl Client {
     /// spec, a rejected checkpoint, or the bounded queue is full).
     pub fn submit_with(
         &mut self,
-        spec: &JobSpec,
+        spec: &RunSpec,
         ckpt: Option<&[u8]>,
     ) -> Result<u64, ServiceError> {
         let mut req = Self::op("submit");

@@ -13,8 +13,7 @@
 
 use crate::metrics::MetricsHub;
 use crate::protocol::{
-    err_response, hex_decode, ok_response, send_lines, JobPhase, JobSpec, ServiceError,
-    ENDPOINT_FILE,
+    err_response, hex_decode, ok_response, send_lines, JobPhase, ServiceError, ENDPOINT_FILE,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
@@ -23,14 +22,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vcfr_bench::{
-    build_engine_manifest, build_fault_manifest_parts, fault_plan_for, ModeSpec, WorkerPool,
-};
-use vcfr_core::DrcConfig;
+use vcfr_bench::{RunSpec, WorkerPool};
 use vcfr_obs::{parse_json, Backoff, Json, ProgressEvent};
-use vcfr_rewriter::{randomize, RandomizeConfig, RandomizedProgram};
-use vcfr_sim::{CheckpointError, Mode, Session, SessionStatus, SimConfig, VcfrError};
-use vcfr_workloads::{by_name, by_name_scaled};
+use vcfr_sim::{CheckpointError, SessionStatus, VcfrError};
 
 /// How the daemon is configured.
 #[derive(Clone, Debug)]
@@ -58,7 +52,7 @@ impl Default for ServeOptions {
 
 /// One job's live state (the registry entry watchers poll).
 struct JobState {
-    spec: JobSpec,
+    spec: RunSpec,
     phase: JobPhase,
     instructions: u64,
     cycles: u64,
@@ -75,7 +69,7 @@ struct JobState {
 }
 
 impl JobState {
-    fn new(spec: JobSpec, phase: JobPhase, error: Option<String>) -> JobState {
+    fn new(spec: RunSpec, phase: JobPhase, error: Option<String>) -> JobState {
         JobState {
             spec,
             phase,
@@ -170,12 +164,15 @@ fn status_json(id: u64, st: &JobState) -> Json {
 
 /// Reloads the job store: terminal jobs keep their phase for listings,
 /// everything else is re-admitted as queued (a `running` phase on disk
-/// can only mean the previous daemon died mid-run).
-fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, Vec<u64>) {
+/// can only mean the previous daemon died mid-run). Also returns the
+/// next free id, past every record on disk: a record whose spec
+/// admission refuses is skipped, but its file is never reused.
+fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, Vec<u64>, u64) {
     let mut jobs = BTreeMap::new();
     let mut resumable = Vec::new();
+    let mut next_id = 1;
     let Ok(entries) = std::fs::read_dir(jobs_dir) else {
-        return (jobs, resumable);
+        return (jobs, resumable, next_id);
     };
     for entry in entries.flatten() {
         let name = entry.file_name();
@@ -186,7 +183,8 @@ fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, Vec<u64>) {
         let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
         let Ok(doc) = parse_json(&text) else { continue };
         let Some(id) = doc.get("id").and_then(Json::as_u64) else { continue };
-        let Some(spec) = doc.get("spec").and_then(|s| JobSpec::from_json(s).ok()) else {
+        next_id = next_id.max(id.saturating_add(1));
+        let Some(spec) = doc.get("spec").and_then(|s| RunSpec::from_json(s).ok()) else {
             continue;
         };
         let phase = doc
@@ -201,7 +199,7 @@ fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, Vec<u64>) {
         jobs.insert(id, JobState::new(spec, phase, error));
     }
     resumable.sort_unstable();
-    (jobs, resumable)
+    (jobs, resumable, next_id)
 }
 
 /// Marks a job failed, in the registry, on disk, and in the metrics
@@ -221,7 +219,7 @@ fn fail_job(inner: &Inner, id: u64, started: Instant, msg: String) {
 /// The telemetry-tap interval for a job: ~100 readings across its
 /// instruction budget. A pure function of the spec, so every run of
 /// the same job emits events at identical instruction boundaries.
-fn progress_interval(spec: &JobSpec) -> u64 {
+fn progress_interval(spec: &RunSpec) -> u64 {
     (spec.max_insts / 100).max(1)
 }
 
@@ -240,53 +238,14 @@ fn run_job(inner: &Inner, id: u64) {
         return; // stays queued on disk; the next start re-admits it
     }
 
-    let Some(w) = by_name_scaled(&spec.workload, spec.scale) else {
-        fail_job(inner, id, started, format!("unknown workload {:?}", spec.workload));
-        return;
-    };
-    let kind = spec.engine;
-    let cfg = match SimConfig::builder()
-        .engine(kind)
-        .rerand_epoch(spec.rerand_epoch)
-        .drc_entries(spec.mode.drc_entries())
-        .build()
-    {
-        Ok(cfg) => cfg,
+    let (w, layout) = match spec.prepare() {
+        Ok(built) => built,
         Err(e) => {
             fail_job(inner, id, started, e.to_string());
             return;
         }
     };
-    let rp: Option<RandomizedProgram> = if spec.mode == ModeSpec::Base {
-        None
-    } else {
-        match randomize(&w.image, &RandomizeConfig::with_seed(spec.seed)) {
-            Ok(rp) => Some(rp),
-            Err(e) => {
-                fail_job(inner, id, started, format!("randomization failed: {e}"));
-                return;
-            }
-        }
-    };
-    let mode = match spec.mode {
-        ModeSpec::Base => Mode::Baseline(&w.image),
-        ModeSpec::Naive => Mode::NaiveIlr(rp.as_ref().expect("non-baseline has a layout")),
-        ModeSpec::Vcfr { drc_entries } => Mode::Vcfr {
-            program: rp.as_ref().expect("non-baseline has a layout"),
-            drc: DrcConfig::direct_mapped(drc_entries),
-        },
-    };
-    // Campaign cells attach the app's deterministic fault schedule —
-    // the same plan `vcfr_bench::run_campaign` derives from the app
-    // name — so a fleet of daemons reproduces the Figure-11 cells.
-    let plan = spec.faults.then(|| fault_plan_for(&spec.workload, spec.max_insts));
-    let session = Session::new(mode, &cfg, spec.max_insts)
-        .map(|s| s.with_sampling((spec.max_insts / 10).max(1)))
-        .map(|s| match &plan {
-            Some(p) => s.with_faults(p),
-            None => s,
-        });
-    let mut session = match session {
+    let mut session = match spec.session(&w.image, layout.as_ref()) {
         Ok(s) => s,
         Err(e) => {
             fail_job(inner, id, started, e.to_string());
@@ -350,30 +309,7 @@ fn run_job(inner: &Inner, id: u64) {
                 });
             }
             Ok(SessionStatus::Done(out)) => {
-                let manifest = if spec.faults {
-                    build_fault_manifest_parts(
-                        &spec.workload,
-                        &spec.matrix_mode(),
-                        &out.faults,
-                        &out.output.stats,
-                        Json::obj(),
-                    )
-                } else {
-                    // `manifest_mode` (not `matrix_mode`): a non-in-order
-                    // job's manifest must carry its engine prefix so the
-                    // fleet merge never conflates it with the in-order
-                    // cell of the same matrix. The faults arm passes the
-                    // bare matrix mode because `build_fault_manifest_parts`
-                    // applies the `faults-` prefix itself.
-                    build_engine_manifest(
-                        &spec.workload,
-                        &spec.manifest_mode(),
-                        kind,
-                        &out.output.stats,
-                        &out.samples,
-                        Json::obj(),
-                    )
-                };
+                let manifest = spec.manifest(&out, Json::obj());
                 let written = write_atomic(
                     &manifest_file(&inner.jobs_dir, id),
                     manifest.canonical_bytes().as_bytes(),
@@ -415,13 +351,10 @@ fn handle_submit(
     let Some(job) = req.get("job") else {
         return err_response("submit needs a \"job\" object");
     };
-    let spec = match JobSpec::from_json(job) {
+    let spec = match RunSpec::from_json(job) {
         Ok(spec) => spec,
-        Err(e) => return err_response(&e.to_string()),
+        Err(e) => return err_response(&ServiceError::Protocol(e.0).to_string()),
     };
-    if by_name(&spec.workload).is_none() {
-        return err_response(&format!("unknown workload {:?}", spec.workload));
-    }
     // A fleet coordinator re-dispatching a lost job attaches the dead
     // worker's last checkpoint (hex, inside the JSON string); the run
     // then resumes from it through the ordinary restore path, envelope
@@ -682,8 +615,8 @@ fn handle_conn(
 pub fn serve(opts: &ServeOptions) -> Result<(), ServiceError> {
     let jobs_dir = opts.dir.join("jobs");
     std::fs::create_dir_all(&jobs_dir)?;
-    let (jobs, resumable) = load_jobs(&jobs_dir);
-    let next_id = Arc::new(Mutex::new(jobs.keys().max().map_or(1, |m| m + 1)));
+    let (jobs, resumable, next_id) = load_jobs(&jobs_dir);
+    let next_id = Arc::new(Mutex::new(next_id));
     let inner = Arc::new(Inner {
         jobs_dir,
         stopping: AtomicBool::new(false),
@@ -732,8 +665,8 @@ mod tests {
     use super::*;
 
     /// A small VCFR job, chunked so it checkpoints along the way.
-    fn spec() -> JobSpec {
-        let mut spec = JobSpec::new("bzip2");
+    fn spec() -> RunSpec {
+        let mut spec = RunSpec::new("bzip2");
         spec.max_insts = 20_000;
         spec.checkpoint_every = 5_000;
         spec
@@ -766,12 +699,8 @@ mod tests {
     /// builds it.
     fn snapshot() -> Vec<u8> {
         let spec = spec();
-        let w = by_name_scaled(&spec.workload, spec.scale).expect("workload");
-        let rp = randomize(&w.image, &RandomizeConfig::with_seed(spec.seed)).expect("randomizes");
-        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
-        let mut session = Session::new(mode, &SimConfig::default(), spec.max_insts)
-            .expect("valid")
-            .with_sampling((spec.max_insts / 10).max(1));
+        let (w, layout) = spec.prepare().expect("builds");
+        let mut session = spec.session(&w.image, layout.as_ref()).expect("valid");
         session.run_for(spec.checkpoint_every).expect("first chunk");
         session.checkpoint()
     }
@@ -786,6 +715,19 @@ mod tests {
         assert_eq!(phase, JobPhase::Done);
         assert!(!fresh.is_empty());
         assert_eq!(resumed, fresh, "the restarted job matches a fresh run");
+    }
+
+    #[test]
+    fn a_record_admission_refuses_keeps_its_id() {
+        let dir = std::env::temp_dir().join(format!("vcfr-daemon-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp store");
+        let text = r#"{"id":7,"spec":{"workload":"bzip2","mode":"base","rerand_epoch":1000}}"#;
+        std::fs::write(job_file(&dir, 7), text).expect("write record");
+        let (jobs, resumable, next_id) = load_jobs(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(jobs.is_empty() && resumable.is_empty());
+        assert_eq!(next_id, 8, "job 7's file is not overwritten by the next submit");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The coordinator is a JSON-lines service of the same dialect as the
 //! daemon (`docs/fleet.md` documents the protocol): workers *register*
-//! with it, clients *submit* `JobSpec` chunks to it, and a scheduler
+//! with it, clients *submit* `RunSpec` chunks to it, and a scheduler
 //! thread dispatches pending chunks to the least-loaded live worker,
 //! polls dispatched ones, and heartbeats every worker with capped
 //! exponential backoff. A worker that misses `lost_after` consecutive
@@ -26,7 +26,7 @@
 
 use crate::client::Client;
 use crate::metrics::aggregate_node_metrics;
-use crate::protocol::{err_response, ok_response, send_lines, JobSpec, ServiceError, ENDPOINT_FILE};
+use crate::protocol::{err_response, ok_response, send_lines, ServiceError, ENDPOINT_FILE};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
@@ -34,9 +34,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vcfr_bench::{merge_manifest_bytes, MergeOutcome};
+use vcfr_bench::{merge_manifest_bytes, MergeOutcome, RunSpec};
 use vcfr_obs::{parse_json, Backoff, Json};
-use vcfr_workloads::by_name;
 
 /// How the coordinator is configured.
 #[derive(Clone, Debug)]
@@ -103,7 +102,7 @@ impl ChunkPhase {
 
 /// One chunk of a sharded campaign.
 struct ChunkState {
-    spec: JobSpec,
+    spec: RunSpec,
     phase: ChunkPhase,
     /// Times this chunk was (re-)handed to a worker beyond the first.
     redispatches: u64,
@@ -255,10 +254,11 @@ fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
         st.next_worker = st.next_worker.max(id + 1);
     }
     for doc in docs(chunks_dir, "chunk-") {
-        let (Some(id), Some(spec)) = (
-            doc.get("id").and_then(Json::as_u64),
-            doc.get("spec").and_then(|s| JobSpec::from_json(s).ok()),
-        ) else {
+        let Some(id) = doc.get("id").and_then(Json::as_u64) else { continue };
+        // A chunk whose spec admission refuses is skipped, but its id
+        // (and so its file) is never handed out again.
+        st.next_chunk = st.next_chunk.max(id.saturating_add(1));
+        let Some(spec) = doc.get("spec").and_then(|s| RunSpec::from_json(s).ok()) else {
             continue;
         };
         let phase = match doc.get("phase").and_then(Json::as_str) {
@@ -283,7 +283,6 @@ fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
                 error: doc.get("error").and_then(Json::as_str).map(str::to_string),
             },
         );
-        st.next_chunk = st.next_chunk.max(id + 1);
     }
     st
 }
@@ -444,7 +443,7 @@ fn execute_round(inner: &FleetInner, plan: Plan) -> RoundResult {
 }
 
 /// The chunk's spec, cloned out of the registry.
-fn inner_chunk_spec(inner: &FleetInner, chunk: u64) -> JobSpec {
+fn inner_chunk_spec(inner: &FleetInner, chunk: u64) -> RunSpec {
     let st = inner.state.lock().expect("fleet lock");
     st.chunks[&chunk].spec.clone()
 }
@@ -693,13 +692,10 @@ fn handle_submit(inner: &FleetInner, capacity: usize, req: &Json) -> Json {
     let Some(job) = req.get("job") else {
         return err_response("submit needs a \"job\" object");
     };
-    let spec = match JobSpec::from_json(job) {
+    let spec = match RunSpec::from_json(job) {
         Ok(spec) => spec,
-        Err(e) => return err_response(&e.to_string()),
+        Err(e) => return err_response(&ServiceError::Protocol(e.0).to_string()),
     };
-    if by_name(&spec.workload).is_none() {
-        return err_response(&format!("unknown workload {:?}", spec.workload));
-    }
     let mut st = inner.state.lock().expect("fleet lock");
     let open = st
         .chunks
@@ -879,4 +875,22 @@ pub fn serve_fleet(opts: &FleetOptions) -> Result<(), ServiceError> {
     let _ = sched.join();
     let _ = std::fs::remove_file(opts.dir.join(ENDPOINT_FILE));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_chunk_admission_refuses_keeps_its_id() {
+        let dir = std::env::temp_dir().join(format!("vcfr-fleet-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp store");
+        let text = r#"{"id":4,"spec":{"workload":"nope"},"phase":"pending"}"#;
+        std::fs::write(dir.join("chunk-4.json"), text).expect("write record");
+        let st = load_state(&dir, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(st.chunks.is_empty());
+        assert_eq!(st.next_chunk, 5, "chunk 4's file is not overwritten by the next submit");
+    }
 }

@@ -32,4 +32,7 @@ pub use client::Client;
 pub use daemon::{serve, ServeOptions};
 pub use fleet::{serve_fleet, FleetOptions};
 pub use metrics::{aggregate_node_metrics, MetricsHub};
-pub use protocol::{JobPhase, JobSpec, ServiceError, ENDPOINT_FILE};
+pub use protocol::{JobPhase, ServiceError, ENDPOINT_FILE};
+/// The wire job is the shared run description; this name stays for the
+/// benchmark harness, which imports it.
+pub use vcfr_bench::RunSpec as JobSpec;

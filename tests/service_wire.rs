@@ -12,10 +12,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+use vcfr_bench::RunSpec;
 use vcfr_obs::{parse_json, Json};
-use vcfr_service::{
-    serve, serve_fleet, Client, FleetOptions, JobSpec, ServeOptions, ENDPOINT_FILE,
-};
+use vcfr_service::{serve, serve_fleet, Client, FleetOptions, ServeOptions, ENDPOINT_FILE};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vcfr-service-wire-{}-{tag}", std::process::id()));
@@ -155,7 +154,7 @@ fn answer_as_stalling_worker(
                 resp.set("jobs", Json::U64(0));
             }
             Some("submit") => {
-                let spec = JobSpec::from_json(req.get("job").expect("a job")).expect("a spec");
+                let spec = RunSpec::from_json(req.get("job").expect("a job")).expect("a spec");
                 let id = {
                     let mut admitted = admitted.lock().expect("admitted lock");
                     admitted.push(spec.manifest_file_name());
@@ -228,7 +227,7 @@ fn a_late_submit_reply_is_never_taken_for_another_chunks() {
     // Both chunks are pending before the worker registers with two
     // slots, so the first round sends both submits down one connection.
     for app in ["bzip2", "hmmer"] {
-        client.submit(&JobSpec::new(app)).expect("submit");
+        client.submit(&RunSpec::new(app)).expect("submit");
     }
     client.register(&worker, 2).expect("register");
 

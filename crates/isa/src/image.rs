@@ -1,5 +1,6 @@
 //! The loadable binary image format.
 
+use crate::mem::PAGE_SIZE;
 use crate::{Addr, Mem};
 
 /// Classifies a [`Section`].
@@ -137,6 +138,29 @@ impl Image {
         }
     }
 
+    /// Whether [`Image::load_into`] on an empty memory leaves exactly
+    /// `page` in the 4 KiB page at `base`: each section's bytes where it
+    /// covers the page, a later section over an earlier one, and zeros
+    /// elsewhere. A section running past the top of the address space
+    /// wraps to page zero, as [`Mem::write_bytes`] does.
+    pub(crate) fn leaves_page(&self, base: Addr, page: &[u8; PAGE_SIZE]) -> bool {
+        let mut loaded = [0u8; PAGE_SIZE];
+        for s in &self.sections {
+            let (lo, hi) = (u64::from(s.base), u64::from(s.base) + s.bytes.len() as u64);
+            // The page, then each alias of it a wrapping section reaches.
+            let mut at = u64::from(base);
+            while at < hi {
+                let (from, to) = (lo.max(at), hi.min(at + PAGE_SIZE as u64));
+                if from < to {
+                    loaded[(from - at) as usize..(to - at) as usize]
+                        .copy_from_slice(&s.bytes[(from - lo) as usize..(to - lo) as usize]);
+                }
+                at += 1 << 32;
+            }
+        }
+        loaded == *page
+    }
+
     /// Total size of all sections in bytes.
     pub fn loaded_size(&self) -> usize {
         self.sections.iter().map(|s| s.bytes.len()).sum()
@@ -192,5 +216,25 @@ mod tests {
         assert_eq!(mem.read_u8(0x1001), 0x01);
         assert_eq!(mem.read_u8(0x8003), 7);
         assert_eq!(img.loaded_size(), 18);
+    }
+
+    #[test]
+    fn leaves_page_agrees_with_load_into() {
+        let mut img = tiny_image();
+        img.sections.extend([
+            // Overlaps the data section: the later bytes win.
+            Section { kind: SectionKind::Data, base: 0x8008, bytes: vec![9; 4] },
+            // Runs past the top of the address space into page zero.
+            Section { kind: SectionKind::Data, base: 0xffff_fff0, bytes: vec![3; 32] },
+        ]);
+        let mut mem = Mem::new();
+        img.load_into(&mut mem);
+        for base in [0, 0x1000, 0x2000, 0x8000, 0xffff_f000] {
+            let mut page = [0u8; PAGE_SIZE];
+            mem.read_bytes(base, &mut page);
+            assert!(img.leaves_page(base, &page), "page {base:#x}");
+            page[17] ^= 1;
+            assert!(!img.leaves_page(base, &page), "page {base:#x} with a flipped byte");
+        }
     }
 }

@@ -259,10 +259,11 @@ impl Machine {
 
     /// Serialises the architectural state (checkpoint support):
     /// registers, flags, program counter, step/output history, stop
-    /// reason and the full memory contents. The decoded-instruction
-    /// memo is *not* saved — it is a pure function of the image and is
-    /// rebuilt on restore.
-    pub fn save(&self, w: &mut Writer) {
+    /// reason and the memory pages that differ from what `image` loads.
+    /// `image` must be the image the machine was created from. Pages
+    /// that still hold what the image loaded, and the decoded-instruction
+    /// memo, are not saved: restore rebuilds both from the image.
+    pub fn save(&self, image: &Image, w: &mut Writer) {
         for r in self.regs {
             w.u64(r);
         }
@@ -280,12 +281,12 @@ impl Machine {
             Some(StopReason::Exit) => 2,
             Some(StopReason::Shell) => 3,
         });
-        self.mem.save(w);
+        self.mem.save_pages(w, |base, page| image.leaves_page(base, page));
     }
 
     /// Rebuilds a machine from [`Machine::save`] output. `image` must be
-    /// the image the saved machine was created from (it seeds the decoded
-    /// instruction memo; the architectural state comes from the reader).
+    /// the one the save was given: it is loaded first, the saved pages
+    /// are overlaid on it, and it seeds the decoded-instruction memo.
     ///
     /// # Errors
     ///
@@ -319,7 +320,9 @@ impl Machine {
             3 => Some(StopReason::Shell),
             tag => return Err(WireError::BadTag { tag }),
         };
-        let mem = Mem::restore(r)?;
+        let mut mem = Mem::new();
+        image.load_into(&mut mem);
+        mem.restore_pages(r)?;
         Ok(Machine {
             regs,
             flags,
@@ -1018,7 +1021,7 @@ mod tests {
             m.step().unwrap();
         }
         let mut w = Writer::with_magic(*b"VCFRTEST");
-        m.save(&mut w);
+        m.save(&img, &mut w);
         let buf = w.into_bytes();
         let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
         let mut back = Machine::restore(&img, &mut r).unwrap();
@@ -1033,13 +1036,42 @@ mod tests {
     }
 
     #[test]
+    fn save_writes_only_the_pages_a_run_changed() {
+        let mut a = Asm::new(0x1000);
+        let cell = a.data_u64s(&[5]);
+        a.mov_ri(Reg::Rbx, cell.0 as i64);
+        a.mov_ri(Reg::Rax, 7);
+        a.store(Reg::Rbx, 0, Reg::Rax);
+        a.halt();
+        let img = a.finish().unwrap();
+        let saved = |m: &Machine| {
+            let mut w = Writer::with_magic(*b"VCFRTEST");
+            m.save(&img, &mut w);
+            w.into_bytes()
+        };
+        let mut m = Machine::new(&img);
+        let fresh = saved(&m);
+        m.run(100).unwrap();
+        let ran = saved(&m);
+        // One page (index, length prefix, bytes) more than a fresh
+        // machine, whose pages are all the image's own.
+        assert_eq!(ran.len(), fresh.len() + 4 + 8 + 4096);
+        let mut r = Reader::with_magic(&ran, *b"VCFRTEST").unwrap();
+        let back = Machine::restore(&img, &mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(back.mem().read_u64(img.data().unwrap().base), 7);
+        assert_eq!(back.mem().read_u8(0x1000), m.mem().read_u8(0x1000), "the image is loaded");
+        assert_eq!(saved(&back), ran);
+    }
+
+    #[test]
     fn restore_rejects_bad_stop_tag() {
         let mut a = Asm::new(0x1000);
         a.halt();
         let img = a.finish().unwrap();
         let m = Machine::new(&img);
         let mut w = Writer::with_magic(*b"VCFRTEST");
-        m.save(&mut w);
+        m.save(&img, &mut w);
         let mut buf = w.into_bytes();
         // The stop tag sits immediately before the memory section; find
         // it by re-encoding with a poisoned tag instead: corrupt the
@@ -1107,9 +1139,9 @@ mod tests {
         assert_eq!(replayed.steps(), stepped.steps());
         // Full architectural state agrees: serialise both and compare.
         let mut wa = Writer::with_magic(*b"VCFRTEST");
-        stepped.save(&mut wa);
+        stepped.save(&img, &mut wa);
         let mut wb = Writer::with_magic(*b"VCFRTEST");
-        replayed.save(&mut wb);
+        replayed.save(&img, &mut wb);
         assert_eq!(wa.into_bytes(), wb.into_bytes());
     }
 

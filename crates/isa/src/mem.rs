@@ -5,7 +5,7 @@ use crate::Addr;
 use std::fmt;
 
 const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: Addr = (PAGE_SIZE as Addr) - 1;
 /// Pages in the 32-bit address space.
 const NUM_PAGES: usize = 1 << (32 - PAGE_SHIFT);
@@ -18,7 +18,9 @@ const NUM_PAGES: usize = 1 << (32 - PAGE_SHIFT);
 /// The page table is a directly-indexed vector (one slot per possible
 /// page), so every access resolves in O(1) with no hashing; word and bulk
 /// accesses that stay within one page go through a single page lookup and
-/// a slice copy.
+/// a slice copy. A slot holds a plain number, not a pointer with a
+/// destructor, so dropping a memory frees the 4 MiB table without reading
+/// it: the table's untouched parts are never faulted in.
 ///
 /// # Example
 ///
@@ -31,19 +33,25 @@ const NUM_PAGES: usize = 1 << (32 - PAGE_SHIFT);
 /// ```
 #[derive(Clone)]
 pub struct Mem {
-    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
-    live: usize,
+    /// Per page index: one plus the page's position in `pages`, or 0 for
+    /// a page not yet touched.
+    slots: Vec<u32>,
+    /// The materialised pages, in first-touch order.
+    pages: Vec<[u8; PAGE_SIZE]>,
+    /// The index of each page in `pages`, so that serialising costs
+    /// O(live pages) rather than a page-table walk.
+    live: Vec<u32>,
 }
 
 impl Default for Mem {
     fn default() -> Mem {
-        Mem { pages: vec![None; NUM_PAGES], live: 0 }
+        Mem { slots: vec![0; NUM_PAGES], pages: Vec::new(), live: Vec::new() }
     }
 }
 
 impl fmt::Debug for Mem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Mem").field("pages", &self.live).finish()
+        f.debug_struct("Mem").field("pages", &self.live.len()).finish()
     }
 }
 
@@ -55,22 +63,27 @@ impl Mem {
 
     /// Number of 4 KiB pages currently materialised.
     pub fn page_count(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
     #[inline]
     fn page(&self, addr: Addr) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages[(addr >> PAGE_SHIFT) as usize].as_deref()
+        match self.slots[(addr >> PAGE_SHIFT) as usize] {
+            0 => None,
+            slot => Some(&self.pages[slot as usize - 1]),
+        }
     }
 
     #[inline]
     fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_SIZE] {
-        let slot = &mut self.pages[(addr >> PAGE_SHIFT) as usize];
-        if slot.is_none() {
-            *slot = Some(Box::new([0u8; PAGE_SIZE]));
-            self.live += 1;
+        let idx = addr >> PAGE_SHIFT;
+        let slot = &mut self.slots[idx as usize];
+        if *slot == 0 {
+            self.pages.push([0u8; PAGE_SIZE]);
+            self.live.push(idx);
+            *slot = self.pages.len() as u32;
         }
-        slot.as_deref_mut().expect("slot just filled")
+        &mut self.pages[*slot as usize - 1]
     }
 
     /// Reads one byte.
@@ -135,44 +148,58 @@ impl Mem {
         }
     }
 
-    /// Serialises the materialised pages (checkpoint support): the page
-    /// count followed by each live page's index and raw bytes, in index
-    /// order, so the byte form is deterministic.
-    pub fn save(&self, w: &mut Writer) {
-        w.u64(self.live as u64);
-        for (idx, page) in self.pages.iter().enumerate() {
-            if let Some(p) = page {
-                w.u32(idx as u32);
-                w.bytes(&p[..]);
-            }
+    /// Serialises the materialised pages that `unchanged` does not
+    /// accept (checkpoint support): the page count, then each page's
+    /// index and bytes, in index order so the byte form is
+    /// deterministic. `unchanged` gets each page's base address and
+    /// bytes.
+    pub(crate) fn save_pages(
+        &self,
+        w: &mut Writer,
+        unchanged: impl Fn(Addr, &[u8; PAGE_SIZE]) -> bool,
+    ) {
+        let mut changed: Vec<(u32, &[u8; PAGE_SIZE])> = self
+            .live
+            .iter()
+            .copied()
+            .zip(&self.pages)
+            .filter(|&(idx, page)| !unchanged(idx << PAGE_SHIFT, page))
+            .collect();
+        changed.sort_unstable_by_key(|&(idx, _)| idx);
+        w.u64(changed.len() as u64);
+        for (idx, page) in changed {
+            w.u32(idx);
+            w.bytes(page);
         }
     }
 
-    /// Rebuilds a memory from [`Mem::save`] output, restoring the exact
-    /// set of materialised pages.
+    /// Overlays the pages [`Mem::save_pages`] wrote onto this memory.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on truncated or malformed input.
-    pub fn restore(r: &mut Reader<'_>) -> Result<Mem, WireError> {
-        let live = r.u64()?;
-        if live > NUM_PAGES as u64 {
-            return Err(WireError::LengthOutOfRange { len: live });
+    /// [`WireError`] on truncated input, more pages than the address
+    /// space holds, a page index out of range or not above the one
+    /// before it, or a page of the wrong size.
+    pub(crate) fn restore_pages(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        let count = r.u64()?;
+        if count > NUM_PAGES as u64 {
+            return Err(WireError::LengthOutOfRange { len: count });
         }
-        let mut mem = Mem::new();
-        for _ in 0..live {
-            let idx = r.u32()? as usize;
+        // The lowest index the next page may take.
+        let mut next = 0u64;
+        for _ in 0..count {
+            let idx = u64::from(r.u32()?);
+            if idx < next || idx >= NUM_PAGES as u64 {
+                return Err(WireError::BadIndex { index: idx });
+            }
             let bytes = r.bytes()?;
-            if idx >= NUM_PAGES || bytes.len() != PAGE_SIZE {
+            if bytes.len() != PAGE_SIZE {
                 return Err(WireError::LengthOutOfRange { len: bytes.len() as u64 });
             }
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            page.copy_from_slice(bytes);
-            if mem.pages[idx].replace(page).is_none() {
-                mem.live += 1;
-            }
+            self.page_mut((idx as Addr) << PAGE_SHIFT).copy_from_slice(bytes);
+            next = idx + 1;
         }
-        Ok(mem)
+        Ok(())
     }
 
     /// Writes `bytes` starting at `addr` (wrapping at the top of the
@@ -246,35 +273,92 @@ mod tests {
         assert_eq!(m.read_u8(0), 0x44); // bytes 4..8 wrapped to page zero
     }
 
+    /// `m`'s pages that `unchanged` does not accept, as `save_pages`
+    /// writes them.
+    fn saved(m: &Mem, unchanged: impl Fn(Addr, &[u8; PAGE_SIZE]) -> bool) -> Vec<u8> {
+        let mut w = Writer::with_magic(*b"VCFRTEST");
+        m.save_pages(&mut w, unchanged);
+        w.into_bytes()
+    }
+
+    /// Overlays `buf` (a `saved` stream) onto `m`.
+    fn overlay(m: &mut Mem, buf: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::with_magic(buf, *b"VCFRTEST").unwrap();
+        m.restore_pages(&mut r)?;
+        assert!(r.is_exhausted());
+        Ok(())
+    }
+
     #[test]
     fn save_restore_roundtrip_preserves_pages() {
         let mut m = Mem::new();
+        m.write_u8(0x123_4567, 0x5a); // touched before a lower page
         m.write_u64(0x8000, 0xdead_beef);
         m.write_bytes(Addr::MAX - 1, &[1, 2, 3]); // wraps to page zero
-        m.write_u8(0x123_4567, 0x5a);
-        let mut w = Writer::with_magic(*b"VCFRTEST");
-        m.save(&mut w);
-        let buf = w.into_bytes();
-        let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
-        let back = Mem::restore(&mut r).unwrap();
-        assert!(r.is_exhausted());
+        let mut back = Mem::new();
+        overlay(&mut back, &saved(&m, |_, _| false)).unwrap();
         assert_eq!(back.page_count(), m.page_count());
         assert_eq!(back.read_u64(0x8000), 0xdead_beef);
         assert_eq!(back.read_u8(Addr::MAX - 1), 1);
         assert_eq!(back.read_u8(0), 3);
         assert_eq!(back.read_u8(0x123_4567), 0x5a);
         assert_eq!(back.read_u8(0x9999), 0);
+        // Index order, not touch order: the stream is deterministic.
+        assert_eq!(saved(&back, |_, _| false), saved(&m, |_, _| false));
     }
 
     #[test]
-    fn restore_rejects_truncated_input() {
-        let mut m = Mem::new();
-        m.write_u8(0x1000, 7);
+    fn unchanged_pages_are_skipped_and_overlaid_pages_win() {
+        let mut base = Mem::new();
+        base.write_u8(0x1000, 1);
+        base.write_u8(0x2000, 2);
+        let mut m = base.clone();
+        m.write_u8(0x2000, 9); // differs from `base`
+        m.write_u8(0x3000, 3); // absent from `base`
+        let same = |at: Addr, page: &[u8; PAGE_SIZE]| base.page(at).is_some_and(|p| p == page);
+        let buf = saved(&m, same);
+        let mut back = base.clone();
+        overlay(&mut back, &buf).unwrap();
+        assert_eq!((back.read_u8(0x1000), back.read_u8(0x2000)), (1, 9));
+        assert_eq!(back.read_u8(0x3000), 3);
+        // Two pages travel, each an index plus a length-prefixed page.
+        assert_eq!(buf.len(), 8 + 8 + 2 * (4 + 8 + PAGE_SIZE));
+    }
+
+    /// A stream of `pages` (index, page length) records, each page
+    /// zero-filled, behind a count of `count`.
+    fn forged(count: u64, pages: &[(u32, usize)]) -> Vec<u8> {
         let mut w = Writer::with_magic(*b"VCFRTEST");
-        m.save(&mut w);
-        let buf = w.into_bytes();
-        let mut r = Reader::with_magic(&buf[..buf.len() - 3], *b"VCFRTEST").unwrap();
-        assert!(Mem::restore(&mut r).is_err());
+        w.u64(count);
+        for &(idx, len) in pages {
+            w.u32(idx);
+            w.bytes(&vec![0; len]);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_malformed_pages() {
+        let cases = [
+            (
+                forged(NUM_PAGES as u64 + 1, &[]),
+                WireError::LengthOutOfRange { len: NUM_PAGES as u64 + 1 },
+            ),
+            (forged(1, &[(1 << 20, PAGE_SIZE)]), WireError::BadIndex { index: 1 << 20 }),
+            (forged(2, &[(5, PAGE_SIZE), (5, PAGE_SIZE)]), WireError::BadIndex { index: 5 }),
+            (forged(2, &[(5, PAGE_SIZE), (4, PAGE_SIZE)]), WireError::BadIndex { index: 4 }),
+            (forged(1, &[(5, 100)]), WireError::LengthOutOfRange { len: 100 }),
+        ];
+        for (buf, want) in cases {
+            assert_eq!(overlay(&mut Mem::new(), &buf), Err(want));
+        }
+        // A page cut short, and a count promising more pages than follow.
+        let whole = forged(1, &[(5, PAGE_SIZE)]);
+        let mut r = Reader::with_magic(&whole[..whole.len() - 3], *b"VCFRTEST").unwrap();
+        assert_eq!(Mem::new().restore_pages(&mut r), Err(WireError::Truncated));
+        let short = forged(2, &[(5, PAGE_SIZE)]);
+        let mut r = Reader::with_magic(&short, *b"VCFRTEST").unwrap();
+        assert_eq!(Mem::new().restore_pages(&mut r), Err(WireError::Truncated));
     }
 
     #[test]

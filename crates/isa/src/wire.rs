@@ -28,6 +28,12 @@ pub enum WireError {
         /// The offending tag byte.
         tag: u8,
     },
+    /// An index field (a page or a cache line) was out of range or not
+    /// strictly above the one before it.
+    BadIndex {
+        /// The offending index.
+        index: u64,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -43,6 +49,9 @@ impl fmt::Display for WireError {
             WireError::LengthOutOfRange { len } => write!(f, "length field {len} out of range"),
             WireError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             WireError::BadTag { tag } => write!(f, "unknown tag byte {tag:#04x}"),
+            WireError::BadIndex { index } => {
+                write!(f, "index field {index} out of range or out of order")
+            }
         }
     }
 }

@@ -1,13 +1,17 @@
 //! The `vcfr serve` daemon: a localhost TCP listener, a bounded worker
 //! pool, and a checkpoint-backed job store under the state directory.
 //!
-//! On-disk layout (everything written atomically via tmp + rename, so a
-//! hard kill never leaves a half-written file):
+//! On-disk layout. Records and manifests are written to a temporary
+//! file and renamed into place, so a hard kill never leaves a
+//! half-written one; a running job's snapshots are overwritten in place
+//! in two files, so a kill leaves at least one of them whole (see
+//! [`Snapshots`]):
 //!
 //! ```text
 //! <dir>/endpoint                   bound host:port (removed on graceful exit)
 //! <dir>/jobs/job-<id>.json         job spec + phase
 //! <dir>/jobs/job-<id>.ckpt         latest engine checkpoint (versioned)
+//! <dir>/jobs/job-<id>.ckpt.prev    the checkpoint before it
 //! <dir>/jobs/job-<id>.manifest.json  canonical run manifest, once done
 //! ```
 
@@ -16,7 +20,7 @@ use crate::protocol::{
     err_response, hex_decode, ok_response, send_lines, JobPhase, ServiceError, ENDPOINT_FILE,
 };
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use vcfr_bench::{RunSpec, WorkerPool};
 use vcfr_obs::{parse_json, Backoff, Json, ProgressEvent};
-use vcfr_sim::{CheckpointError, SessionStatus, VcfrError};
+use vcfr_sim::{checkpoint_is_whole, CheckpointError, SessionStatus, VcfrError};
 
 /// How the daemon is configured.
 #[derive(Clone, Debug)]
@@ -99,14 +103,30 @@ impl Inner {
 
     /// Mutates one registry entry and wakes every watcher.
     fn update<F: FnOnce(&mut JobState)>(&self, id: u64, f: F) {
+        self.note(id, f);
+        self.changed.notify_all();
+    }
+
+    /// Mutates one registry entry without waking anyone: watchers pick
+    /// the change up at their next wakeup.
+    fn note<F: FnOnce(&mut JobState)>(&self, id: u64, f: F) {
         let mut jobs = self.jobs.lock().expect("registry lock");
         if let Some(st) = jobs.get_mut(&id) {
             f(st);
             st.seq += 1;
         }
-        self.changed.notify_all();
     }
 }
+
+/// The shortest time between two watcher wakeups for one running job's
+/// progress. The tap fires about 100 times per job, which for a short
+/// job is every few dozen microseconds. Waking every watcher for each
+/// reading would cost a context switch and a TCP segment per reading,
+/// and how many readings a wakeup coalesced, and so what a job cost,
+/// would vary with thread timing. Readings in between still land in the
+/// registry, and the next wakeup forwards the newest; a change of phase
+/// wakes watchers at once.
+const PROGRESS_WAKE_GAP: Duration = Duration::from_millis(10);
 
 fn job_file(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("job-{id}.json"))
@@ -114,6 +134,10 @@ fn job_file(dir: &Path, id: u64) -> PathBuf {
 
 fn ckpt_file(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("job-{id}.ckpt"))
+}
+
+fn prev_ckpt_file(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("job-{id}.ckpt.prev"))
 }
 
 fn manifest_file(dir: &Path, id: u64) -> PathBuf {
@@ -129,6 +153,68 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     ));
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
+}
+
+/// Overwrites `path` with `bytes` in place, creating it if need be. It
+/// makes no new file, so it costs a copy into the page cache rather than
+/// the directory and journal work of a create and a rename. The file is
+/// cut to length only after the write: truncating it to zero first would
+/// make ext4 flush it to disk on close.
+fn overwrite(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut f =
+        std::fs::OpenOptions::new().write(true).create(true).truncate(false).open(path)?;
+    f.write_all(bytes)?;
+    f.set_len(bytes.len() as u64)
+}
+
+/// A running job's snapshot files: the newest in `job-<id>.ckpt`, the one
+/// before it in `job-<id>.ckpt.prev`. The first snapshot a run writes
+/// replaces `job-<id>.ckpt` atomically; every later one overwrites both
+/// files in place, the previous snapshot into `.prev` first. A kill
+/// therefore tears at most the file being written while the other holds
+/// a whole snapshot, and no snapshot after the first creates, renames or
+/// deletes a file. (Renaming each snapshot over the one before makes
+/// ext4 allocate its blocks at once and free the old ones, and on a
+/// `discard` mount every free waits for the disk: 1.8 ms a snapshot
+/// against 0.18 ms in place, at a cost that follows the disk's load.)
+struct Snapshots {
+    newest: PathBuf,
+    prev: PathBuf,
+    /// What `newest` holds, once this run has written it.
+    last: Option<Vec<u8>>,
+}
+
+impl Snapshots {
+    fn new(dir: &Path, id: u64) -> Snapshots {
+        Snapshots { newest: ckpt_file(dir, id), prev: prev_ckpt_file(dir, id), last: None }
+    }
+
+    fn write(&mut self, bytes: Vec<u8>) -> std::io::Result<()> {
+        match &self.last {
+            None => write_atomic(&self.newest, &bytes)?,
+            Some(last) => {
+                overwrite(&self.prev, last)?;
+                overwrite(&self.newest, &bytes)?;
+            }
+        }
+        self.last = Some(bytes);
+        Ok(())
+    }
+
+    fn remove(&self) {
+        let _ = std::fs::remove_file(&self.newest);
+        let _ = std::fs::remove_file(&self.prev);
+    }
+}
+
+/// The newest whole snapshot of job `id` in `dir`: `job-<id>.ckpt`, or
+/// `job-<id>.ckpt.prev` when a kill tore the former. `None` when neither
+/// is whole (or there is none).
+pub(crate) fn newest_snapshot(dir: &Path, id: u64) -> Option<Vec<u8>> {
+    [ckpt_file(dir, id), prev_ckpt_file(dir, id)]
+        .iter()
+        .filter_map(|path| std::fs::read(path).ok())
+        .find(|bytes| checkpoint_is_whole(bytes))
 }
 
 /// Persists one job's spec + phase (progress lives in the checkpoint).
@@ -245,33 +331,44 @@ fn run_job(inner: &Inner, id: u64) {
             return;
         }
     };
-    let mut session = match spec.session(&w.image, layout.as_ref()) {
+    let session = match spec.session(&w.image, layout.as_ref()) {
         Ok(s) => s,
         Err(e) => {
             fail_job(inner, id, started, e.to_string());
             return;
         }
-    }
-    // The telemetry tap: each reading lands in the registry (waking
-    // watchers, who stream it as a `progress` event) and ticks the
-    // daemon-wide counter. Boundaries are instruction counts, so the
+    };
+    // The telemetry tap: each reading lands in the registry, where
+    // watchers stream it as a `progress` event, and ticks the
+    // daemon-wide counter; it wakes the watchers at most once per
+    // `PROGRESS_WAKE_GAP`. Boundaries are instruction counts, so the
     // simulated results are byte-identical with or without the tap.
-    .with_progress(progress_interval(&spec), |e| {
+    let mut woke = Instant::now();
+    let mut session = session.with_progress(progress_interval(&spec), move |e| {
         inner.metrics.record_progress_event();
-        inner.update(id, |st| {
+        let record = |st: &mut JobState| {
             st.instructions = e.instructions;
             st.cycles = e.cycles;
             st.progress = Some(*e);
             st.progress_count += 1;
-        });
+        };
+        if woke.elapsed() >= PROGRESS_WAKE_GAP {
+            woke = Instant::now();
+            inner.update(id, record);
+        } else {
+            inner.note(id, record);
+        }
     });
 
-    // Resume from the latest snapshot, if the previous daemon (or a
-    // fleet re-dispatch) left one. A snapshot of another format version
-    // cannot be read; per the version policy the job then re-runs from
-    // instruction 0 rather than failing.
-    let ckpt_path = ckpt_file(&inner.jobs_dir, id);
-    if let Ok(bytes) = std::fs::read(&ckpt_path) {
+    // Resume from the newest whole snapshot, if the previous daemon (or
+    // a fleet re-dispatch) left one; failing that, from the newest file,
+    // so that a corrupt snapshot fails the job. A snapshot of another
+    // format version cannot be read; per the version policy the job then
+    // re-runs from instruction 0 rather than failing.
+    let mut snapshots = Snapshots::new(&inner.jobs_dir, id);
+    let resume_from = newest_snapshot(&inner.jobs_dir, id)
+        .or_else(|| std::fs::read(&snapshots.newest).ok());
+    if let Some(bytes) = resume_from {
         match session.restore(&bytes) {
             Ok(()) | Err(VcfrError::Checkpoint(CheckpointError::Version { .. })) => {}
             Err(e) => {
@@ -290,7 +387,7 @@ fn run_job(inner: &Inner, id: u64) {
         if inner.stopping() {
             // Graceful drain: snapshot, then park the job as queued so
             // the next start resumes exactly here.
-            let _ = write_atomic(&ckpt_path, &session.checkpoint());
+            let _ = snapshots.write(session.checkpoint());
             inner.update(id, |st| st.phase = JobPhase::Queued);
             return;
         }
@@ -300,9 +397,10 @@ fn run_job(inner: &Inner, id: u64) {
                 return;
             }
             Ok(SessionStatus::Running) => {
-                let _ = write_atomic(&ckpt_path, &session.checkpoint());
+                let _ = snapshots.write(session.checkpoint());
                 let stats = session.stats_now();
-                inner.update(id, |st| {
+                // Counters only: the tap's readings wake the watchers.
+                inner.note(id, |st| {
                     st.instructions = stats.instructions;
                     st.cycles = stats.cycles;
                     st.checkpoints += 1;
@@ -314,7 +412,7 @@ fn run_job(inner: &Inner, id: u64) {
                     &manifest_file(&inner.jobs_dir, id),
                     manifest.canonical_bytes().as_bytes(),
                 );
-                let _ = std::fs::remove_file(&ckpt_path);
+                snapshots.remove();
                 inner.metrics.record_job(
                     started.elapsed().as_millis() as u64,
                     written.is_ok(),
@@ -647,6 +745,11 @@ pub fn serve(opts: &ServeOptions) -> Result<(), ServiceError> {
             break;
         }
         let Ok(stream) = conn else { continue };
+        // A `watch` stream answers one request with many writes, and the
+        // client sends nothing while it reads them. Under Nagle each
+        // wakeup's write after the first would wait for the client's
+        // delayed ACK (about 40 ms on Linux).
+        let _ = stream.set_nodelay(true);
         let inner = Arc::clone(&inner);
         let pool = Arc::clone(&pool);
         let next_id = Arc::clone(&next_id);
@@ -672,12 +775,15 @@ mod tests {
         spec
     }
 
-    /// Runs job 1 of a fresh store holding `ckpt` (if any) as its
-    /// snapshot; returns the final phase and the manifest bytes.
-    fn run_in_store(tag: &str, ckpt: Option<&[u8]>) -> (JobPhase, Vec<u8>) {
-        let dir = std::env::temp_dir().join(format!("vcfr-daemon-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp store");
+    /// Runs job 1 of a fresh store holding `ckpt` and `prev` (if any) as
+    /// its newest snapshot and the one before; returns the final phase,
+    /// the snapshots the run took and the manifest bytes.
+    fn run_in_store(
+        tag: &str,
+        ckpt: Option<&[u8]>,
+        prev: Option<&[u8]>,
+    ) -> (JobPhase, u64, Vec<u8>) {
+        let dir = temp_store(tag);
         let inner = Inner {
             jobs_dir: dir.clone(),
             stopping: AtomicBool::new(false),
@@ -688,11 +794,25 @@ mod tests {
         if let Some(bytes) = ckpt {
             std::fs::write(ckpt_file(&dir, 1), bytes).expect("write snapshot");
         }
+        if let Some(bytes) = prev {
+            std::fs::write(prev_ckpt_file(&dir, 1), bytes).expect("write snapshot");
+        }
         run_job(&inner, 1);
-        let phase = inner.jobs.lock().expect("registry lock")[&1].phase;
+        let (phase, checkpoints) = {
+            let jobs = inner.jobs.lock().expect("registry lock");
+            (jobs[&1].phase, jobs[&1].checkpoints)
+        };
         let manifest = std::fs::read(manifest_file(&dir, 1)).unwrap_or_default();
         let _ = std::fs::remove_dir_all(&dir);
-        (phase, manifest)
+        (phase, checkpoints, manifest)
+    }
+
+    /// A fresh, empty directory under the system temp directory.
+    fn temp_store(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vcfr-daemon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp store");
+        dir
     }
 
     /// A genuine mid-run snapshot of [`spec`]'s job, as the daemon
@@ -710,8 +830,8 @@ mod tests {
         let mut future = snapshot();
         let version = vcfr_sim::CHECKPOINT_VERSION + 1;
         future[8..12].copy_from_slice(&version.to_le_bytes());
-        let (phase, resumed) = run_in_store("future-ckpt", Some(&future));
-        let (_, fresh) = run_in_store("fresh", None);
+        let (phase, _, resumed) = run_in_store("future-ckpt", Some(&future), None);
+        let (_, _, fresh) = run_in_store("fresh", None, None);
         assert_eq!(phase, JobPhase::Done);
         assert!(!fresh.is_empty());
         assert_eq!(resumed, fresh, "the restarted job matches a fresh run");
@@ -735,8 +855,65 @@ mod tests {
         let mut corrupt = snapshot();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x10;
-        let (phase, manifest) = run_in_store("corrupt-ckpt", Some(&corrupt));
+        let (phase, _, manifest) = run_in_store("corrupt-ckpt", Some(&corrupt), None);
         assert_eq!(phase, JobPhase::Failed);
         assert!(manifest.is_empty());
+    }
+
+    #[test]
+    fn a_torn_newest_snapshot_resumes_from_the_one_before() {
+        let whole = snapshot();
+        let torn = &whole[..whole.len() / 2];
+        let (phase, taken, resumed) = run_in_store("torn-ckpt", Some(torn), Some(&whole));
+        let (_, from_zero, fresh) = run_in_store("torn-fresh", None, None);
+        assert_eq!(phase, JobPhase::Done);
+        assert_eq!(resumed, fresh, "the resumed job matches a fresh run");
+        assert_eq!(taken + 1, from_zero, "the run resumed after the first chunk");
+    }
+
+    #[test]
+    fn the_newest_whole_snapshot_is_found_in_either_file() {
+        let dir = temp_store("newest");
+        let whole = snapshot();
+        let torn = &whole[..whole.len() - 1];
+        assert_eq!(newest_snapshot(&dir, 1), None);
+        std::fs::write(ckpt_file(&dir, 1), torn).expect("write");
+        assert_eq!(newest_snapshot(&dir, 1), None, "a torn snapshot is never handed out");
+        std::fs::write(prev_ckpt_file(&dir, 1), &whole).expect("write");
+        assert_eq!(newest_snapshot(&dir, 1).as_ref(), Some(&whole));
+        let mut newer = whole.clone();
+        newer.extend_from_slice(b"tail");
+        std::fs::write(prev_ckpt_file(&dir, 1), &newer).expect("write");
+        std::fs::write(ckpt_file(&dir, 1), &whole).expect("write");
+        assert_eq!(newest_snapshot(&dir, 1).as_ref(), Some(&whole), "the newest file wins");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn later_snapshots_overwrite_both_files_in_place() {
+        let dir = temp_store("snapshots");
+        let (newest, prev) = (ckpt_file(&dir, 1), prev_ckpt_file(&dir, 1));
+        let read = |path: &Path| std::fs::read(path).ok();
+        let mut snapshots = Snapshots::new(&dir, 1);
+        snapshots.write(b"first".to_vec()).expect("write");
+        assert_eq!(read(&newest).as_deref(), Some(&b"first"[..]));
+        assert_eq!(read(&prev), None);
+        snapshots.write(b"second, longer".to_vec()).expect("write");
+        #[cfg(unix)]
+        let inodes = || {
+            use std::os::unix::fs::MetadataExt;
+            let ino = |p: &Path| std::fs::metadata(p).expect("exists").ino();
+            (ino(&newest), ino(&prev))
+        };
+        #[cfg(unix)]
+        let before = inodes();
+        snapshots.write(b"third".to_vec()).expect("write");
+        assert_eq!(read(&newest).as_deref(), Some(&b"third"[..]));
+        assert_eq!(read(&prev).as_deref(), Some(&b"second, longer"[..]));
+        #[cfg(unix)]
+        assert_eq!(inodes(), before, "no file was replaced");
+        snapshots.remove();
+        assert_eq!((read(&newest), read(&prev)), (None, None));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

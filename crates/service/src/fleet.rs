@@ -25,6 +25,7 @@
 //! equal duplicates collapse, disagreements fail the chunk.
 
 use crate::client::Client;
+use crate::daemon::newest_snapshot;
 use crate::metrics::aggregate_node_metrics;
 use crate::protocol::{err_response, ok_response, send_lines, ServiceError, ENDPOINT_FILE};
 use std::collections::BTreeMap;
@@ -552,7 +553,6 @@ fn recover_lost_worker(inner: &FleetInner, st: &mut FleetState, wid: u64) {
         .collect();
     for (cid, remote_id) in held {
         let manifest = jobs_dir.join(format!("job-{remote_id}.manifest.json"));
-        let ckpt = jobs_dir.join(format!("job-{remote_id}.ckpt"));
         if let Ok(text) = std::fs::read_to_string(&manifest) {
             let file = st.chunks[&cid].spec.manifest_file_name();
             let (phase, error) = merge_chunk(inner, &file, &text);
@@ -566,8 +566,8 @@ fn recover_lost_worker(inner: &FleetInner, st: &mut FleetState, wid: u64) {
             c.phase = phase;
             c.error = error;
             persist_chunk(&inner.chunks_dir, cid, c);
-        } else if std::fs::read(&ckpt)
-            .is_ok_and(|bytes| write_atomic(&inner.stash_file(cid), &bytes).is_ok())
+        } else if newest_snapshot(&jobs_dir, remote_id)
+            .is_some_and(|bytes| write_atomic(&inner.stash_file(cid), &bytes).is_ok())
         {
             st.resumed_chunks += 1;
             let c = st.chunks.get_mut(&cid).expect("held chunk");

@@ -142,9 +142,11 @@ pub(crate) fn send_lines<'a>(
 /// Lowercase-hex encoding for binary blobs (checkpoints) carried inside
 /// JSON strings on the wire.
 pub(crate) fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = std::fmt::Write::write_fmt(&mut s, format_args!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -194,8 +196,12 @@ mod tests {
 
     #[test]
     fn hex_round_trips() {
-        let bytes = [0u8, 1, 0x7f, 0xff, 0xa5];
-        assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes.to_vec()));
+        let all: Vec<u8> = (0..=255).collect();
+        let hex = hex_encode(&all);
+        let formatted: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, formatted, "two lowercase digits per byte");
+        assert_eq!(hex_decode(&hex), Some(all));
+        assert_eq!(hex_decode("A5fF"), Some(vec![0xa5, 0xff]), "either case decodes");
         assert_eq!(hex_encode(&[]), "");
         assert_eq!(hex_decode(""), Some(Vec::new()));
         assert_eq!(hex_decode("abc"), None);

@@ -231,16 +231,16 @@ impl Cache {
         self.lines.fill(Line::default());
     }
 
-    /// Serialises the full cache state — lines, counters and the LRU
-    /// tick — so a restored cache replays hits and evictions identically
-    /// (checkpoint support).
+    /// Serialises the cache state (checkpoint support): the valid lines
+    /// only, each as its index, flags, tag and LRU stamp, then the
+    /// counters and the LRU tick, so a restored cache replays hits and
+    /// evictions identically. An invalid line carries no state: every
+    /// line starts out, and is flushed back to, [`Line::default`].
     pub fn save(&self, w: &mut Writer) {
-        for line in &self.lines {
-            let flags = u8::from(line.valid)
-                | u8::from(line.dirty) << 1
-                | u8::from(line.prefetched) << 2
-                | u8::from(line.used) << 3;
-            w.u8(flags);
+        w.u64(self.lines.iter().filter(|l| l.valid).count() as u64);
+        for (i, line) in self.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+            w.u32(i as u32);
+            w.u8(u8::from(line.dirty) | u8::from(line.prefetched) << 1 | u8::from(line.used) << 2);
             w.u32(line.tag);
             w.u64(line.lru);
         }
@@ -259,28 +259,40 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// [`WireError`] on truncated input or malformed flag bytes.
+    /// [`WireError`] on truncated input, more lines than the geometry
+    /// holds, a line index out of range or not above the one before it,
+    /// or a flags byte with undefined bits set.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` itself is degenerate (see [`Cache::new`]).
     pub fn restore(cfg: CacheConfig, r: &mut Reader<'_>) -> Result<Cache, WireError> {
         let mut c = Cache::new(cfg);
-        for line in &mut c.lines {
+        let count = r.u64()?;
+        if count > c.lines.len() as u64 {
+            return Err(WireError::LengthOutOfRange { len: count });
+        }
+        // The lowest index the next line may take.
+        let mut next = 0u64;
+        for _ in 0..count {
+            let i = u64::from(r.u32()?);
+            if i < next || i >= c.lines.len() as u64 {
+                return Err(WireError::BadIndex { index: i });
+            }
             let flags = r.u8()?;
-            if flags > 0b1111 {
+            if flags > 0b111 {
                 return Err(WireError::BadTag { tag: flags });
             }
-            let tag = r.u32()?;
-            let lru = r.u64()?;
-            *line = Line {
-                valid: flags & 1 != 0,
+            let (tag, lru) = (r.u32()?, r.u64()?);
+            c.lines[i as usize] = Line {
+                valid: true,
                 tag,
-                dirty: flags & 2 != 0,
-                prefetched: flags & 4 != 0,
-                used: flags & 8 != 0,
+                dirty: flags & 1 != 0,
+                prefetched: flags & 2 != 0,
+                used: flags & 4 != 0,
                 lru,
             };
+            next = i + 1;
         }
         c.stats.accesses = r.u64()?;
         c.stats.misses = r.u64()?;
@@ -297,6 +309,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcfr_isa::wire::{Reader, Writer};
 
     fn tiny() -> Cache {
         // 2 sets × 2 ways × 64 B lines.
@@ -437,7 +450,6 @@ mod tests {
 
     #[test]
     fn save_restore_replays_identically() {
-        use vcfr_isa::wire::{Reader, Writer};
         let mut c = tiny();
         c.access(0x000, true);
         c.access(0x080, false);
@@ -456,16 +468,64 @@ mod tests {
         assert_eq!(back.stats(), c.stats());
     }
 
-    #[test]
-    fn restore_rejects_bad_flag_byte() {
-        use vcfr_isa::wire::{Reader, Writer};
-        let c = tiny();
+    /// `c` as [`Cache::save`] writes it.
+    fn saved(c: &Cache) -> Vec<u8> {
         let mut w = Writer::with_magic(*b"VCFRTEST");
         c.save(&mut w);
-        let mut buf = w.into_bytes();
-        buf[8] = 0xf0; // first line's flag byte
-        let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
-        assert!(Cache::restore(c.config(), &mut r).is_err());
+        w.into_bytes()
+    }
+
+    fn restored(cfg: CacheConfig, buf: &[u8]) -> Result<Cache, WireError> {
+        Cache::restore(cfg, &mut Reader::with_magic(buf, *b"VCFRTEST").unwrap())
+    }
+
+    /// Offsets in a [`saved`] stream: the line count follows the magic,
+    /// then 17-byte records of index (4), flags (1), tag (4), LRU (8).
+    const COUNT_AT: usize = 8;
+    const FIRST_LINE_AT: usize = COUNT_AT + 8;
+    const LINE_BYTES: usize = 4 + 1 + 4 + 8;
+
+    #[test]
+    fn save_writes_only_valid_lines() {
+        let mut c = tiny();
+        let empty = saved(&c).len();
+        c.access(0x000, true);
+        c.access(0x040, false);
+        assert_eq!(saved(&c).len(), empty + 2 * LINE_BYTES);
+        c.flush();
+        assert_eq!(saved(&c).len(), empty, "a flushed cache writes no line");
+    }
+
+    #[test]
+    fn restore_rejects_bad_flag_byte() {
+        let mut c = tiny();
+        c.access(0x000, false);
+        let mut buf = saved(&c);
+        buf[FIRST_LINE_AT + 4] = 0xf0; // the first valid line's flags byte
+        assert_eq!(restored(c.config(), &buf).unwrap_err(), WireError::BadTag { tag: 0xf0 });
+    }
+
+    #[test]
+    fn restore_rejects_bad_line_counts_and_indices() {
+        let mut c = tiny();
+        c.access(0x000, false); // line 0 (set 0)
+        c.access(0x040, false); // line 2 (set 1)
+        let buf = saved(&c);
+        let second = FIRST_LINE_AT + LINE_BYTES;
+        let with = |at: usize, bytes: &[u8]| {
+            let mut b = buf.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            restored(c.config(), &b).unwrap_err()
+        };
+        // More lines than the 2 sets × 2 ways hold.
+        assert_eq!(with(COUNT_AT, &5u64.to_le_bytes()), WireError::LengthOutOfRange { len: 5 });
+        // An index past the last line.
+        assert_eq!(with(second, &4u32.to_le_bytes()), WireError::BadIndex { index: 4 });
+        // A repeated index, and one below its predecessor.
+        assert_eq!(with(second, &0u32.to_le_bytes()), WireError::BadIndex { index: 0 });
+        assert_eq!(with(FIRST_LINE_AT, &3u32.to_le_bytes()), WireError::BadIndex { index: 2 });
+        // A stream cut inside a line.
+        assert_eq!(restored(c.config(), &buf[..second + 3]).unwrap_err(), WireError::Truncated);
     }
 
     #[test]

@@ -30,7 +30,11 @@ use vcfr_isa::wire::{Reader, WireError, Writer};
 /// Version 3 serialises the VCFR mediation unit as one block (both
 /// cores, stack-slot state included) and moves the fault counters and
 /// records from the in-order engine into the session.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Version 4 sizes the payload by live state: each cache writes only its
+/// valid lines (index, flags, tag, LRU stamp), and each machine only the
+/// memory pages that differ from what its image loads; restore loads the
+/// image, then overlays those pages.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Magic prefix of the checkpoint envelope.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VCFRCKP1";
@@ -103,17 +107,38 @@ pub(crate) fn context_fingerprint(description: &str) -> u64 {
     fnv64(description.as_bytes())
 }
 
-/// Wraps a session payload in the versioned, hash-sealed envelope.
-pub(crate) fn seal(context: u64, payload: &[u8]) -> Vec<u8> {
+/// Where the payload length sits: after the magic, version and context.
+const LEN_AT: usize = 8 + 4 + 8;
+/// Where the payload starts: after its `u64` length.
+const PAYLOAD_AT: usize = LEN_AT + 8;
+
+/// Starts a checkpoint under `context` in one buffer: the envelope
+/// header, then the payload's own magic. The caller appends the session
+/// state and hands the writer to [`seal`].
+pub(crate) fn begin(context: u64) -> Writer {
     let mut w = Writer::with_magic(CHECKPOINT_MAGIC);
     w.u32(CHECKPOINT_VERSION);
     w.u64(context);
-    w.bytes(payload);
-    w.u64(fnv64(payload));
-    w.into_bytes()
+    w.u64(0); // the payload length, filled in by `seal`
+    for b in PAYLOAD_MAGIC {
+        w.u8(b);
+    }
+    w
 }
 
-/// Validates the envelope and returns the payload bytes.
+/// Finishes, in place, a checkpoint [`begin`] started: fills in the
+/// payload length and appends the payload's hash. The payload is never
+/// copied.
+pub(crate) fn seal(w: Writer) -> Vec<u8> {
+    let mut buf = w.into_bytes();
+    let len = (buf.len() - PAYLOAD_AT) as u64;
+    buf[LEN_AT..PAYLOAD_AT].copy_from_slice(&len.to_le_bytes());
+    let hash = fnv64(&buf[PAYLOAD_AT..]);
+    buf.extend_from_slice(&hash.to_le_bytes());
+    buf
+}
+
+/// Validates the envelope and returns the payload it holds.
 ///
 /// # Errors
 ///
@@ -122,19 +147,19 @@ pub(crate) fn seal(context: u64, payload: &[u8]) -> Vec<u8> {
 /// [`CheckpointError::ContextMismatch`] when the fingerprint differs
 /// from `context`, and [`CheckpointError::Corrupt`] when the payload
 /// hash does not check out.
-pub(crate) fn open(buf: &[u8], context: u64) -> Result<Vec<u8>, CheckpointError> {
+pub(crate) fn open(buf: &[u8], context: u64) -> Result<&[u8], CheckpointError> {
     let mut r = Reader::with_magic(buf, CHECKPOINT_MAGIC)?;
     let version = r.u32()?;
     if version != CHECKPOINT_VERSION {
         return Err(CheckpointError::Version { found: version });
     }
     let found_context = r.u64()?;
-    let payload = r.bytes()?.to_vec();
+    let payload = r.bytes()?;
     let hash = r.u64()?;
     if !r.is_exhausted() {
         return Err(CheckpointError::Wire(WireError::Truncated));
     }
-    if hash != fnv64(&payload) {
+    if hash != fnv64(payload) {
         return Err(CheckpointError::Corrupt);
     }
     if found_context != context {
@@ -143,29 +168,65 @@ pub(crate) fn open(buf: &[u8], context: u64) -> Result<Vec<u8>, CheckpointError>
     Ok(payload)
 }
 
+/// Whether `buf` is one whole checkpoint envelope, of any version and
+/// context: the magic, the payload length and the payload hash check
+/// out. A reader that keeps more than one snapshot of a run uses it to
+/// pass over one a killed writer left torn.
+pub fn checkpoint_is_whole(buf: &[u8]) -> bool {
+    let whole = || -> Result<bool, WireError> {
+        let mut r = Reader::with_magic(buf, CHECKPOINT_MAGIC)?;
+        r.u32()?;
+        r.u64()?;
+        let payload = r.bytes()?;
+        let hash = r.u64()?;
+        Ok(r.is_exhausted() && hash == fnv64(payload))
+    };
+    whole().unwrap_or(false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A checkpoint under `context` whose payload is the payload magic
+    /// followed by `state`.
+    fn sealed(context: u64, state: &[u8]) -> Vec<u8> {
+        let mut w = begin(context);
+        for &b in state {
+            w.u8(b);
+        }
+        seal(w)
+    }
+
     #[test]
     fn seal_open_roundtrip() {
-        let payload = b"session state bytes".to_vec();
-        let sealed = seal(42, &payload);
-        assert_eq!(open(&sealed, 42).unwrap(), payload);
+        let payload = [&PAYLOAD_MAGIC[..], b"session state bytes"].concat();
+        assert_eq!(open(&sealed(42, b"session state bytes"), 42).unwrap(), payload);
+    }
+
+    #[test]
+    fn sealing_in_place_writes_the_documented_envelope() {
+        let payload = [&PAYLOAD_MAGIC[..], b"state"].concat();
+        let mut w = Writer::with_magic(CHECKPOINT_MAGIC);
+        w.u32(CHECKPOINT_VERSION);
+        w.u64(9);
+        w.bytes(&payload);
+        w.u64(fnv64(&payload));
+        assert_eq!(sealed(9, b"state"), w.into_bytes());
     }
 
     #[test]
     fn wrong_context_is_rejected() {
-        let sealed = seal(42, b"x");
+        let sealed = sealed(42, b"x");
         assert_eq!(open(&sealed, 43), Err(CheckpointError::ContextMismatch));
     }
 
     #[test]
     fn corrupted_payload_is_rejected() {
-        let mut sealed = seal(7, b"payload-bytes");
+        let mut sealed = sealed(7, b"payload-bytes");
         // Flip a bit inside the payload region (past magic+version+context
         // + length prefix).
-        sealed[8 + 4 + 8 + 8 + 2] ^= 0x40;
+        sealed[PAYLOAD_AT + 2] ^= 0x40;
         assert_eq!(open(&sealed, 7), Err(CheckpointError::Corrupt));
     }
 
@@ -185,9 +246,28 @@ mod tests {
 
     #[test]
     fn truncation_and_foreign_magic_are_wire_errors() {
-        let sealed = seal(1, b"abc");
+        let sealed = sealed(1, b"abc");
         assert!(matches!(open(&sealed[..10], 1), Err(CheckpointError::Wire(_))));
         assert!(matches!(open(b"NOTMAGIC", 1), Err(CheckpointError::Wire(_))));
+    }
+
+    #[test]
+    fn only_a_torn_or_altered_envelope_is_not_whole() {
+        let whole = sealed(3, b"state bytes");
+        assert!(checkpoint_is_whole(&whole));
+        // Any version and context: those are for `open` to judge.
+        let mut other = whole.clone();
+        other[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
+        other[12] ^= 0xff;
+        assert!(checkpoint_is_whole(&other));
+        // A writer killed part way, a stale tail, a flipped payload bit.
+        for cut in [0, 10, PAYLOAD_AT + 3, whole.len() - 1] {
+            assert!(!checkpoint_is_whole(&whole[..cut]), "cut at {cut}");
+        }
+        assert!(!checkpoint_is_whole(&[&whole[..], b"tail"].concat()));
+        let mut flipped = whole;
+        flipped[PAYLOAD_AT + 2] ^= 0x40;
+        assert!(!checkpoint_is_whole(&flipped));
     }
 
     #[test]

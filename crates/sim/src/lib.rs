@@ -59,7 +59,9 @@ mod stats;
 mod tlb;
 
 pub use cache::{AccessResult, Cache, CacheStats};
-pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use checkpoint::{
+    checkpoint_is_whole, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+};
 pub use config::{
     BtbConfig, CacheConfig, DramConfig, DrcBacking, EngineKind, GshareConfig, SimConfig,
     SimConfigBuilder,

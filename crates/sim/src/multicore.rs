@@ -181,11 +181,12 @@ impl<'a> MultiCore<'a> {
     }
 
     /// Serialises every core (machine + engine + done flag) and the
-    /// shared level, in core order (checkpoint support).
-    pub(crate) fn save(&self, w: &mut Writer) {
+    /// shared level, in core order (checkpoint support). `modes` are
+    /// the ones the run was built with.
+    pub(crate) fn save(&self, modes: &[Mode<'a>], w: &mut Writer) {
         w.u64(self.machines.len() as u64);
-        for i in 0..self.machines.len() {
-            self.machines[i].save(w);
+        for (i, mode) in modes.iter().enumerate() {
+            self.machines[i].save(mode.image_ref(), w);
             self.engines[i].save(w);
             w.u8(u8::from(self.done[i]));
         }
@@ -564,7 +565,7 @@ mod tests {
             loop {
                 if saved.is_none() && mc.instructions() >= split {
                     let mut w = Writer::with_magic(MAGIC);
-                    mc.save(&mut w);
+                    mc.save(&modes, &mut w);
                     saved = Some(w.into_bytes());
                     if resume {
                         let bytes = saved.clone().unwrap();

@@ -34,7 +34,7 @@ use crate::mediation::Mode;
 use crate::multicore::{MultiCore, MultiCoreOutput};
 use crate::ooo::{OooConfig, OooEngine};
 use crate::stats::SimStats;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Reader, WireError};
 use vcfr_isa::{
     Addr, Machine, RunOutcome, SectionKind, StopReason, SuperblockCache, SuperblockLookup,
     SUPERBLOCK_MAX_INSTS,
@@ -741,17 +741,18 @@ impl<'a> Session<'a> {
     /// machine+engine, the out-of-order engine (window geometry
     /// included), or the whole multicore fleet plus the shared level.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::with_magic(PAYLOAD_MAGIC);
+        let mut w = checkpoint::begin(self.context());
+        let image = self.modes[0].image_ref();
         match &self.backend {
             Backend::InOrder { machine, engine } => {
-                machine.save(&mut w);
+                machine.save(image, &mut w);
                 engine.save(&mut w);
             }
             Backend::Ooo { machine, engine } => {
-                machine.save(&mut w);
+                machine.save(image, &mut w);
                 engine.save(&mut w);
             }
-            Backend::Multicore(mc) => mc.save(&mut w),
+            Backend::Multicore(mc) => mc.save(&self.modes, &mut w),
         }
         w.u64(self.fault_idx as u64);
         self.faults.save(&mut w);
@@ -770,7 +771,7 @@ impl<'a> Session<'a> {
         }
         self.last.save(&mut w);
         w.u64(self.next_sample);
-        checkpoint::seal(self.context(), &w.into_bytes())
+        checkpoint::seal(w)
     }
 
     /// Replaces this session's state with a checkpoint taken by an
@@ -786,7 +787,7 @@ impl<'a> Session<'a> {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), VcfrError> {
         let payload = checkpoint::open(bytes, self.context())?;
         let wire = |e: WireError| VcfrError::Checkpoint(CheckpointError::Wire(e));
-        let mut r = Reader::with_magic(&payload, PAYLOAD_MAGIC).map_err(wire)?;
+        let mut r = Reader::with_magic(payload, PAYLOAD_MAGIC).map_err(wire)?;
         let mode = self.modes[0];
         let backend = match self.cfg.engine {
             EngineKind::InOrder => {

@@ -1,7 +1,8 @@
 //! Wire-level regressions of the service: request latency over one
-//! connection, JSON string parsing at checkpoint scale, a fleet worker
-//! that accepts connections but never answers, and one that answers a
-//! submit only after the coordinator has given up on it.
+//! connection, the gaps inside a `watch` stream, JSON string parsing at
+//! checkpoint scale, a fleet worker that accepts connections but never
+//! answers, and one that answers a submit only after the coordinator
+//! has given up on it.
 //!
 //! Each test bounds its wait, so a regression fails in seconds instead
 //! of hanging the suite.
@@ -12,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-use vcfr_bench::RunSpec;
+use vcfr_bench::{ModeSpec, RunSpec};
 use vcfr_obs::{parse_json, Json};
 use vcfr_service::{serve, serve_fleet, Client, FleetOptions, ServeOptions, ENDPOINT_FILE};
 
@@ -51,6 +52,43 @@ fn fifty_pings_on_one_connection_take_under_a_second() {
     // A request and its reply each cost a delayed-ACK stall (40 ms) when
     // a frame leaves in more than one write.
     assert!(took < Duration::from_secs(1), "50 pings took {took:?}");
+}
+
+#[test]
+fn a_watch_stream_never_waits_for_a_delayed_ack() {
+    let dir = fresh_dir("watch");
+    let opts = ServeOptions { dir: dir.clone(), workers: 1, ..ServeOptions::default() };
+    let daemon = std::thread::spawn(move || serve(&opts));
+    let mut client = connect(&dir);
+    let spec = RunSpec {
+        mode: ModeSpec::Base,
+        max_insts: 20_000,
+        checkpoint_every: 20_000,
+        ..RunSpec::new("bzip2")
+    };
+    // The largest gap between consecutive lines of each job's stream,
+    // from the `watch` request to its `end` line.
+    let mut largest = Vec::new();
+    for _ in 0..10 {
+        let id = client.submit(&spec).expect("submit");
+        let mut last = Instant::now();
+        let mut gap = Duration::ZERO;
+        client
+            .watch(id, |_| {
+                gap = gap.max(last.elapsed());
+                last = Instant::now();
+            })
+            .expect("watch");
+        largest.push(gap.max(last.elapsed()));
+    }
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+    largest.sort();
+    // The daemon writes each wakeup of the stream as it happens while the
+    // client only reads. Were the second write held for the client's
+    // delayed ACK, every job would show a gap of about 40 ms.
+    assert!(largest[5] < Duration::from_millis(25), "largest gap per job: {largest:?}");
 }
 
 #[test]

@@ -4,15 +4,10 @@
 //! repro                # run everything
 //! repro fig3 fig12     # run selected experiments
 //! repro check --threads 4   # CI gate on an explicit worker count
-//! repro obs-smoke      # tiny observability end-to-end check
 //! repro faults         # 11-app fault-injection campaign (base vs VCFR)
-//! repro faults-smoke   # 1-app seeded campaign + determinism check
 //! repro frontier       # entropy/security frontier sweep (Pareto table)
 //! repro frontier --shard 0/2  # one shard of the sweep (fleet node)
-//! repro frontier-smoke # 2-point sweep + thread-determinism check
 //! repro throughput     # superblock fast-path rate on the no-stall program
-//! repro telemetry-smoke  # manifests + checkpoints byte-identical, tap on vs off
-//! repro multicore-smoke  # VCFR+base shared-L2 cells, rerand mid-run, thread-stable
 //! repro fig3 --scale 4 # matrix over the scale-4 suite (longer runs)
 //! ```
 //!
@@ -26,7 +21,6 @@
 use std::path::Path;
 use vcfr_bench::experiments::{self as ex, Matrix, MatrixTiming};
 use vcfr_bench::{campaign, manifests};
-use vcfr_obs::{CycleAccounting, Manifest};
 
 fn want(args: &[String], name: &str) -> bool {
     args.is_empty() || args.iter().any(|a| a == name)
@@ -37,72 +31,57 @@ fn header(title: &str, paper: &str) {
     println!("    paper: {paper}");
 }
 
-/// Pulls `--threads N` / `--threads=N` out of `args` (so the remaining
-/// arguments are plain experiment names), returning the worker count.
-fn parse_threads(args: &mut Vec<String>) -> usize {
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" && i + 1 < args.len() {
-            threads = args[i + 1].parse::<usize>().ok();
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--threads=") {
-            threads = v.parse::<usize>().ok();
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    threads.filter(|&n| n > 0).unwrap_or_else(ex::default_threads)
+/// Shard `i` of `n` of the frontier sweep.
+type Shard = (usize, usize);
+
+/// Pulls `--threads`, `--scale` and `--shard` out of `args`, leaving
+/// plain experiment names, and returns the worker count, the workload
+/// scale factor and the frontier shard. An absent `--threads` falls
+/// back to [`ex::default_threads`]; an absent `--scale` is 1, the
+/// calibrated suite. The fleet runs one `repro frontier --shard i/n`
+/// per node and merges the manifest trees.
+///
+/// # Errors
+///
+/// A message naming the flag whose value is missing, malformed or out
+/// of range: `--threads 0`, `--scale 0`, or a shard `i/n` with `i >= n`.
+fn parse_flags(args: &mut Vec<String>) -> Result<(usize, u64, Option<Shard>), String> {
+    let threads = take_flag(args, "threads", |v| v.parse().ok().filter(|&n: &usize| n > 0))?;
+    let scale = take_flag(args, "scale", |v| v.parse().ok().filter(|&n: &u64| n > 0))?;
+    let shard = take_flag(args, "shard", |v| {
+        let (i, n) = v.split_once('/')?;
+        let (i, n): (usize, usize) = (i.parse().ok()?, n.parse().ok()?);
+        (i < n).then_some((i, n))
+    })?;
+    Ok((threads.unwrap_or_else(ex::default_threads), scale.unwrap_or(1), shard))
 }
 
-/// Pulls `--scale N` / `--scale=N` out of `args`, returning the
-/// workload scale factor (default 1, the calibrated suite). `check`
-/// always gates on scale 1 — its bands are calibrated for the unscaled
-/// programs.
-fn parse_scale(args: &mut Vec<String>) -> u64 {
-    let mut scale = None;
+/// Pulls every `--name V` and `--name=V` out of `args`, parsing each
+/// value with `parse` (`None` refuses it); the last one wins.
+fn take_flag<T>(
+    args: &mut Vec<String>,
+    name: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let flag = format!("--{name}");
+    let mut value = None;
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--scale" && i + 1 < args.len() {
-            scale = args[i + 1].parse::<u64>().ok();
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--scale=") {
-            scale = v.parse::<u64>().ok();
-            args.remove(i);
+        let v = if args[i] == flag {
+            if i + 1 == args.len() {
+                return Err(format!("{flag} needs a value"));
+            }
+            args.remove(i + 1)
+        } else if let Some(v) = args[i].strip_prefix(&flag).and_then(|v| v.strip_prefix('=')) {
+            v.to_string()
         } else {
             i += 1;
-        }
-    }
-    scale.filter(|&n| n > 0).unwrap_or(1)
-}
-
-/// Pulls `--shard i/n` / `--shard=i/n` out of `args`, returning the
-/// shard coordinates when present (the fleet runs one `repro frontier
-/// --shard i/n` per node and merges the manifest trees).
-fn parse_shard(args: &mut Vec<String>) -> Option<(usize, usize)> {
-    let mut shard = None;
-    let mut i = 0;
-    while i < args.len() {
-        let spec = if args[i] == "--shard" && i + 1 < args.len() {
-            let v = args[i + 1].clone();
-            args.drain(i..i + 2);
-            Some(v)
-        } else if let Some(v) = args[i].strip_prefix("--shard=") {
-            let v = v.to_string();
-            args.remove(i);
-            Some(v)
-        } else {
-            i += 1;
-            None
+            continue;
         };
-        if let Some(v) = spec {
-            shard = v.split_once('/').and_then(|(a, b)| {
-                Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?))
-            });
-        }
+        args.remove(i);
+        value = Some(parse(&v).ok_or_else(|| format!("{flag}: invalid value {v:?}"))?);
     }
-    shard.filter(|&(i, n)| n > 0 && i < n)
+    Ok(value)
 }
 
 /// The workload the frontier sweeps: compact enough that the region
@@ -113,11 +92,7 @@ const FRONTIER_APP: &str = "sjeng";
 /// Runs the entropy/security frontier sweep (optionally one shard of
 /// it), prints the Pareto table, and writes one manifest per point to
 /// `out_dir`.
-fn run_frontier_cmd(
-    threads: usize,
-    shard: Option<(usize, usize)>,
-    out_dir: &Path,
-) -> Vec<vcfr_bench::FrontierRow> {
+fn run_frontier_cmd(threads: usize, shard: Option<Shard>, out_dir: &Path) {
     let w = vcfr_workloads::by_name(FRONTIER_APP).expect("frontier app exists");
     let points: Vec<vcfr_bench::FrontierPoint> = match shard {
         Some((i, n)) => vcfr_bench::shard_frontier(&vcfr_bench::FRONTIER_POINTS, n).swap_remove(i),
@@ -143,78 +118,6 @@ fn run_frontier_cmd(
         Ok(n) => eprintln!("wrote {n} frontier manifests to {}/", out_dir.display()),
         Err(e) => eprintln!("warning: could not write frontier manifests: {e}"),
     }
-    rows
-}
-
-/// Tiny end-to-end check of the frontier: two entropy points on a
-/// capped budget, manifests byte-identical across worker-thread counts,
-/// span strictly growing with entropy, and the manifest round-trip
-/// reproducing every headline number.
-fn frontier_smoke() -> bool {
-    let mut w = vcfr_workloads::by_name(FRONTIER_APP).expect("frontier app exists");
-    w.max_insts = w.max_insts.min(40_000);
-    let points = [
-        vcfr_bench::FrontierPoint { entropy_bits: 13, sparsity: 2 },
-        vcfr_bench::FrontierPoint { entropy_bits: 17, sparsity: 2 },
-    ];
-    let fz = vcfr_gadget::FuzzConfig {
-        trials: 4,
-        probes_per_trial: 24,
-        ..vcfr_bench::frontier_fuzz_config()
-    };
-    eprintln!(
-        "frontier-smoke: {FRONTIER_APP} x {{e13, e17}}, {} inst budget, {} trials x {} probes",
-        w.max_insts, fz.trials, fz.probes_per_trial
-    );
-    let mut ok = true;
-
-    let rows1 = vcfr_bench::run_frontier(&w, &points, &fz, 1);
-    let rows2 = vcfr_bench::run_frontier(&w, &points, &fz, 2);
-    let ms1 = manifests::build_frontier_manifests(&rows1, &fz, 1);
-    let ms2 = manifests::build_frontier_manifests(&rows2, &fz, 2);
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!("FAIL {}: canonical manifest differs between 1 and 2 threads", a.file_name());
-            ok = false;
-        } else {
-            println!("PASS {:<28} thread-stable", a.file_name());
-        }
-    }
-    if rows1[0].span_bytes >= rows1[1].span_bytes {
-        eprintln!(
-            "FAIL: span must grow with entropy ({} vs {})",
-            rows1[0].span_bytes, rows1[1].span_bytes
-        );
-        ok = false;
-    }
-    for (row, m) in rows1.iter().zip(&ms1) {
-        match manifests::frontier_summary_from_manifest(m) {
-            Some(s) if s == row.summary() => {
-                println!(
-                    "PASS {:<28} atk {:.3}, slowdown {:.3}x, cover {:.3}",
-                    m.file_name(),
-                    s.attack_success,
-                    s.slowdown,
-                    s.fault_coverage
-                );
-            }
-            Some(_) => {
-                eprintln!("FAIL {}: manifest summary differs from the run", m.file_name());
-                ok = false;
-            }
-            None => {
-                eprintln!("FAIL {}: manifest does not read back as a frontier point", m.file_name());
-                ok = false;
-            }
-        }
-    }
-    if let Err(e) = manifests::write_manifests(Path::new("target/frontier-smoke-manifests"), &ms1)
-    {
-        eprintln!("FAIL: could not write manifests: {e}");
-        ok = false;
-    }
-    println!("frontier-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
 }
 
 /// Runs the no-stall superblock throughput measurement and prints both
@@ -275,275 +178,10 @@ fn write_artifacts(m: &Matrix, t: &MatrixTiming) {
     }
 }
 
-/// Tiny end-to-end check of the observability layer: runs one small app
-/// through all five configurations, audits the cycle accounting of every
-/// cell, and verifies manifests round-trip and are canonically identical
-/// across worker-thread counts.
-fn obs_smoke() -> bool {
-    let mut w = vcfr_workloads::by_name("bzip2").expect("bzip2 exists");
-    w.max_insts = w.max_insts.min(60_000);
-    let suite = [w];
-    eprintln!("obs-smoke: bzip2 x 5 configs, {} inst budget per run", suite[0].max_insts);
-
-    let (m1, t1) = ex::matrix_over(&suite, 1);
-    let (m2, t2) = ex::matrix_over(&suite, 2);
-    let ms1 = manifests::build_matrix_manifests(&m1, &t1);
-    let ms2 = manifests::build_matrix_manifests(&m2, &t2);
-    let mut ok = true;
-
-    // Manifests are byte-identical across thread counts once the
-    // volatile host block is stripped.
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!("FAIL {}: canonical manifest differs between 1 and 2 threads", a.file_name());
-            ok = false;
-        }
-    }
-
-    // Every cell's cycle accounting passes the audit; the identity terms
-    // survive the manifest round trip.
-    let dir = Path::new("target/obs-smoke-manifests");
-    if let Err(e) = manifests::write_manifests(dir, &ms1) {
-        eprintln!("FAIL: could not write manifests: {e}");
-        return false;
-    }
-    for m in &ms1 {
-        let text = match std::fs::read_to_string(dir.join(m.file_name())) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL {}: unreadable: {e}", m.file_name());
-                ok = false;
-                continue;
-            }
-        };
-        let back = match Manifest::from_str(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("FAIL {}: {e}", m.file_name());
-                ok = false;
-                continue;
-            }
-        };
-        let audit = back.json().get("audit").and_then(CycleAccounting::from_json);
-        let Some(accounting) = audit else {
-            eprintln!("FAIL {}: manifest has no audit block", m.file_name());
-            ok = false;
-            continue;
-        };
-        let report = accounting.audit();
-        if report.passed() {
-            println!(
-                "PASS {:<22} {:>9} cycles, coverage {:.3}",
-                m.file_name(),
-                accounting.cycles,
-                accounting.coverage()
-            );
-        } else {
-            ok = false;
-            for f in &report.failures {
-                eprintln!("FAIL {}: {f}", m.file_name());
-            }
-        }
-    }
-    println!("obs-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
-/// End-to-end gate on the telemetry tap's zero-observability cost: the
-/// simulated results must be byte-identical with progress events on or
-/// off. Checks (1) canonical matrix manifests across {tap off, tap on}
-/// × {1, 2} worker threads, (2) mid-run checkpoints from a tapped and
-/// an untapped session, and (3) that the tap actually fired.
-fn telemetry_smoke() -> bool {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use vcfr_core::DrcConfig;
-    use vcfr_sim::{Mode, Session, SimConfig};
-
-    let mut w = vcfr_workloads::by_name("bzip2").expect("bzip2 exists");
-    w.max_insts = w.max_insts.min(60_000);
-    let suite = [w];
-    eprintln!(
-        "telemetry-smoke: bzip2 x 5 configs, {} inst budget, tap on/off x 1/2 threads",
-        suite[0].max_insts
-    );
-    let mut ok = true;
-
-    // (1) Manifests: tap off on one thread is the reference; every other
-    // (tap, threads) combination must produce the same canonical bytes.
-    let (m_ref, t_ref) = ex::matrix_over(&suite, 1);
-    let ms_ref = manifests::build_matrix_manifests(&m_ref, &t_ref);
-    let events = AtomicU64::new(0);
-    for threads in [1usize, 2] {
-        for tap in [false, true] {
-            if threads == 1 && !tap {
-                continue; // that is the reference run
-            }
-            let (m, t) = if tap {
-                ex::matrix_over_tapped(
-                    &suite,
-                    threads,
-                    10_000,
-                    &|_| {
-                        events.fetch_add(1, Ordering::Relaxed);
-                    },
-                    &|_| {},
-                )
-            } else {
-                ex::matrix_over(&suite, threads)
-            };
-            let ms = manifests::build_matrix_manifests(&m, &t);
-            for (a, b) in ms_ref.iter().zip(&ms) {
-                if a.canonical_bytes() == b.canonical_bytes() {
-                    println!(
-                        "PASS {:<22} identical (tap {}, {} thread{})",
-                        a.file_name(),
-                        if tap { "on" } else { "off" },
-                        threads,
-                        if threads == 1 { "" } else { "s" }
-                    );
-                } else {
-                    eprintln!(
-                        "FAIL {}: manifest differs with tap {} on {} thread(s)",
-                        a.file_name(),
-                        if tap { "on" } else { "off" },
-                        threads
-                    );
-                    ok = false;
-                }
-            }
-        }
-    }
-    let fired = events.load(Ordering::Relaxed);
-    if fired == 0 {
-        eprintln!("FAIL: the telemetry tap never fired");
-        ok = false;
-    } else {
-        println!("PASS tap fired {fired} progress events across the tapped runs");
-    }
-
-    // (2) Checkpoints: drive a tapped and an untapped session to the
-    // same instruction boundary; the checkpoint payloads must be
-    // byte-identical (the progress cursor lives outside them).
-    let w = &suite[0];
-    let rp = ex::randomize_workload(&w.image);
-    let cfg = SimConfig::default();
-    let mode = || Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
-    let mut tapped = Session::new(mode(), &cfg, w.max_insts)
-        .expect("session builds")
-        .with_progress(5_000, |_| {});
-    let mut plain = Session::new(mode(), &cfg, w.max_insts).expect("session builds");
-    tapped.run_for(20_000).expect("tapped chunk runs");
-    plain.run_for(20_000).expect("plain chunk runs");
-    if tapped.checkpoint() == plain.checkpoint() {
-        println!(
-            "PASS checkpoint identical at {} instructions, tap on vs off",
-            plain.instructions()
-        );
-    } else {
-        eprintln!("FAIL: checkpoint differs between tapped and untapped sessions");
-        ok = false;
-    }
-
-    println!("telemetry-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
-/// End-to-end gate on the multicore rerand cells: a VCFR core swaps its
-/// live layout mid-run while a baseline sibling streams through the
-/// shared L2. Checks (1) canonical manifests byte-identical across 1
-/// vs 2 worker threads, (2) rerand epochs fired on the VCFR core and
-/// only there, (3) every cell's aggregate cycle accounting audits, and
-/// (4) the VCFR core's architectural output matches a solo in-order
-/// baseline run of the same app.
-fn multicore_smoke() -> bool {
-    use vcfr_sim::{simulate, Mode, SimConfig};
-
-    let budget = 120_000;
-    eprintln!(
-        "multicore-smoke: VCFR+base pairings over the shared L2, {} inst budget per core, \
-         rerand every {} insts",
-        budget,
-        ex::MULTICORE_RERAND_EPOCH
-    );
-    let cells1 = ex::multicore_rerand_cells(1, budget);
-    let cells2 = ex::multicore_rerand_cells(2, budget);
-    let ms1 = manifests::build_multicore_manifests(&cells1, 1);
-    let ms2 = manifests::build_multicore_manifests(&cells2, 2);
-    let mut ok = true;
-
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!(
-                "FAIL {}: canonical manifest differs between 1 and 2 threads",
-                a.file_name()
-            );
-            ok = false;
-        }
-    }
-
-    for (cell, m) in cells1.iter().zip(&ms1) {
-        let (core0, core1) = (&cell.output.per_core[0], &cell.output.per_core[1]);
-        if core0.rerand_epochs == 0 {
-            eprintln!("FAIL {}: the VCFR core never re-randomized", m.file_name());
-            ok = false;
-        }
-        if core1.rerand_epochs != 0 {
-            eprintln!(
-                "FAIL {}: the baseline sibling recorded {} rerand epochs",
-                m.file_name(),
-                core1.rerand_epochs
-            );
-            ok = false;
-        }
-        let report = cell.output.stats.accounting().audit();
-        if !report.passed() {
-            ok = false;
-            for f in &report.failures {
-                eprintln!("FAIL {}: {f}", m.file_name());
-            }
-            continue;
-        }
-        // Re-randomizing next to a streaming sibling must not change
-        // what the program computes: the VCFR core's output equals a
-        // solo in-order baseline run of the same app.
-        let w = vcfr_workloads::by_name(cell.vcfr_app).expect("known workload");
-        let solo = simulate(Mode::Baseline(&w.image), &SimConfig::default(), budget)
-            .expect("solo baseline runs");
-        if cell.output.outcomes[0].output != solo.outcome.output {
-            eprintln!(
-                "FAIL {}: the VCFR core's output differs from the solo baseline",
-                m.file_name()
-            );
-            ok = false;
-            continue;
-        }
-        println!(
-            "PASS {:<28} {:>2} epoch swaps, contention {:>6} cycles, shared-L2 miss {:.1}%",
-            m.file_name(),
-            core0.rerand_epochs,
-            cell.output.stats.contention_stall_cycles,
-            100.0 * cell.output.shared_l2.miss_rate()
-        );
-    }
-
-    if let Err(e) =
-        manifests::write_manifests(Path::new("target/multicore-smoke-manifests"), &ms1)
-    {
-        eprintln!("FAIL: could not write manifests: {e}");
-        ok = false;
-    }
-    println!("multicore-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
 /// Runs the fault-injection campaign over `suite`, prints the coverage
 /// table, and writes one manifest per (app, configuration) cell under
 /// `out_dir`.
-fn run_faults(
-    suite: &[vcfr_workloads::Workload],
-    threads: usize,
-    out_dir: &Path,
-) -> Vec<campaign::CampaignCell> {
+fn run_faults(suite: &[vcfr_workloads::Workload], threads: usize, out_dir: &Path) {
     eprintln!(
         "fault campaign: {} app(s) x {{base, vcfr128}}, {} faults per run, {} thread(s) ...",
         suite.len(),
@@ -561,68 +199,6 @@ fn run_faults(
         Ok(n) => eprintln!("wrote {n} campaign manifests to {}/", out_dir.display()),
         Err(e) => eprintln!("warning: could not write campaign manifests: {e}"),
     }
-    cells
-}
-
-/// Tiny end-to-end check of the fault campaign: one app, seeded
-/// schedule, manifests byte-identical across worker-thread counts, every
-/// cell's cycle accounting auditable, and VCFR strictly ahead of the
-/// baseline on detection coverage.
-fn faults_smoke() -> bool {
-    let mut w = vcfr_workloads::by_name("bzip2").expect("bzip2 exists");
-    w.max_insts = w.max_insts.min(60_000);
-    let suite = [w];
-    eprintln!("faults-smoke: bzip2 x {{base, vcfr128}}, {} inst budget", suite[0].max_insts);
-
-    let cells = run_faults(&suite, 1, Path::new("target/faults-smoke-manifests"));
-    let again = campaign::run_campaign(&suite, 2);
-    let ms1 = manifests::build_campaign_manifests(&cells, 1);
-    let ms2 = manifests::build_campaign_manifests(&again, 2);
-    let mut ok = true;
-
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!(
-                "FAIL {}: canonical manifest differs between 1 and 2 threads",
-                a.file_name()
-            );
-            ok = false;
-        }
-    }
-    for (cell, m) in cells.iter().zip(&ms1) {
-        let audit = m.json().get("audit").and_then(CycleAccounting::from_json);
-        match audit.map(|a| a.audit()) {
-            Some(report) if report.passed() => {
-                println!(
-                    "PASS {:<26} {:>3} injected, coverage {:.3}",
-                    m.file_name(),
-                    cell.faults.injected,
-                    cell.faults.coverage()
-                );
-            }
-            Some(report) => {
-                ok = false;
-                for f in &report.failures {
-                    eprintln!("FAIL {}: {f}", m.file_name());
-                }
-            }
-            None => {
-                ok = false;
-                eprintln!("FAIL {}: manifest has no audit block", m.file_name());
-            }
-        }
-    }
-    let (base, vcfr) = (&cells[0], &cells[1]);
-    if vcfr.faults.coverage() <= base.faults.coverage() {
-        eprintln!(
-            "FAIL: vcfr coverage {:.3} does not beat baseline {:.3}",
-            vcfr.faults.coverage(),
-            base.faults.coverage()
-        );
-        ok = false;
-    }
-    println!("faults-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
 }
 
 /// CI gate: recompute the headline numbers and fail (exit 1) when any
@@ -666,30 +242,16 @@ fn check(threads: usize) -> bool {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_threads(&mut args);
-    let scale = parse_scale(&mut args);
-    let shard = parse_shard(&mut args);
+    let (threads, scale, shard) = parse_flags(&mut args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
     if args.iter().any(|a| a == "check") {
         if scale != 1 {
             eprintln!("note: check gates on the calibrated scale-1 suite; --scale ignored");
         }
         let ok = check(threads);
         std::process::exit(if ok { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "obs-smoke") {
-        std::process::exit(if obs_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "faults-smoke") {
-        std::process::exit(if faults_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "frontier-smoke") {
-        std::process::exit(if frontier_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "telemetry-smoke") {
-        std::process::exit(if telemetry_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "multicore-smoke") {
-        std::process::exit(if multicore_smoke() { 0 } else { 1 });
     }
     if args.iter().any(|a| a == "throughput") {
         let (on, _) = throughput();
@@ -1000,6 +562,59 @@ fn main() {
                 println!("{n:<12} {v:>11.3}%");
             }
             println!("{:<12} {:>11.3}%", "mean", ex::mean(rows.iter().map(|r| r.1)));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn both_spellings_leave_the_experiment_names() {
+        let mut a = args("fig3 --threads 3 --scale=4 frontier --shard=1/2");
+        assert_eq!(parse_flags(&mut a), Ok((3, 4, Some((1, 2)))));
+        assert_eq!(a, args("fig3 frontier"));
+        let mut a = args("--threads=2 --scale 1 --shard 0/1");
+        assert_eq!(parse_flags(&mut a), Ok((2, 1, Some((0, 1)))));
+        assert!(a.is_empty());
+    }
+
+    #[test]
+    fn absent_flags_take_their_defaults() {
+        let mut a = args("check");
+        assert_eq!(parse_flags(&mut a), Ok((ex::default_threads(), 1, None)));
+        assert_eq!(a, args("check"));
+    }
+
+    #[test]
+    fn a_missing_value_names_the_flag() {
+        for (line, flag) in [
+            ("check --threads", "--threads"),
+            ("--scale", "--scale"),
+            ("frontier --shard", "--shard"),
+        ] {
+            let e = parse_flags(&mut args(line)).expect_err(line);
+            assert!(e.contains(flag), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn malformed_and_out_of_range_values_name_the_flag() {
+        for (line, flag) in [
+            ("frontier --shard 5/2", "--shard"),
+            ("frontier --shard x", "--shard"),
+            ("frontier --shard=0/0", "--shard"),
+            ("--threads 0", "--threads"),
+            ("--threads=x", "--threads"),
+            ("--scale 0", "--scale"),
+        ] {
+            let e = parse_flags(&mut args(line)).expect_err(line);
+            assert!(e.contains(flag), "{line}: {e}");
         }
     }
 }

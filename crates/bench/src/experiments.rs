@@ -9,7 +9,6 @@ use vcfr_rewriter::{
     analyze_control_flow, disassemble, randomize, ControlFlowStats, RandomizeConfig,
     RandomizedProgram,
 };
-use vcfr_obs::ProgressEvent;
 use vcfr_sim::{
     emulate, simulate, DrcBacking, EmulatorCostModel, EngineKind, IntervalSample, Mode,
     MultiCoreOutput, Session, SimConfig, SimStats,
@@ -120,22 +119,6 @@ pub fn matrix_over_observed(
     threads: usize,
     on_cell: &(dyn Fn(&RunTiming) + Sync),
 ) -> (Matrix, MatrixTiming) {
-    matrix_over_tapped(suite, threads, 0, &|_| {}, on_cell)
-}
-
-/// [`matrix_over_observed`] with a telemetry tap on every simulator
-/// session: when `progress_every > 0`, each run emits a
-/// [`ProgressEvent`] at every `progress_every`-instruction boundary,
-/// forwarded to `on_progress` from the worker threads. The simulated
-/// results and manifests are bit-identical with the tap on or off —
-/// `repro telemetry-smoke` gates on exactly that.
-pub fn matrix_over_tapped(
-    suite: &[Workload],
-    threads: usize,
-    progress_every: u64,
-    on_progress: &(dyn Fn(&ProgressEvent) + Sync),
-    on_cell: &(dyn Fn(&RunTiming) + Sync),
-) -> (Matrix, MatrixTiming) {
     let t_total = Instant::now();
 
     // Stage 1: randomize each app once; every configuration shares the
@@ -159,13 +142,6 @@ pub fn matrix_over_tapped(
         let t = Instant::now();
         let outcome = spec
             .session(&w.image, Some(&programs[a]))
-            .map(|s| {
-                if progress_every > 0 {
-                    s.with_progress(progress_every, |e| on_progress(e))
-                } else {
-                    s
-                }
-            })
             .and_then(|mut s| s.run())
             .expect("matrix cell runs");
         let (out, samples) = (outcome.output, outcome.samples);
@@ -243,14 +219,6 @@ pub fn run_app(w: &Workload) -> AppResults {
         vcfr128: vcfr128.stats,
         vcfr64: vcfr64.stats,
     }
-}
-
-/// Like [`run_app`], but routed through the parallel matrix machinery
-/// (the determinism guard in the test suite compares the two paths
-/// bit for bit).
-pub fn run_app_parallel(w: &Workload, threads: usize) -> AppResults {
-    let (mut m, _) = matrix_over(std::slice::from_ref(w), threads);
-    m.pop().expect("one app in, one row out")
 }
 
 /// Runs the full 11-application SPEC-like matrix (the expensive step all
@@ -852,8 +820,7 @@ pub struct MulticoreCell {
 /// Runs the multicore rerand cells on `threads` workers. The results
 /// are a pure function of the pairings (the event loop is deterministic
 /// and each cell is independent), so manifests built from them are
-/// byte-identical across worker-thread counts — `repro multicore-smoke`
-/// gates on exactly that.
+/// byte-identical across worker-thread counts.
 pub fn multicore_rerand_cells(threads: usize, budget: u64) -> Vec<MulticoreCell> {
     let pairings: Vec<(&'static str, &'static str)> =
         vec![("hmmer", "bzip2"), ("h264ref", "hmmer")];

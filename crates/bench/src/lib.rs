@@ -24,9 +24,8 @@ pub use campaign::{
 };
 pub use experiments::{
     default_threads, fig11, fig12, fig13, fig14, fig15, fig2, fig3, fig4, fig9, matrix_over,
-    matrix_over_observed, matrix_over_tapped, run_app, run_app_parallel, run_matrix,
-    run_matrix_timed, table1, table2, AppResults, Fig11Row, Fig2Row, Fig3Row, Matrix,
-    MatrixTiming, RunTiming, MODE_NAMES,
+    matrix_over_observed, run_app, run_matrix, run_matrix_timed, table1, table2, AppResults,
+    Fig11Row, Fig2Row, Fig3Row, Matrix, MatrixTiming, RunTiming, MODE_NAMES,
 };
 pub use frontier::{
     frontier_fuzz_config, frontier_pareto_table, run_frontier, shard_frontier, FrontierPoint,

@@ -68,31 +68,3 @@ fn fig2_rows_are_triple_digit_slowdowns() {
         assert!(r.emulated_cpi > 50.0);
     }
 }
-
-#[test]
-fn manifests_are_canonical_across_thread_counts() {
-    // One cheap app through the full five-column matrix at two worker
-    // counts: the manifests must agree byte-for-byte once the volatile
-    // host block is stripped, and must survive a parse round trip.
-    let mut w = vcfr_workloads::by_name("bzip2").expect("known workload");
-    w.max_insts = w.max_insts.min(60_000);
-    let suite = [w];
-    let (m1, t1) = ex::matrix_over(&suite, 1);
-    let (m2, t2) = ex::matrix_over(&suite, 2);
-    let a = crate::build_matrix_manifests(&m1, &t1);
-    let b = crate::build_matrix_manifests(&m2, &t2);
-    assert_eq!(a.len(), ex::MODE_NAMES.len());
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.file_name(), y.file_name());
-        assert_eq!(x.canonical_bytes(), y.canonical_bytes(), "{}", x.file_name());
-        let back = vcfr_obs::Manifest::from_str(&x.to_string_pretty()).unwrap();
-        assert_eq!(back.canonical_bytes(), x.canonical_bytes());
-        // Every matrix manifest carries samples and a passing audit.
-        assert!(!back.json().get("samples").unwrap().as_arr().unwrap().is_empty());
-        assert!(matches!(
-            back.json().get_path("audit.passed"),
-            Some(vcfr_obs::Json::Bool(true))
-        ));
-    }
-}

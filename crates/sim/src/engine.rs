@@ -21,8 +21,8 @@
 
 use crate::config::SimConfig;
 use crate::faults::{
-    target_from_tag, target_tag, ContainmentPolicy, FaultOutcome, FaultPersistence, FaultPlan,
-    FaultRecord, FaultStats, FaultTarget, ScheduledFault,
+    target_from_tag, target_tag, ContainmentPolicy, FaultOutcome, FaultPersistence, FaultTarget,
+    ScheduledFault,
 };
 use crate::hierarchy::MemoryHierarchy;
 use crate::mediation::{Mediation, Mode};
@@ -783,7 +783,7 @@ fn load_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent, WireError> {
     Ok(TraceEvent { seq, pc, cycle, kind })
 }
 
-/// One interval of a sampled simulation (see [`simulate_sampled`]).
+/// One interval of a sampled simulation (see [`Session::with_sampling`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IntervalSample {
     /// Index of the first instruction in the interval.
@@ -829,59 +829,11 @@ pub fn simulate(mode: Mode<'_>, cfg: &SimConfig, max_insts: u64) -> Result<SimOu
     Ok(Session::new(mode, cfg, max_insts)?.run()?.output)
 }
 
-/// The result of a fault-injection run (see [`simulate_faulted`]).
-#[derive(Clone, Debug)]
-pub struct FaultedRun {
-    /// Timing statistics and architectural outcome. Injection is
-    /// counterfactual, so the functional output equals an un-faulted
-    /// run's; only the timing carries the recovery costs.
-    pub sim: SimOutput,
-    /// Aggregate fault counters.
-    pub faults: FaultStats,
-    /// Per-fault resolutions, in injection order.
-    pub records: Vec<FaultRecord>,
-}
-
-/// Like [`simulate`], but injects the scheduled faults of `plan` and
-/// classifies how the machine resolves each one — the dependability
-/// campaign's inner loop. The same `(mode, cfg, max_insts, plan)` always
-/// produces the same result, bit for bit.
-///
-/// # Errors
-///
-/// As [`simulate`], plus [`SimError::Fault`] (inside [`VcfrError::Sim`])
-/// when a sticky table fault hits under [`ContainmentPolicy::Halt`], and
-/// [`VcfrError::Config`] off the in-order engine.
-pub fn simulate_faulted(
-    mode: Mode<'_>,
-    cfg: &SimConfig,
-    max_insts: u64,
-    plan: &FaultPlan,
-) -> Result<FaultedRun, VcfrError> {
-    let out = Session::new(mode, cfg, max_insts)?.with_faults(plan).run()?;
-    Ok(FaultedRun { sim: out.output, faults: out.faults, records: out.records })
-}
-
-/// Like [`simulate`], but additionally returns one [`IntervalSample`] per
-/// `interval` committed instructions — the phase-behaviour view
-/// (per-interval IPC, IL1 and DRC miss rates).
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_sampled(
-    mode: Mode<'_>,
-    cfg: &SimConfig,
-    max_insts: u64,
-    interval: u64,
-) -> Result<(SimOutput, Vec<IntervalSample>), VcfrError> {
-    let out = Session::new(mode, cfg, max_insts)?.with_sampling(interval).run()?;
-    Ok((out.output, out.samples))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
+    use crate::session::SessionOutcome;
     use vcfr_core::DrcConfig;
     use vcfr_isa::{AluOp, Asm, Cond, Image, Machine, Reg};
     use vcfr_rewriter::{randomize, RandomizeConfig};
@@ -1108,12 +1060,16 @@ mod tests {
         assert!(out.stats.branch.ras_mispredictions < 10);
     }
 
+    /// A baseline run of `img` sampled every `interval` instructions.
+    fn sampled(img: &Image, max_insts: u64, interval: u64) -> SessionOutcome {
+        let session = Session::new(Mode::Baseline(img), &SimConfig::default(), max_insts).unwrap();
+        session.with_sampling(interval).run().unwrap()
+    }
+
     #[test]
     fn sampled_simulation_partitions_the_run() {
         let img = workload();
-        let (out, samples) =
-            simulate_sampled(Mode::Baseline(&img), &SimConfig::default(), 1_000_000, 10_000)
-                .unwrap();
+        let SessionOutcome { output: out, samples, .. } = sampled(&img, 1_000_000, 10_000);
         assert!(!samples.is_empty());
         let total_insts: u64 = samples.iter().map(|s| s.instructions).sum();
         assert_eq!(total_insts, out.stats.instructions);
@@ -1130,25 +1086,20 @@ mod tests {
     #[test]
     fn sampling_interval_of_one_yields_one_sample_per_instruction() {
         let img = workload();
-        let (out, samples) =
-            simulate_sampled(Mode::Baseline(&img), &SimConfig::default(), 500, 1).unwrap();
+        let SessionOutcome { output: out, samples, .. } = sampled(&img, 500, 1);
         assert_eq!(samples.len() as u64, out.stats.instructions);
         for (i, s) in samples.iter().enumerate() {
             assert_eq!(s.first_inst, i as u64);
             assert_eq!(s.instructions, 1);
         }
         // Interval 0 clamps to 1 rather than dividing by zero.
-        let (_, zero) =
-            simulate_sampled(Mode::Baseline(&img), &SimConfig::default(), 500, 0).unwrap();
-        assert_eq!(zero.len(), samples.len());
+        assert_eq!(sampled(&img, 500, 0).samples.len(), samples.len());
     }
 
     #[test]
     fn sampling_interval_longer_than_the_run_yields_one_final_sample() {
         let img = workload();
-        let (out, samples) =
-            simulate_sampled(Mode::Baseline(&img), &SimConfig::default(), 1_000, u64::MAX)
-                .unwrap();
+        let SessionOutcome { output: out, samples, .. } = sampled(&img, 1_000, u64::MAX);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].first_inst, 0);
         assert_eq!(samples[0].instructions, out.stats.instructions);
@@ -1157,8 +1108,7 @@ mod tests {
     #[test]
     fn last_partial_interval_is_flushed_and_samples_tile_the_run() {
         let img = workload();
-        let (out, samples) =
-            simulate_sampled(Mode::Baseline(&img), &SimConfig::default(), 1_000, 300).unwrap();
+        let SessionOutcome { output: out, samples, .. } = sampled(&img, 1_000, 300);
         assert_eq!(out.stats.instructions, 1_000, "workload outlives the window");
         let lens: Vec<u64> = samples.iter().map(|s| s.instructions).collect();
         assert_eq!(lens, vec![300, 300, 300, 100], "three full intervals + the partial tail");
@@ -1292,22 +1242,23 @@ mod tests {
         let plan = FaultPlan::generate(2015, 48, 30_000);
         let mode = || Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
         let clean = simulate(mode(), &cfg, 150_000).unwrap();
-        let a = simulate_faulted(mode(), &cfg, 150_000, &plan).unwrap();
-        let b = simulate_faulted(mode(), &cfg, 150_000, &plan).unwrap();
+        let faulted =
+            || Session::new(mode(), &cfg, 150_000).unwrap().with_faults(&plan).run().unwrap();
+        let (a, b) = (faulted(), faulted());
         // Injection never corrupts the architectural run ...
-        assert_eq!(a.sim.outcome.output, clean.outcome.output);
+        assert_eq!(a.output.outcome.output, clean.outcome.output);
         // ... and the whole faulted run is reproducible, records and all.
         assert_eq!(a.records, b.records);
         assert_eq!(a.faults, b.faults);
-        assert_eq!(a.sim.stats.cycles, b.sim.stats.cycles);
+        assert_eq!(a.output.stats.cycles, b.output.stats.cycles);
         assert_eq!(a.faults.injected, 48);
         assert_eq!(a.records.len(), 48);
         // Recovery has a price: detected faults slow the run down.
         if a.faults.detected() > 0 {
-            assert!(a.sim.stats.cycles >= clean.stats.cycles);
+            assert!(a.output.stats.cycles >= clean.stats.cycles);
         }
         // The timing stays auditable under injection.
-        let report = a.sim.stats.accounting().audit();
+        let report = a.output.stats.accounting().audit();
         assert!(report.passed(), "{:?}", report.failures);
     }
 
@@ -1317,14 +1268,10 @@ mod tests {
         let rp = randomize(&img, &RandomizeConfig::with_seed(1)).unwrap();
         let cfg = SimConfig::default();
         let plan = FaultPlan::generate(2015, 64, 30_000);
-        let base = simulate_faulted(Mode::Baseline(&img), &cfg, 150_000, &plan).unwrap();
-        let vcfr = simulate_faulted(
-            Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-            &cfg,
-            150_000,
-            &plan,
-        )
-        .unwrap();
+        let faulted =
+            |mode| Session::new(mode, &cfg, 150_000).unwrap().with_faults(&plan).run().unwrap();
+        let base = faulted(Mode::Baseline(&img));
+        let vcfr = faulted(Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) });
         assert_eq!(base.faults.injected, vcfr.faults.injected);
         // The mediation layer is exactly the hardware that notices
         // corrupted control-flow state: coverage must improve.
@@ -1356,17 +1303,12 @@ mod tests {
             }],
             policy: ContainmentPolicy::Recover,
         };
-        let out = simulate_faulted(
-            Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-            &cfg,
-            50_000,
-            &plan,
-        )
-        .unwrap();
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
+        let out = Session::new(mode, &cfg, 50_000).unwrap().with_faults(&plan).run().unwrap();
         assert_eq!(out.faults.contained, 1);
         assert_eq!(out.faults.emergency_rerands, 1);
-        assert_eq!(out.sim.stats.rerand_epochs, 1, "the repair is an epoch swap");
-        assert!(out.sim.stats.rerand_stall_cycles > 0);
+        assert_eq!(out.output.stats.rerand_epochs, 1, "the repair is an epoch swap");
+        assert!(out.output.stats.rerand_stall_cycles > 0);
         assert_eq!(out.records[0].outcome, FaultOutcome::Contained);
     }
 
@@ -1385,13 +1327,8 @@ mod tests {
             }],
             policy: ContainmentPolicy::Halt,
         };
-        let err = simulate_faulted(
-            Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-            &cfg,
-            50_000,
-            &plan,
-        )
-        .unwrap_err();
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
+        let err = Session::new(mode, &cfg, 50_000).unwrap().with_faults(&plan).run().unwrap_err();
         match &err {
             VcfrError::Sim(SimError::Fault { at_inst, target, trace }) => {
                 assert_eq!(*at_inst, 500);

@@ -69,10 +69,7 @@ pub use config::{
 pub use error::VcfrError;
 pub use dram::{Dram, DramStats};
 pub use emulator::{emulate, EmulationReport, EmulatorCostModel};
-pub use engine::{
-    simulate, simulate_faulted, simulate_sampled, FaultedRun, IntervalSample, SimError, SimOutput,
-    TraceEvent, TraceEventKind,
-};
+pub use engine::{simulate, IntervalSample, SimError, SimOutput, TraceEvent, TraceEventKind};
 pub use faults::{
     ContainmentPolicy, FaultOutcome, FaultPersistence, FaultPlan, FaultRecord, FaultStats,
     FaultTarget, ScheduledFault,

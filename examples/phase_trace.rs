@@ -7,7 +7,7 @@
 
 use vcfr::core::DrcConfig;
 use vcfr::rewriter::{randomize, RandomizeConfig};
-use vcfr::sim::{simulate_sampled, IntervalSample, Mode, SimConfig};
+use vcfr::sim::{IntervalSample, Mode, Session, SimConfig};
 
 fn bar(v: f64, max: f64) -> String {
     let cells = ((v / max) * 40.0).round() as usize;
@@ -36,17 +36,13 @@ fn main() {
     let interval = w.max_insts / 24;
     let rp = randomize(&w.image, &RandomizeConfig::with_seed(3)).expect("randomizes");
 
-    let (_, base) =
-        simulate_sampled(Mode::Baseline(&w.image), &cfg, w.max_insts, interval).expect("runs");
-    let (_, naive) =
-        simulate_sampled(Mode::NaiveIlr(&rp), &cfg, w.max_insts, interval).expect("runs");
-    let (_, vcfr) = simulate_sampled(
-        Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-        &cfg,
-        w.max_insts,
-        interval,
-    )
-    .expect("runs");
+    let sampled = |mode| {
+        let session = Session::new(mode, &cfg, w.max_insts).expect("valid configuration");
+        session.with_sampling(interval).run().expect("runs").samples
+    };
+    let base = sampled(Mode::Baseline(&w.image));
+    let naive = sampled(Mode::NaiveIlr(&rp));
+    let vcfr = sampled(Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) });
 
     println!("workload: {} — {} (interval = {} insts)", w.name, w.description, interval);
     render("baseline", &base);

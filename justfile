@@ -21,35 +21,19 @@ bench-smoke:
 sim-smoke:
     cargo test --release -p vcfr-sim
 
-# Observability smoke: manifests byte-identical across thread counts,
-# parse round trip, and audit identity (see docs/observability.md).
-obs-smoke:
-    cargo run --release -p vcfr-bench --bin repro -- obs-smoke
-
-# Fault-injection smoke: seeded 1-app campaign, determinism across
-# thread counts, audits, VCFR > baseline coverage
-# (see docs/fault-injection.md).
-faults-smoke:
-    cargo run --release -p vcfr-bench --bin repro -- faults-smoke
+# Determinism harness: 30 RunSpec cells (engines x modes x rerand x
+# faults), each re-run on two workers, with superblocks off, with the
+# telemetry tap, in the daemon's checkpointed chunks and through a
+# mid-run restore; every canonical manifest must stay byte-identical
+# (see docs/architecture.md, "Determinism invariants").
+determinism:
+    cargo test --release --test determinism
 
 # Service smoke: start the batch daemon, submit two jobs, SIGKILL it
 # mid-run, restart, and byte-compare the resumed manifests against an
 # uninterrupted run (see docs/service.md).
 serve-smoke:
     cargo test --release -p vcfr-cli --test serve_smoke
-
-# Telemetry smoke: manifests and checkpoints byte-identical with the
-# progress-event tap on vs off, across worker-thread counts
-# (see docs/observability.md).
-telemetry-smoke:
-    cargo run --release -p vcfr-bench --bin repro -- telemetry-smoke
-
-# Multicore smoke: VCFR core + baseline sibling over the shared L2,
-# rerand epochs firing mid-run on one core only, manifests
-# byte-identical across worker-thread counts, outputs equal to solo
-# baseline runs (see docs/architecture.md).
-multicore-smoke:
-    cargo run --release -p vcfr-bench --bin repro -- multicore-smoke
 
 # Fleet smoke: coordinator + two worker daemons run a sharded matrix
 # and fault campaign, one worker is SIGKILLed mid-campaign, its chunks
@@ -58,19 +42,13 @@ multicore-smoke:
 fleet-smoke:
     cargo test --release -p vcfr-cli --test fleet_smoke
 
-# Security smoke: a tiny 2-point entropy frontier (coverage-guided
-# gadget fuzzing + slowdown + fault coverage), manifests byte-identical
-# across worker-thread counts (see docs/security.md).
-security-smoke:
-    cargo run --release -p vcfr-bench --bin repro -- frontier-smoke
-
 # Doc CI: every relative markdown link in README.md, EXPERIMENTS.md,
 # ROADMAP.md, DESIGN.md, CHANGELOG.md and docs/*.md must resolve.
 docs-check:
     cargo test -p vcfr --test docs_check
 
 # Every end-to-end smoke in one go.
-smoke: obs-smoke faults-smoke serve-smoke fleet-smoke sim-smoke telemetry-smoke multicore-smoke security-smoke docs-check
+smoke: determinism serve-smoke fleet-smoke sim-smoke docs-check
 
 # Full test suite across the workspace.
 test:

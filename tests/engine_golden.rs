@@ -82,11 +82,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs `session` to completion with sampling on and digests everything
-/// it produced.
-fn digest(session: Session<'_>) -> String {
+/// Runs `session` on the engine `kind` to completion with sampling on,
+/// checks its cycle accounting with `kind`'s audit, and digests
+/// everything it produced.
+fn digest(session: Session<'_>, kind: EngineKind) -> String {
     let mut s = session.with_sampling(SAMPLE);
     let out = s.run().expect("golden runs succeed");
+    let report = out.output.stats.audit(kind);
+    assert!(report.passed(), "{kind} audit: {:?}", report.failures);
     let text = format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
         out.output.stats,
@@ -138,7 +141,7 @@ fn all_digests() -> Vec<(String, String)> {
             for col in COLUMNS {
                 let (mode, cfg) = column(col, &w, &rp, engine);
                 let session = Session::new(mode, &cfg, BUDGET).expect("valid golden config");
-                out.push((format!("{app}/{engine}/{col}"), digest(session)));
+                out.push((format!("{app}/{engine}/{col}"), digest(session, engine)));
             }
         }
 
@@ -146,7 +149,7 @@ fn all_digests() -> Vec<(String, String)> {
         let (mode, cfg) = column("vcfr128", &w, &rp, EngineKind::InOrder);
         let plan = FaultPlan::generate(2015, 40, BUDGET);
         let session = Session::new(mode, &cfg, BUDGET).expect("valid").with_faults(&plan);
-        out.push((format!("{app}/inorder/faults-vcfr128"), digest(session)));
+        out.push((format!("{app}/inorder/faults-vcfr128"), digest(session, EngineKind::InOrder)));
 
         // A heterogeneous pair: a re-randomizing VCFR core beside a
         // baseline core over the shared L2.
@@ -160,7 +163,7 @@ fn all_digests() -> Vec<(String, String)> {
             Mode::Baseline(&w.image),
         ];
         let session = Session::new_heterogeneous(&modes, &cfg, BUDGET).expect("valid");
-        out.push((format!("{app}/mc2/vcfr128-rerand+base"), digest(session)));
+        out.push((format!("{app}/mc2/vcfr128-rerand+base"), digest(session, cfg.engine)));
     }
     out
 }

@@ -17,7 +17,8 @@ fn parallel_matrix_matches_serial_run_bit_for_bit() {
     w.max_insts = w.max_insts.min(40_000);
     let serial = ex::run_app(&w);
     for threads in [1, 4] {
-        let parallel = ex::run_app_parallel(&w, threads);
+        let (mut rows, _) = ex::matrix_over(std::slice::from_ref(&w), threads);
+        let parallel = rows.pop().expect("one app in, one row out");
         assert_eq!(
             format!("{serial:?}"),
             format!("{parallel:?}"),

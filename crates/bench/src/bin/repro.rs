@@ -21,6 +21,8 @@
 use std::path::Path;
 use vcfr_bench::experiments::{self as ex, Matrix, MatrixTiming};
 use vcfr_bench::{campaign, manifests};
+use vcfr_obs::{Json, Manifest};
+use vcfr_workloads::SPEC_NAMES;
 
 fn want(args: &[String], name: &str) -> bool {
     args.is_empty() || args.iter().any(|a| a == name)
@@ -146,9 +148,9 @@ fn throughput() -> (ex::RunTiming, ex::RunTiming) {
 }
 
 /// Writes the benchmark artefacts of a matrix run: the timing record
-/// (`BENCH_repro.json`, shared writer in `vcfr-obs`) and one run
-/// manifest per (app, configuration) cell under `results/manifests/`.
-fn write_artifacts(m: &Matrix, t: &MatrixTiming) {
+/// (`BENCH_repro.json`, shared writer in `vcfr-obs`) and the run
+/// manifest of each (app, configuration) cell under `results/manifests/`.
+fn write_artifacts(ms: &[Manifest], t: &MatrixTiming) {
     // The artefact also records the superblock fast-path rate on the
     // no-stall program (superblocks on and off), so the throughput
     // claim regenerates with every matrix run.
@@ -171,30 +173,32 @@ fn write_artifacts(m: &Matrix, t: &MatrixTiming) {
         ),
         Err(e) => eprintln!("warning: could not write BENCH_repro.json: {e}"),
     }
-    let ms = manifests::build_matrix_manifests(m, t);
-    match manifests::write_manifests(Path::new("results/manifests"), &ms) {
+    match manifests::write_manifests(Path::new("results/manifests"), ms) {
         Ok(n) => eprintln!("wrote {n} run manifests to results/manifests/"),
         Err(e) => eprintln!("warning: could not write run manifests: {e}"),
     }
 }
 
-/// Runs the fault-injection campaign over `suite`, prints the coverage
+/// Runs the fault-injection campaign over `apps`, prints the coverage
 /// table, and writes one manifest per (app, configuration) cell under
 /// `out_dir`.
-fn run_faults(suite: &[vcfr_workloads::Workload], threads: usize, out_dir: &Path) {
+fn run_faults(apps: &[&str], threads: usize, out_dir: &Path) {
     eprintln!(
         "fault campaign: {} app(s) x {{base, vcfr128}}, {} faults per run, {} thread(s) ...",
-        suite.len(),
+        apps.len(),
         campaign::FAULTS_PER_RUN,
         threads
     );
-    let cells = campaign::run_campaign(suite, threads);
+    let cells = campaign::run_campaign(apps, None, threads);
     header(
         "Fault-injection campaign - detection coverage",
         "the dependability half: the mediation layer detects corrupted control-flow state",
     );
     print!("{}", campaign::coverage_table(&cells));
-    let ms = manifests::build_campaign_manifests(&cells, threads);
+    let mut host = Json::obj();
+    host.set("threads", Json::U64(threads as u64));
+    let ms: Vec<Manifest> =
+        cells.iter().map(|(spec, out)| spec.manifest(out, host.clone())).collect();
     match manifests::write_manifests(out_dir, &ms) {
         Ok(n) => eprintln!("wrote {n} campaign manifests to {}/", out_dir.display()),
         Err(e) => eprintln!("warning: could not write campaign manifests: {e}"),
@@ -204,8 +208,8 @@ fn run_faults(suite: &[vcfr_workloads::Workload], threads: usize, out_dir: &Path
 /// CI gate: recompute the headline numbers and fail (exit 1) when any
 /// leaves its calibrated band.
 fn check(threads: usize) -> bool {
-    let (m, timing) = ex::run_matrix_timed(threads);
-    write_artifacts(&m, &timing);
+    let (m, ms, timing) = ex::matrix_over(&SPEC_NAMES, None, 1, threads);
+    write_artifacts(&ms, &timing);
     let mut ok = true;
     let mut gate = |name: &str, value: f64, lo: f64, hi: f64| {
         let pass = (lo..=hi).contains(&value);
@@ -258,7 +262,7 @@ fn main() {
         std::process::exit(if on.insts_per_s > 0.0 { 0 } else { 1 });
     }
     if want(&args, "faults") {
-        run_faults(&vcfr_workloads::spec_suite(), threads, Path::new("results/faults"));
+        run_faults(&SPEC_NAMES, threads, Path::new("results/faults"));
     }
     if want(&args, "frontier") {
         run_frontier_cmd(threads, shard, Path::new("results/frontier"));
@@ -272,10 +276,9 @@ fn main() {
         );
         // Live per-cell progress lines (stderr, wall-clock only — the
         // observer cannot perturb the simulated results).
-        let suite = vcfr_workloads::spec_suite_scaled(scale);
-        let total = suite.len() * ex::MODE_NAMES.len();
+        let total = SPEC_NAMES.len() * ex::MODE_NAMES.len();
         let done = std::sync::atomic::AtomicUsize::new(0);
-        let (m, timing) = ex::matrix_over_observed(&suite, threads, &|r| {
+        let (m, ms, timing) = ex::matrix_over_observed(&SPEC_NAMES, None, scale, threads, &|r| {
             let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
             eprintln!(
                 "  [{n:>3}/{total}] {:<10} {:<8} {:>11} insts in {:>6.2}s ({:>6.1}M insts/s)",
@@ -286,7 +289,7 @@ fn main() {
                 r.insts_per_s / 1e6
             );
         });
-        write_artifacts(&m, &timing);
+        write_artifacts(&ms, &timing);
         m
     });
 
@@ -442,7 +445,7 @@ fn main() {
             "app", "naive mean", "spread", "VCFR mean", "spread"
         );
         for (n, nm, ns, vm, vs) in
-            ex::seed_variance(&["bzip2", "hmmer", "h264ref", "lbm"], &[1, 2, 3, 4, 5])
+            ex::seed_variance(&["bzip2", "hmmer", "h264ref", "lbm"], &[1, 2, 3, 4, 5], threads)
         {
             println!("{n:<12} {nm:>12.3} {ns:>10.3} {vm:>12.3} {vs:>10.3}");
         }
@@ -496,7 +499,7 @@ fn main() {
             "{:<12} {:>10} {:>16} {:>16}",
             "app", "base IPC", "naive norm IPC", "VCFR norm IPC"
         );
-        let rows = ex::ooo_preview();
+        let rows = ex::ooo_preview(threads);
         for (n, b, nv, vc) in &rows {
             println!("{n:<12} {b:>10.3} {nv:>16.3} {vc:>16.3}");
         }

@@ -10,30 +10,17 @@
 //! faults, and the resulting manifests are byte-identical across worker
 //! thread counts.
 
-use crate::experiments::{parallel_map, randomize_workload, SEED};
-use crate::run::RunSpec;
+use crate::experiments::SEED;
+use crate::run::{run_specs, RunSpec, CHECKPOINT_EVERY};
+use crate::shard::shard_campaign;
 use std::fmt::Write as _;
-use vcfr_sim::{ContainmentPolicy, FaultPlan, FaultStats, SimStats};
-use vcfr_workloads::Workload;
+use vcfr_sim::{ContainmentPolicy, FaultPlan, SessionOutcome};
 
 /// Faults injected per (app, configuration) run.
 pub const FAULTS_PER_RUN: usize = 96;
 
 /// The two machines the campaign contrasts, in column order.
 pub const CAMPAIGN_MODES: [&str; 2] = ["base", "vcfr128"];
-
-/// One (application, configuration) campaign cell.
-#[derive(Clone, Debug)]
-pub struct CampaignCell {
-    /// Application name.
-    pub app: &'static str,
-    /// Machine configuration (one of [`CAMPAIGN_MODES`]).
-    pub mode: &'static str,
-    /// Aggregate fault counters.
-    pub faults: FaultStats,
-    /// Full simulation statistics of the faulted run.
-    pub stats: SimStats,
-}
 
 /// The deterministic fault schedule for one application: seeded from the
 /// campaign seed and the app name (FNV-style fold), spread over the
@@ -48,42 +35,27 @@ pub fn fault_plan_for(app: &str, max_insts: u64) -> FaultPlan {
     plan
 }
 
-/// Runs the campaign over `suite` on `threads` workers: each app is
-/// randomized once, then every (app, {base, vcfr128}) cell runs the same
-/// per-app fault schedule as a faulted [`RunSpec`]. Results are in
+/// Runs the campaign over `apps` on `threads` workers: the fleet's own
+/// cell list ([`shard_campaign`]) through `run_specs`, so every
+/// (app, {base, vcfr128}) cell runs the same per-app fault schedule.
+/// `max_insts` of `None` uses each workload's own budget. Results are in
 /// (app-major, [`CAMPAIGN_MODES`]) order regardless of scheduling.
-pub fn run_campaign(suite: &[Workload], threads: usize) -> Vec<CampaignCell> {
-    let programs = parallel_map(suite.iter().collect(), threads, |_, w: &Workload| {
-        randomize_workload(&w.image)
-    });
-    let cells: Vec<(usize, usize)> =
-        (0..suite.len()).flat_map(|a| (0..CAMPAIGN_MODES.len()).map(move |m| (a, m))).collect();
-    parallel_map(cells, threads, |_, (a, m)| {
-        let w = &suite[a];
-        let spec = RunSpec {
-            mode: CAMPAIGN_MODES[m].parse().expect("campaign modes parse"),
-            max_insts: w.max_insts,
-            faults: true,
-            ..RunSpec::new(w.name)
-        };
-        let outcome = spec
-            .session(&w.image, Some(&programs[a]))
-            .and_then(|mut s| s.run())
-            .expect("campaign cell runs");
-        CampaignCell {
-            app: w.name,
-            mode: CAMPAIGN_MODES[m],
-            faults: outcome.faults,
-            stats: outcome.output.stats,
-        }
-    })
+pub fn run_campaign(
+    apps: &[&str],
+    max_insts: Option<u64>,
+    threads: usize,
+) -> Vec<(RunSpec, SessionOutcome)> {
+    let specs =
+        shard_campaign(apps, max_insts, CHECKPOINT_EVERY).expect("campaign cells are valid");
+    let (outs, _) = run_specs(&specs, threads, |_, _, _| {}).expect("campaign cells run");
+    specs.into_iter().zip(outs.into_iter().map(|(out, _)| out)).collect()
 }
 
 /// Renders the campaign as the Figure-11-style detection-coverage table:
 /// per app, faults injected and how each machine resolved them
 /// (detected / silent / masked, plus coverage over consequential
 /// faults).
-pub fn coverage_table(cells: &[CampaignCell]) -> String {
+pub fn coverage_table(cells: &[(RunSpec, SessionOutcome)]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -93,20 +65,20 @@ pub fn coverage_table(cells: &[CampaignCell]) -> String {
     let mut base_cov = Vec::new();
     let mut vcfr_cov = Vec::new();
     for pair in cells.chunks_exact(CAMPAIGN_MODES.len()) {
-        let (b, v) = (&pair[0], &pair[1]);
-        base_cov.push(b.faults.coverage());
-        vcfr_cov.push(v.faults.coverage());
+        let (app, b, v) = (&pair[0].0.workload, &pair[0].1.faults, &pair[1].1.faults);
+        base_cov.push(b.coverage());
+        vcfr_cov.push(v.coverage());
         let _ = writeln!(
             s,
             "{:<12} {:>4}  {:>7}/{:<6} {:>13.1}%  {:>7}/{:<6} {:>13.1}%",
-            b.app,
-            b.faults.injected,
-            b.faults.detected(),
-            b.faults.silent,
-            100.0 * b.faults.coverage(),
-            v.faults.detected(),
-            v.faults.silent,
-            100.0 * v.faults.coverage(),
+            app,
+            b.injected,
+            b.detected(),
+            b.silent,
+            100.0 * b.coverage(),
+            v.detected(),
+            v.silent,
+            100.0 * v.coverage(),
         );
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
@@ -126,42 +98,33 @@ pub fn coverage_table(cells: &[CampaignCell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcfr_workloads::by_name;
-
-    fn small_suite() -> Vec<Workload> {
-        let mut w = by_name("bzip2").expect("bzip2 exists");
-        w.max_insts = w.max_insts.min(50_000);
-        vec![w]
-    }
 
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
-        let suite = small_suite();
-        let a = run_campaign(&suite, 1);
-        let b = run_campaign(&suite, 2);
+        let a = run_campaign(&["bzip2"], Some(50_000), 1);
+        let b = run_campaign(&["bzip2"], Some(50_000), 2);
         assert_eq!(a.len(), CAMPAIGN_MODES.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.app, y.app);
-            assert_eq!(x.mode, y.mode);
+        for ((x_spec, x), (y_spec, y)) in a.iter().zip(&b) {
+            assert_eq!(x_spec, y_spec);
             assert_eq!(x.faults, y.faults);
-            assert_eq!(x.stats.cycles, y.stats.cycles);
+            assert_eq!(x.output.stats.cycles, y.output.stats.cycles);
         }
     }
 
     #[test]
     fn vcfr_coverage_beats_baseline_on_the_small_suite() {
-        let cells = run_campaign(&small_suite(), 2);
-        let base = &cells[0];
-        let vcfr = &cells[1];
-        assert_eq!(base.mode, "base");
-        assert_eq!(vcfr.mode, "vcfr128");
-        assert_eq!(base.faults.injected, vcfr.faults.injected);
-        assert!(base.faults.injected > 0);
+        let cells = run_campaign(&["bzip2"], Some(50_000), 2);
+        let (base, vcfr) = (&cells[0], &cells[1]);
+        assert_eq!(base.0.matrix_mode(), "base");
+        assert_eq!(vcfr.0.matrix_mode(), "vcfr128");
+        let (base, vcfr) = (&base.1.faults, &vcfr.1.faults);
+        assert_eq!(base.injected, vcfr.injected);
+        assert!(base.injected > 0);
         assert!(
-            vcfr.faults.coverage() > base.faults.coverage(),
+            vcfr.coverage() > base.coverage(),
             "vcfr {} vs base {}",
-            vcfr.faults.coverage(),
-            base.faults.coverage()
+            vcfr.coverage(),
+            base.coverage()
         );
         let table = coverage_table(&cells);
         assert!(table.contains("bzip2"));

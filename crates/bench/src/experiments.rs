@@ -1,19 +1,22 @@
 //! One function per table/figure of the paper's evaluation.
 
-use crate::run::RunSpec;
+use crate::modes::ModeSpec;
+use crate::run::{run_specs, RunSpec, CHECKPOINT_EVERY};
+use crate::shard::shard_matrix;
 use std::time::Instant;
 use vcfr_core::DrcConfig;
 use vcfr_gadget::AttackSurface;
 use vcfr_isa::Image;
+use vcfr_obs::{Json, Manifest};
 use vcfr_rewriter::{
     analyze_control_flow, disassemble, randomize, ControlFlowStats, RandomizeConfig,
     RandomizedProgram,
 };
 use vcfr_sim::{
-    emulate, simulate, DrcBacking, EmulatorCostModel, EngineKind, IntervalSample, Mode,
-    MultiCoreOutput, Session, SimConfig, SimStats,
+    emulate, simulate, DrcBacking, EmulatorCostModel, EngineKind, Mode, MultiCoreOutput, Session,
+    SessionOutcome, SimConfig, SimStats,
 };
-use vcfr_workloads::{by_name, fig2_suite, spec_suite, spec_suite_scaled, Workload};
+use vcfr_workloads::{by_name, fig2_suite, spec_suite, SPEC_NAMES};
 
 pub use crate::pool::parallel_map;
 pub use crate::{geomean, mean};
@@ -55,13 +58,13 @@ pub const MODE_NAMES: [&str; 5] = ["base", "naive", "vcfr512", "vcfr128", "vcfr6
 /// slices for the manifest's phase-behaviour view.
 pub const SAMPLES_PER_RUN: u64 = 10;
 
-/// Wall-clock measurement (and interval samples) of one simulator run.
+/// Wall-clock measurement of one simulator run.
 #[derive(Clone, Debug)]
 pub struct RunTiming {
     /// Application name.
-    pub app: &'static str,
+    pub app: String,
     /// Machine configuration (one of [`MODE_NAMES`]).
-    pub mode: &'static str,
+    pub mode: String,
     /// Instructions the run committed.
     pub instructions: u64,
     /// Wall-clock seconds the run took.
@@ -71,9 +74,19 @@ pub struct RunTiming {
     /// Whether the superblock fast path was enabled (the matrix always
     /// runs with it on; equivalence is pinned by `superblock_equiv`).
     pub superblock: bool,
-    /// Interval samples ([`SAMPLES_PER_RUN`] slices; deterministic — a
-    /// pure function of the workload and configuration).
-    pub samples: Vec<IntervalSample>,
+}
+
+impl RunTiming {
+    fn new(app: &str, mode: &str, instructions: u64, wall_s: f64, superblock: bool) -> RunTiming {
+        RunTiming {
+            app: app.to_string(),
+            mode: mode.to_string(),
+            instructions,
+            wall_s,
+            insts_per_s: instructions as f64 / wall_s.max(1e-9),
+            superblock,
+        }
+    }
 }
 
 /// Timing of a whole experiment matrix.
@@ -81,9 +94,10 @@ pub struct RunTiming {
 pub struct MatrixTiming {
     /// One record per (application, configuration) simulator run.
     pub runs: Vec<RunTiming>,
-    /// Wall-clock seconds the randomization stage took (sum over apps).
+    /// Wall-clock seconds the preparation stage took: every workload
+    /// build and randomization.
     pub randomize_s: f64,
-    /// Wall-clock seconds for the whole matrix (randomize + simulate).
+    /// Wall-clock seconds for the whole matrix (prepare + simulate).
     pub wall_s: f64,
     /// Worker threads used.
     pub threads: usize,
@@ -101,12 +115,18 @@ pub fn default_threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Runs the matrix over an arbitrary workload slice on `threads`
-/// workers: first every randomization (one job per app), then every
-/// simulator run (one job per app × configuration), so the fan-out is
-/// `5 × apps` wide and no figure ever re-simulates.
-pub fn matrix_over(suite: &[Workload], threads: usize) -> (Matrix, MatrixTiming) {
-    matrix_over_observed(suite, threads, &|_| {})
+/// Runs the matrix over `apps` × [`MODE_NAMES`] on `threads` workers:
+/// the fleet's own cell list ([`shard_matrix`]) through `run_specs`.
+/// `max_insts` of `None` uses each scale-`scale` workload's own budget.
+/// Returns the figure rows, one manifest per cell (app-major, host block
+/// `wall_s`/`insts_per_s`/`threads`) and the timing.
+pub fn matrix_over(
+    apps: &[&'static str],
+    max_insts: Option<u64>,
+    scale: u64,
+    threads: usize,
+) -> (Matrix, Vec<Manifest>, MatrixTiming) {
+    matrix_over_observed(apps, max_insts, scale, threads, &|_| {})
 }
 
 /// [`matrix_over`] with a per-cell observer: `on_cell` fires from the
@@ -115,130 +135,66 @@ pub fn matrix_over(suite: &[Workload], threads: usize) -> (Matrix, MatrixTiming)
 /// lines for long matrices; the observer sees wall-clock data only, so
 /// attaching it cannot perturb the simulated results.
 pub fn matrix_over_observed(
-    suite: &[Workload],
+    apps: &[&'static str],
+    max_insts: Option<u64>,
+    scale: u64,
     threads: usize,
     on_cell: &(dyn Fn(&RunTiming) + Sync),
-) -> (Matrix, MatrixTiming) {
+) -> (Matrix, Vec<Manifest>, MatrixTiming) {
     let t_total = Instant::now();
-
-    // Stage 1: randomize each app once; every configuration shares the
-    // result.
-    let t_rand = Instant::now();
-    let programs = parallel_map(suite.iter().collect(), threads, |_, w: &Workload| {
-        randomize_workload(&w.image)
-    });
-    let randomize_s = t_rand.elapsed().as_secs_f64();
-
-    // Stage 2: one job per (app, configuration) cell.
-    let cells: Vec<(usize, usize)> =
-        (0..suite.len()).flat_map(|a| (0..MODE_NAMES.len()).map(move |m| (a, m))).collect();
-    let outputs = parallel_map(cells, threads, |_, (a, m)| {
-        let w = &suite[a];
-        let spec = RunSpec {
-            mode: MODE_NAMES[m].parse().expect("matrix modes parse"),
-            max_insts: w.max_insts,
-            ..RunSpec::new(w.name)
-        };
-        let t = Instant::now();
-        let outcome = spec
-            .session(&w.image, Some(&programs[a]))
-            .and_then(|mut s| s.run())
-            .expect("matrix cell runs");
-        let (out, samples) = (outcome.output, outcome.samples);
-        let wall_s = t.elapsed().as_secs_f64();
-        let instructions = out.stats.instructions;
-        let timing = RunTiming {
-            app: w.name,
-            mode: MODE_NAMES[m],
-            instructions,
-            wall_s,
-            insts_per_s: instructions as f64 / wall_s.max(1e-9),
-            superblock: true,
-            samples,
-        };
-        on_cell(&timing);
-        (out, timing)
-    });
+    let threads = threads.max(1);
+    let specs = shard_matrix(apps, &MODE_NAMES, max_insts, scale, CHECKPOINT_EVERY)
+        .expect("matrix cells are valid");
+    let timing = |spec: &RunSpec, out: &SessionOutcome, wall_s: f64| {
+        let mode = spec.matrix_mode();
+        RunTiming::new(&spec.workload, &mode, out.output.stats.instructions, wall_s, true)
+    };
+    let (outs, randomize_s) =
+        run_specs(&specs, threads, |spec, out, wall_s| on_cell(&timing(spec, out, wall_s)))
+            .expect("matrix cells run");
 
     let mut rows = Matrix::new();
-    let mut runs = Vec::with_capacity(outputs.len());
-    for (a, cell) in outputs.chunks_exact(MODE_NAMES.len()).enumerate() {
-        let w = &suite[a];
+    for (name, cell) in apps.iter().zip(outs.chunks_exact(MODE_NAMES.len())) {
         // Functional equivalence across every mode is part of the
         // harness: randomization must never change program semantics.
         for (out, _) in &cell[1..] {
-            assert_eq!(cell[0].0.outcome.output, out.outcome.output, "{}", w.name);
+            assert_eq!(cell[0].0.output.outcome.output, out.output.outcome.output, "{name}");
         }
+        let stats = |m: usize| cell[m].0.output.stats;
         rows.push(AppResults {
-            name: w.name,
-            base: cell[0].0.stats,
-            naive: cell[1].0.stats,
-            vcfr512: cell[2].0.stats,
-            vcfr128: cell[3].0.stats,
-            vcfr64: cell[4].0.stats,
+            name,
+            base: stats(0),
+            naive: stats(1),
+            vcfr512: stats(2),
+            vcfr128: stats(3),
+            vcfr64: stats(4),
         });
-        runs.extend(cell.iter().map(|(_, t)| t.clone()));
     }
+    let (runs, manifests) = specs
+        .iter()
+        .zip(&outs)
+        .map(|(spec, (out, wall_s))| {
+            let run = timing(spec, out, *wall_s);
+            let mut host = Json::obj();
+            host.set("wall_s", Json::F64(run.wall_s));
+            host.set("insts_per_s", Json::F64(run.insts_per_s));
+            host.set("threads", Json::U64(threads as u64));
+            (run, spec.manifest(out, host))
+        })
+        .unzip();
     let timing = MatrixTiming {
         runs,
         randomize_s,
         wall_s: t_total.elapsed().as_secs_f64(),
-        threads: threads.max(1),
+        threads,
     };
-    (rows, timing)
-}
-
-/// Runs one application through every machine configuration, serially on
-/// the calling thread.
-pub fn run_app(w: &Workload) -> AppResults {
-    let cfg = SimConfig::default();
-    let rp = randomize_workload(&w.image);
-    let run = |mode: Mode| {
-        Session::new(mode, &cfg, w.max_insts)
-            .and_then(|mut s| s.run())
-            .expect("app runs")
-            .output
-    };
-    let base = run(Mode::Baseline(&w.image));
-    let naive = run(Mode::NaiveIlr(&rp));
-    let vcfr512 = run(Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(512) });
-    let vcfr128 = run(Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) });
-    let vcfr64 = run(Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(64) });
-
-    // Functional equivalence across every mode is part of the harness.
-    assert_eq!(base.outcome.output, naive.outcome.output, "{}", w.name);
-    assert_eq!(base.outcome.output, vcfr512.outcome.output, "{}", w.name);
-    assert_eq!(base.outcome.output, vcfr128.outcome.output, "{}", w.name);
-    assert_eq!(base.outcome.output, vcfr64.outcome.output, "{}", w.name);
-
-    AppResults {
-        name: w.name,
-        base: base.stats,
-        naive: naive.stats,
-        vcfr512: vcfr512.stats,
-        vcfr128: vcfr128.stats,
-        vcfr64: vcfr64.stats,
-    }
+    (rows, manifests, timing)
 }
 
 /// Runs the full 11-application SPEC-like matrix (the expensive step all
 /// performance figures share) on [`default_threads`] workers.
 pub fn run_matrix() -> Matrix {
-    run_matrix_timed(default_threads()).0
-}
-
-/// [`run_matrix`] with an explicit worker count, also returning per-run
-/// wall-clock timing (the `BENCH_repro.json` payload).
-pub fn run_matrix_timed(threads: usize) -> (Matrix, MatrixTiming) {
-    matrix_over(&spec_suite(), threads)
-}
-
-/// [`run_matrix_timed`] over the scale-`scale` suite
-/// (`vcfr_workloads::spec_suite_scaled`): the same programs, with their
-/// outer repeat counts and instruction budgets multiplied, for
-/// longer-horizon timing runs. Scale 1 is the calibrated matrix.
-pub fn run_matrix_timed_scaled(threads: usize, scale: u64) -> (Matrix, MatrixTiming) {
-    matrix_over(&spec_suite_scaled(scale), threads)
+    matrix_over(&SPEC_NAMES, None, 1, default_threads()).0
 }
 
 /// Measures the superblock fast path on a purpose-built no-stall
@@ -278,17 +234,8 @@ pub fn nostall_throughput() -> (RunTiming, RunTiming) {
             .map(|s| s.with_superblocks(superblocks))
             .and_then(|mut s| s.run())
             .expect("no-stall program runs");
-        let wall_s = t.elapsed().as_secs_f64();
         let instructions = out.output.stats.instructions;
-        RunTiming {
-            app: "nostall",
-            mode: "base",
-            instructions,
-            wall_s,
-            insts_per_s: instructions as f64 / wall_s.max(1e-9),
-            superblock: superblocks,
-            samples: Vec::new(),
-        }
+        RunTiming::new("nostall", "base", instructions, t.elapsed().as_secs_f64(), superblocks)
     };
     (run(true), run(false))
 }
@@ -530,18 +477,6 @@ pub fn fig15(matrix: &Matrix) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// Convenience used by tests: a reduced matrix over a few fast apps.
-pub fn run_small_matrix(names: &[&str], budget: u64) -> Matrix {
-    names
-        .iter()
-        .map(|n| {
-            let mut w = by_name(n).expect("known workload");
-            w.max_insts = w.max_insts.min(budget);
-            run_app(&w)
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // Ablations beyond the paper (see DESIGN.md §6)
 // ---------------------------------------------------------------------
@@ -677,29 +612,22 @@ pub fn entropy() -> Vec<(&'static str, f64)> {
 }
 
 /// §IX future-work preview: the three machines on a 4-wide out-of-order
-/// core, routed through the same [`Session`] facade as the in-order
-/// matrix. Returns `(app, baseline IPC, naive normalized, vcfr
-/// normalized)`.
-pub fn ooo_preview() -> Vec<(&'static str, f64, f64, f64)> {
-    let cfg = SimConfig { engine: EngineKind::Ooo, ..SimConfig::default() };
-    let run = |mode: Mode, budget: u64| {
-        Session::new(mode, &cfg, budget)
-            .and_then(|mut s| s.run())
-            .expect("ooo session runs")
-            .output
-    };
-    spec_suite()
+/// core, run as `ooo` specs through `run_specs` on `threads` workers.
+/// Returns `(app, baseline IPC, naive normalized, vcfr normalized)`.
+pub fn ooo_preview(threads: usize) -> Vec<(&'static str, f64, f64, f64)> {
+    let specs: Vec<RunSpec> =
+        shard_matrix(&SPEC_NAMES, &["base", "naive", "vcfr128"], None, 1, CHECKPOINT_EVERY)
+            .expect("ooo cells are valid")
+            .into_iter()
+            .map(|spec| RunSpec { engine: EngineKind::Ooo, ..spec })
+            .collect();
+    let (outs, _) = run_specs(&specs, threads, |_, _, _| {}).expect("ooo cells run");
+    SPEC_NAMES
         .iter()
-        .map(|w| {
-            let rp = randomize_workload(&w.image);
-            let base = run(Mode::Baseline(&w.image), w.max_insts);
-            let naive = run(Mode::NaiveIlr(&rp), w.max_insts);
-            let vcfr = run(
-                Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-                w.max_insts,
-            );
-            let b = base.stats.ipc();
-            (w.name, b, naive.stats.ipc() / b, vcfr.stats.ipc() / b)
+        .zip(outs.chunks_exact(3))
+        .map(|(name, cell)| {
+            let ipc = |m: usize| cell[m].0.output.stats.ipc();
+            (*name, ipc(0), ipc(1) / ipc(0), ipc(2) / ipc(0))
         })
         .collect()
 }
@@ -707,29 +635,34 @@ pub fn ooo_preview() -> Vec<(&'static str, f64, f64, f64)> {
 /// Layout-sensitivity study: the paper evaluates one randomized layout
 /// per binary; here each app is re-randomized with several seeds and the
 /// headline metrics are reported as mean ± spread, showing how much the
-/// conclusions depend on the particular layout drawn.
-pub fn seed_variance(names: &[&str], seeds: &[u64]) -> Vec<(String, f64, f64, f64, f64)> {
-    let cfg = SimConfig::default();
+/// conclusions depend on the particular layout drawn. Per app, one
+/// `base` spec and a `naive` and a `vcfr128` spec per seed run through
+/// `run_specs` on `threads` workers.
+pub fn seed_variance(
+    names: &[&str],
+    seeds: &[u64],
+    threads: usize,
+) -> Vec<(String, f64, f64, f64, f64)> {
+    let mut specs = Vec::new();
+    for base in shard_matrix(names, &["base"], None, 1, CHECKPOINT_EVERY).expect("known apps") {
+        specs.push(base.clone());
+        for &seed in seeds {
+            for mode in [ModeSpec::Naive, ModeSpec::vcfr_default()] {
+                specs.push(RunSpec { mode, seed, ..base.clone() });
+            }
+        }
+    }
+    let (outs, _) = run_specs(&specs, threads, |_, _, _| {}).expect("variance cells run");
     names
         .iter()
-        .map(|name| {
-            let w = by_name(name).expect("known workload");
-            let base = simulate(Mode::Baseline(&w.image), &cfg, w.max_insts).expect("runs");
-            let mut naive_norm = Vec::new();
-            let mut vcfr_norm = Vec::new();
-            for &seed in seeds {
-                let rp = randomize(&w.image, &RandomizeConfig::with_seed(seed))
-                    .expect("randomizes");
-                let n = simulate(Mode::NaiveIlr(&rp), &cfg, w.max_insts).expect("runs");
-                let v = simulate(
-                    Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-                    &cfg,
-                    w.max_insts,
-                )
-                .expect("runs");
-                naive_norm.push(n.stats.ipc() / base.stats.ipc());
-                vcfr_norm.push(v.stats.ipc() / base.stats.ipc());
-            }
+        .zip(outs.chunks_exact(2 * seeds.len() + 1))
+        .map(|(name, cell)| {
+            let (base, runs) = cell.split_first().expect("one base run per app");
+            let base_ipc = base.0.output.stats.ipc();
+            let norm = |m: usize| -> Vec<f64> {
+                runs.chunks_exact(2).map(|r| r[m].0.output.stats.ipc() / base_ipc).collect()
+            };
+            let (naive_norm, vcfr_norm) = (norm(0), norm(1));
             let spread = |v: &[f64]| {
                 let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
                 let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

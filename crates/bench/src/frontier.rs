@@ -255,8 +255,8 @@ pub fn frontier_pareto_table(rows: &[FrontierSummary]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<24} {:>7} {:>9} {:>11} {:>7} {:>9} {:>12}  {}",
-        "point", "entropy", "span", "atk-success", "pages", "slowdown", "fault-cover", "pareto"
+        "{:<24} {:>7} {:>9} {:>11} {:>7} {:>9} {:>12}  pareto",
+        "point", "entropy", "span", "atk-success", "pages", "slowdown", "fault-cover"
     );
     for r in rows {
         let pareto = !rows.iter().any(|other| dominates(other, r));

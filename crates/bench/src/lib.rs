@@ -19,22 +19,19 @@ pub mod shard;
 #[cfg(test)]
 mod tests;
 
-pub use campaign::{
-    coverage_table, fault_plan_for, run_campaign, CampaignCell, CAMPAIGN_MODES, FAULTS_PER_RUN,
-};
+pub use campaign::{coverage_table, fault_plan_for, run_campaign, CAMPAIGN_MODES, FAULTS_PER_RUN};
 pub use experiments::{
     default_threads, fig11, fig12, fig13, fig14, fig15, fig2, fig3, fig4, fig9, matrix_over,
-    matrix_over_observed, run_app, run_matrix, run_matrix_timed, table1, table2, AppResults,
-    Fig11Row, Fig2Row, Fig3Row, Matrix, MatrixTiming, RunTiming, MODE_NAMES,
+    matrix_over_observed, run_matrix, table1, table2, AppResults, Fig11Row, Fig2Row, Fig3Row,
+    Matrix, MatrixTiming, RunTiming, MODE_NAMES,
 };
 pub use frontier::{
     frontier_fuzz_config, frontier_pareto_table, run_frontier, shard_frontier, FrontierPoint,
     FrontierRow, FrontierSummary, FRONTIER_POINTS,
 };
 pub use manifests::{
-    bench_record, build_campaign_manifests, build_engine_manifest, build_fault_manifest,
-    build_frontier_manifest, build_frontier_manifests, build_matrix_manifests,
-    frontier_summary_from_manifest, rand_params_json, write_manifests,
+    bench_record, build_engine_manifest, build_fault_manifest, build_frontier_manifest,
+    build_frontier_manifests, frontier_summary_from_manifest, rand_params_json, write_manifests,
 };
 pub use modes::{ModeParseError, ModeSpec, DEFAULT_DRC_ENTRIES};
 pub use pool::{parallel_map, PoolFull, PoolSnapshot, WorkerPool, WorkerStat};

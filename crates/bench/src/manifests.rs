@@ -7,11 +7,9 @@
 //! (workload, seed, machine configuration), so the canonical byte form
 //! of every manifest is identical across worker-thread counts.
 
-use crate::campaign::{CampaignCell, FAULTS_PER_RUN};
+use crate::campaign::FAULTS_PER_RUN;
+use crate::experiments::{MatrixTiming, MulticoreCell, MULTICORE_RERAND_EPOCH, SEED};
 use crate::frontier::{FrontierRow, FrontierSummary};
-use crate::experiments::{
-    AppResults, Matrix, MatrixTiming, MulticoreCell, MODE_NAMES, MULTICORE_RERAND_EPOCH, SEED,
-};
 use std::io;
 use std::path::Path;
 use vcfr_gadget::FuzzConfig;
@@ -124,41 +122,6 @@ pub fn build_engine_manifest(
     m.set_samples(samples.iter().map(sample_json).collect());
     m.set_host(host);
     m
-}
-
-/// The stats for matrix column `mode_idx` of one application row.
-fn mode_stats(r: &AppResults, mode_idx: usize) -> &SimStats {
-    match mode_idx {
-        0 => &r.base,
-        1 => &r.naive,
-        2 => &r.vcfr512,
-        3 => &r.vcfr128,
-        4 => &r.vcfr64,
-        _ => unreachable!("matrix has five configurations"),
-    }
-}
-
-/// Builds one manifest per (application, configuration) cell from the
-/// matrix results and the per-run timing.
-pub fn build_matrix_manifests(matrix: &Matrix, timing: &MatrixTiming) -> Vec<Manifest> {
-    let mut out = Vec::with_capacity(matrix.len() * MODE_NAMES.len());
-    for row in matrix {
-        for (mi, mode) in MODE_NAMES.iter().enumerate() {
-            let run = timing
-                .runs
-                .iter()
-                .find(|r| r.app == row.name && r.mode == *mode)
-                .expect("every cell has a timing record");
-            let mut host = Json::obj();
-            host.set("wall_s", Json::F64(run.wall_s));
-            host.set("insts_per_s", Json::F64(run.insts_per_s));
-            host.set("threads", Json::U64(timing.threads as u64));
-            let stats = mode_stats(row, mi);
-            let engine = EngineKind::InOrder;
-            out.push(build_engine_manifest(row.name, mode, engine, stats, &run.samples, host));
-        }
-    }
-    out
 }
 
 /// Writes each manifest to `dir` under its conventional file name,
@@ -316,19 +279,6 @@ pub fn frontier_summary_from_manifest(m: &Manifest) -> Option<FrontierSummary> {
     })
 }
 
-/// One manifest per campaign cell (host block carries the thread count
-/// only; the canonical bytes are thread-independent).
-pub fn build_campaign_manifests(cells: &[CampaignCell], threads: usize) -> Vec<Manifest> {
-    cells
-        .iter()
-        .map(|c| {
-            let mut host = Json::obj();
-            host.set("threads", Json::U64(threads as u64));
-            build_fault_manifest(c.app, c.mode, &c.faults, &c.stats, host)
-        })
-        .collect()
-}
-
 /// The manifest `config` block of a multicore rerand cell: the matrix
 /// configuration plus the engine kind, the pairing, and the rerand
 /// epoch, all folded into the fingerprint.
@@ -404,8 +354,8 @@ pub fn bench_record(t: &MatrixTiming) -> BenchRecord {
             .runs
             .iter()
             .map(|r| BenchRun {
-                app: r.app.to_string(),
-                mode: r.mode.to_string(),
+                app: r.app.clone(),
+                mode: r.mode.clone(),
                 instructions: r.instructions,
                 wall_s: r.wall_s,
                 insts_per_s: r.insts_per_s,

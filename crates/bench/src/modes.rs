@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn report_rank_orders_the_matrix_columns() {
-        let mut modes = vec![
+        let mut modes = [
             ModeSpec::Vcfr { drc_entries: 64 },
             ModeSpec::Base,
             ModeSpec::Vcfr { drc_entries: 512 },

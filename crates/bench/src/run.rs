@@ -1,23 +1,33 @@
-//! One run description, and the one path that builds a run from it.
+//! One run description, the one run loop, and the one fan-out.
 //!
 //! A [`RunSpec`] is the daemon's wire job, a fleet chunk, and a cell of
 //! the experiment matrix or the fault campaign. All of them build their
 //! run with [`RunSpec::prepare`] (workload and layout),
 //! [`RunSpec::session`] (mode, configuration, sampling, faults) and
-//! [`RunSpec::manifest`], and keep only their own run loop in between
-//! (`docs/architecture.md`). [`RunSpec::validate`] builds the same
-//! [`SimConfig`] the run builds, so admission and the run agree.
+//! [`RunSpec::manifest`], and drive it with [`RunSpec::execute`]; local
+//! lists of specs fan out through `run_specs` (`docs/architecture.md`).
+//! [`RunSpec::validate`] builds the same [`SimConfig`] the run builds,
+//! so admission and the run agree.
 
 use crate::campaign::fault_plan_for;
 use crate::experiments::{SAMPLES_PER_RUN, SEED};
 use crate::manifests::{build_engine_manifest, build_fault_manifest};
 use crate::modes::{ModeSpec, DEFAULT_DRC_ENTRIES};
+use crate::pool::parallel_map;
 use std::fmt;
+use std::ops::ControlFlow;
+use std::time::Instant;
 use vcfr_isa::Image;
 use vcfr_obs::{Json, Manifest};
 use vcfr_rewriter::{randomize, RandomizeConfig, RandomizedProgram};
-use vcfr_sim::{EngineKind, Session, SessionOutcome, SimConfig, VcfrError};
+use vcfr_sim::{
+    CheckpointError, EngineKind, Session, SessionOutcome, SessionStatus, SimConfig, VcfrError,
+};
 use vcfr_workloads::{by_name_scaled, Workload, FIG2_NAMES, SPEC_NAMES};
+
+/// Instructions between snapshots when nothing else is asked for (the
+/// [`RunSpec::new`] default, and the chunk of every local run).
+pub(crate) const CHECKPOINT_EVERY: u64 = 100_000;
 
 /// What a run simulates. The spec is the *complete* identity of a run:
 /// the workload image and the randomized layout are rebuilt from
@@ -74,7 +84,7 @@ impl RunSpec {
             max_insts: 1_000_000,
             seed: SEED,
             rerand_epoch: None,
-            checkpoint_every: 100_000,
+            checkpoint_every: CHECKPOINT_EVERY,
             scale: 1,
             faults: false,
             engine: EngineKind::InOrder,
@@ -209,6 +219,43 @@ impl RunSpec {
         }
     }
 
+    /// The one run loop. Restores `resume` when one is given, then runs
+    /// `session` `checkpoint_every` instructions at a time, calling
+    /// `between` after every chunk that leaves the run unfinished.
+    /// `Break` stops the run there and returns `Ok(None)`.
+    ///
+    /// A checkpoint of another format version cannot be read; per the
+    /// version policy (`docs/service.md`) the run then starts from
+    /// instruction 0 instead of failing.
+    ///
+    /// # Errors
+    ///
+    /// [`VcfrError::Checkpoint`] when `resume` is corrupt or belongs to
+    /// another run; otherwise whatever [`Session::run_for`] returns.
+    pub fn execute(
+        &self,
+        session: &mut Session<'_>,
+        resume: Option<&[u8]>,
+        mut between: impl FnMut(&Session<'_>) -> ControlFlow<()>,
+    ) -> Result<Option<SessionOutcome>, VcfrError> {
+        if let Some(bytes) = resume {
+            match session.restore(bytes) {
+                Ok(()) | Err(VcfrError::Checkpoint(CheckpointError::Version { .. })) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        loop {
+            match session.run_for(self.checkpoint_every)? {
+                SessionStatus::Done(out) => return Ok(Some(*out)),
+                SessionStatus::Running => {
+                    if between(session).is_break() {
+                        return Ok(None);
+                    }
+                }
+            }
+        }
+    }
+
     /// The spec as a JSON object (field order fixed, so re-emitting is
     /// byte-stable).
     pub fn to_json(&self) -> Json {
@@ -297,6 +344,65 @@ impl RunSpec {
         spec.validate()?;
         Ok(spec)
     }
+}
+
+/// Runs every spec on `threads` workers, in two stages. Stage 1
+/// prepares each distinct (workload, scale, seed) once, with a layout
+/// when any of its specs needs one. Stage 2 runs every spec through
+/// [`RunSpec::execute`] on its shared build; `on_done` sees each
+/// finished run, with its wall-clock seconds, on the worker that ran
+/// it. Returns each outcome and its seconds in spec order, and the
+/// seconds stage 1 took.
+///
+/// # Errors
+///
+/// [`SpecError`] naming the JSON of the first spec that could not be
+/// prepared or run.
+pub(crate) fn run_specs(
+    specs: &[RunSpec],
+    threads: usize,
+    on_done: impl Fn(&RunSpec, &SessionOutcome, f64) + Sync,
+) -> Result<(Vec<(SessionOutcome, f64)>, f64), SpecError> {
+    let failed = |spec: &RunSpec, e: &dyn fmt::Display| {
+        SpecError(format!("{}: {e}", spec.to_json().compact()))
+    };
+    let t = Instant::now();
+    let same_build =
+        |a: &RunSpec, b: &RunSpec| (&a.workload, a.scale, a.seed) == (&b.workload, b.scale, b.seed);
+    // One spec stands for each build; a `base` spec builds no layout, so
+    // any other spec of the build takes its place.
+    let mut builds: Vec<&RunSpec> = Vec::new();
+    let build_of: Vec<usize> = specs
+        .iter()
+        .map(|spec| {
+            let i = builds.iter().position(|b| same_build(b, spec)).unwrap_or(builds.len());
+            if i == builds.len() {
+                builds.push(spec);
+            } else if builds[i].mode == ModeSpec::Base {
+                builds[i] = spec;
+            }
+            i
+        })
+        .collect();
+    let prepared =
+        parallel_map(builds, threads, |_, spec| spec.prepare().map_err(|e| failed(spec, &e)))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+    let prepare_s = t.elapsed().as_secs_f64();
+
+    let runs = parallel_map(specs.iter().zip(build_of).collect(), threads, |_, (spec, b)| {
+        let (w, layout) = &prepared[b];
+        let t = Instant::now();
+        let out = spec
+            .session(&w.image, layout.as_ref())
+            .and_then(|mut s| spec.execute(&mut s, None, |_| ControlFlow::Continue(())))
+            .map_err(|e| failed(spec, &e))?
+            .expect("a run that never breaks finishes");
+        let wall_s = t.elapsed().as_secs_f64();
+        on_done(spec, &out, wall_s);
+        Ok((out, wall_s))
+    });
+    Ok((runs.into_iter().collect::<Result<_, _>>()?, prepare_s))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use crate::experiments as ex;
 
 #[test]
 fn small_matrix_supports_all_figure_functions() {
-    let m = ex::run_small_matrix(&["hmmer", "lbm"], 120_000);
+    let (m, _, _) = ex::matrix_over(&["hmmer", "lbm"], Some(120_000), 1, 2);
     assert_eq!(m.len(), 2);
 
     let f3 = ex::fig3(&m);

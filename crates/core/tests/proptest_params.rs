@@ -61,7 +61,7 @@ fn in_documented_ranges(p: &RandParams) -> bool {
         && p.drc.entries > 0
         && p.drc.entries <= MAX_DRC_ENTRIES
         && p.drc.ways > 0
-        && p.drc.entries % p.drc.ways == 0
+        && p.drc.entries.is_multiple_of(p.drc.ways)
         && (p.drc.entries / p.drc.ways).is_power_of_two()
 }
 

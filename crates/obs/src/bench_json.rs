@@ -38,7 +38,8 @@ pub struct BenchRecord {
     pub host_cores: usize,
     /// Cargo profile the harness was compiled with (`release`/`debug`).
     pub cargo_profile: &'static str,
-    /// Seconds the randomization stage took.
+    /// Seconds the preparation stage took: workload builds and
+    /// randomization.
     pub randomize_s: f64,
     /// Seconds the whole matrix took.
     pub matrix_wall_s: f64,

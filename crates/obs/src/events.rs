@@ -1,4 +1,4 @@
-//! Structured progress events and a bounded event log.
+//! Structured progress events.
 //!
 //! A [`ProgressEvent`] is a point-in-time reading of a running
 //! simulation, taken at a deterministic *instruction-count* boundary.
@@ -9,11 +9,6 @@
 //! that want wall-clock (the daemon, `vcfr top`) attach it *outside*
 //! the event at emission time, the same way manifests strip their host
 //! block before canonicalisation.
-//!
-//! [`EventLog`] keeps the most recent events in a fixed-capacity
-//! buffer (like [`crate::TraceRing`], but with an explicit dropped
-//! counter surfaced in JSON so consumers can tell a quiet run from a
-//! truncated one).
 
 use crate::json::Json;
 
@@ -102,115 +97,9 @@ impl ProgressEvent {
     }
 }
 
-/// A bounded log of the most recent [`ProgressEvent`]s.
-#[derive(Clone, Debug)]
-pub struct EventLog {
-    capacity: usize,
-    events: Vec<ProgressEvent>,
-    start: usize,
-    dropped: u64,
-}
-
-impl EventLog {
-    /// A log keeping at most `capacity` events (0 disables retention —
-    /// every push is counted as dropped).
-    pub fn new(capacity: usize) -> EventLog {
-        EventLog { capacity, events: Vec::new(), start: 0, dropped: 0 }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&mut self, event: ProgressEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        } else {
-            self.events[self.start] = event;
-            self.start = (self.start + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted (or rejected by a zero capacity) so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The most recent event, if any.
-    pub fn latest(&self) -> Option<&ProgressEvent> {
-        if self.events.is_empty() {
-            None
-        } else if self.events.len() < self.capacity {
-            self.events.last()
-        } else {
-            let i = (self.start + self.capacity - 1) % self.capacity;
-            Some(&self.events[i])
-        }
-    }
-
-    /// Retained events, oldest first.
-    pub fn to_vec(&self) -> Vec<ProgressEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        for i in 0..self.events.len() {
-            out.push(self.events[(self.start + i) % self.events.len().max(1)]);
-        }
-        out
-    }
-
-    /// Serialises as `{capacity, dropped, events: [...]}` oldest first.
-    pub fn to_json(&self) -> Json {
-        let mut j = Json::obj();
-        j.set("capacity", Json::U64(self.capacity as u64));
-        j.set("dropped", Json::U64(self.dropped));
-        j.set(
-            "events",
-            Json::Arr(self.to_vec().iter().map(ProgressEvent::to_json).collect()),
-        );
-        j
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(seq: u64) -> ProgressEvent {
-        ProgressEvent { seq, instructions: seq * 1000, ..Default::default() }
-    }
-
-    #[test]
-    fn keeps_latest_and_counts_dropped() {
-        let mut log = EventLog::new(3);
-        for s in 0..5 {
-            log.push(ev(s));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
-        let seqs: Vec<u64> = log.to_vec().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-        assert_eq!(log.latest().unwrap().seq, 4);
-    }
-
-    #[test]
-    fn zero_capacity_drops_everything() {
-        let mut log = EventLog::new(0);
-        log.push(ev(0));
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 1);
-        assert!(log.latest().is_none());
-    }
 
     #[test]
     fn event_json_round_trips() {
@@ -230,18 +119,5 @@ mod tests {
         };
         assert_eq!(ProgressEvent::from_json(&e.to_json()), e);
         assert!((e.sb_hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_json_lists_oldest_first() {
-        let mut log = EventLog::new(2);
-        log.push(ev(0));
-        log.push(ev(1));
-        log.push(ev(2));
-        let j = log.to_json();
-        let arr = j.get("events").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].get("seq").unwrap().as_u64(), Some(1));
-        assert_eq!(arr[1].get("seq").unwrap().as_u64(), Some(2));
-        assert_eq!(j.get("dropped").unwrap().as_u64(), Some(1));
     }
 }

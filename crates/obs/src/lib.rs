@@ -6,17 +6,16 @@
 //!
 //! * [`Json`] / [`parse_json`] — a deterministic JSON emitter and a
 //!   small parser (the only serialization machinery in the workspace);
-//! * [`Registry`] / [`Snapshot`] — hierarchical dotted-name counters and
-//!   wall-clock spans (`sim.il1.miss`, `sim.drc.walk_cycles`, …);
+//! * [`Snapshot`] — hierarchical dotted-name counters
+//!   (`sim.il1.miss`, `sim.drc.walk_cycles`, …);
 //! * [`TraceRing`] — a fixed-capacity ring of the last N pipeline
 //!   events, the simulator's post-mortem trace;
 //! * [`Histogram`] — a deterministic log2-bucketed histogram, safe to
 //!   merge across workers and fleet nodes;
 //! * [`Backoff`] — the capped exponential backoff timer shared by the
 //!   daemon's watch streams and the fleet coordinator's heartbeats;
-//! * [`ProgressEvent`] / [`EventLog`] — structured in-flight progress
-//!   readings at deterministic instruction boundaries, with a bounded
-//!   log that counts what it drops;
+//! * [`ProgressEvent`] — structured in-flight progress readings at
+//!   deterministic instruction boundaries;
 //! * [`CycleAccounting`] / [`AuditReport`] — the cycle-accounting audit
 //!   (`busy + stalls ≈ cycles`, tolerance-checked);
 //! * [`Manifest`] — per-(app, config) run manifests with a schema
@@ -34,17 +33,17 @@ mod events;
 mod histogram;
 mod json;
 mod manifest;
-mod registry;
 mod ring;
+mod snapshot;
 
 pub use audit::{AuditReport, CycleAccounting, DEFAULT_TOLERANCE};
 pub use backoff::Backoff;
 pub use bench_json::{BenchRecord, BenchRun, BENCH_SCHEMA_VERSION};
-pub use events::{EventLog, ProgressEvent};
+pub use events::ProgressEvent;
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use json::{parse_json, Json, JsonError};
 pub use manifest::{
     fingerprint, Manifest, ManifestError, MANIFEST_KIND, MANIFEST_SCHEMA_VERSION,
 };
-pub use registry::{Registry, Snapshot, SpanStat};
 pub use ring::TraceRing;
+pub use snapshot::Snapshot;

@@ -26,7 +26,7 @@
 //! `vcfr report --against` both compare through that canonical form.
 
 use crate::json::{parse_json, Json, JsonError};
-use crate::registry::Snapshot;
+use crate::snapshot::Snapshot;
 
 /// Current manifest schema version.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;

@@ -11,7 +11,7 @@
 
 use crate::analysis::{address_taken_targets, resolve_indirect_targets, return_address_safety};
 use crate::cfg::Cfg;
-use crate::disasm::{disassemble, DisasmError, Disassembly};
+use crate::disasm::{disassemble, DisasmError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -559,16 +559,6 @@ pub fn randomize(
         stats,
         return_safety,
     })
-}
-
-/// Re-exported for tests that need a pre-built disassembly alongside the
-/// randomized program.
-pub fn randomize_with_disasm(
-    image: &Image,
-    cfg: &RandomizeConfig,
-) -> Result<(RandomizedProgram, Disassembly), RandomizeError> {
-    let d = disassemble(image)?;
-    Ok((randomize(image, cfg)?, d))
 }
 
 #[cfg(test)]

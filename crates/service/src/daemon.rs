@@ -22,13 +22,14 @@ use crate::protocol::{
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use vcfr_bench::{RunSpec, WorkerPool};
 use vcfr_obs::{parse_json, Backoff, Json, ProgressEvent};
-use vcfr_sim::{checkpoint_is_whole, CheckpointError, SessionStatus, VcfrError};
+use vcfr_sim::{checkpoint_is_whole, VcfrError};
 
 /// How the daemon is configured.
 #[derive(Clone, Debug)]
@@ -362,80 +363,65 @@ fn run_job(inner: &Inner, id: u64) {
 
     // Resume from the newest whole snapshot, if the previous daemon (or
     // a fleet re-dispatch) left one; failing that, from the newest file,
-    // so that a corrupt snapshot fails the job. A snapshot of another
-    // format version cannot be read; per the version policy the job then
-    // re-runs from instruction 0 rather than failing.
+    // so that a corrupt snapshot fails the job. `RunSpec::execute` owns
+    // the version policy: a snapshot of another format version re-runs
+    // the job from instruction 0 rather than failing it.
     let mut snapshots = Snapshots::new(&inner.jobs_dir, id);
     let resume_from = newest_snapshot(&inner.jobs_dir, id)
         .or_else(|| std::fs::read(&snapshots.newest).ok());
-    if let Some(bytes) = resume_from {
-        match session.restore(&bytes) {
-            Ok(()) | Err(VcfrError::Checkpoint(CheckpointError::Version { .. })) => {}
-            Err(e) => {
-                fail_job(inner, id, started, format!("checkpoint rejected: {e}"));
-                return;
-            }
-        }
-    }
-
-    inner.update(id, |st| {
-        st.phase = JobPhase::Running;
-        st.instructions = session.instructions();
-    });
-
-    loop {
+    inner.update(id, |st| st.phase = JobPhase::Running);
+    let finished = spec.execute(&mut session, resume_from.as_deref(), |session| {
+        let _ = snapshots.write(session.checkpoint());
         if inner.stopping() {
-            // Graceful drain: snapshot, then park the job as queued so
-            // the next start resumes exactly here.
-            let _ = snapshots.write(session.checkpoint());
+            // Graceful drain: park the job as queued so the next start
+            // resumes from this snapshot.
             inner.update(id, |st| st.phase = JobPhase::Queued);
+            return ControlFlow::Break(());
+        }
+        let stats = session.stats_now();
+        // Counters only: the tap's readings wake the watchers.
+        inner.note(id, |st| {
+            st.instructions = stats.instructions;
+            st.cycles = stats.cycles;
+            st.checkpoints += 1;
+        });
+        ControlFlow::Continue(())
+    });
+    let out = match finished {
+        Ok(Some(out)) => out,
+        Ok(None) => return,
+        Err(e @ VcfrError::Checkpoint(_)) => {
+            fail_job(inner, id, started, format!("checkpoint rejected: {e}"));
             return;
         }
-        match session.run_for(spec.checkpoint_every) {
-            Err(e) => {
-                fail_job(inner, id, started, e.to_string());
-                return;
-            }
-            Ok(SessionStatus::Running) => {
-                let _ = snapshots.write(session.checkpoint());
-                let stats = session.stats_now();
-                // Counters only: the tap's readings wake the watchers.
-                inner.note(id, |st| {
-                    st.instructions = stats.instructions;
-                    st.cycles = stats.cycles;
-                    st.checkpoints += 1;
-                });
-            }
-            Ok(SessionStatus::Done(out)) => {
-                let manifest = spec.manifest(&out, Json::obj());
-                let written = write_atomic(
-                    &manifest_file(&inner.jobs_dir, id),
-                    manifest.canonical_bytes().as_bytes(),
-                );
-                snapshots.remove();
-                inner.metrics.record_job(
-                    started.elapsed().as_millis() as u64,
-                    written.is_ok(),
-                    out.output.stats.instructions,
-                );
-                match written {
-                    Ok(()) => inner.update(id, |st| {
-                        st.phase = JobPhase::Done;
-                        st.instructions = out.output.stats.instructions;
-                        st.cycles = out.output.stats.cycles;
-                    }),
-                    Err(e) => inner.update(id, |st| {
-                        st.phase = JobPhase::Failed;
-                        st.error = Some(format!("manifest write failed: {e}"));
-                    }),
-                }
-                let jobs = inner.jobs.lock().expect("registry lock");
-                if let Some(st) = jobs.get(&id) {
-                    let _ = persist_job(&inner.jobs_dir, id, st);
-                }
-                return;
-            }
+        Err(e) => {
+            fail_job(inner, id, started, e.to_string());
+            return;
         }
+    };
+    let manifest = spec.manifest(&out, Json::obj());
+    let written =
+        write_atomic(&manifest_file(&inner.jobs_dir, id), manifest.canonical_bytes().as_bytes());
+    snapshots.remove();
+    inner.metrics.record_job(
+        started.elapsed().as_millis() as u64,
+        written.is_ok(),
+        out.output.stats.instructions,
+    );
+    match written {
+        Ok(()) => inner.update(id, |st| {
+            st.phase = JobPhase::Done;
+            st.instructions = out.output.stats.instructions;
+            st.cycles = out.output.stats.cycles;
+        }),
+        Err(e) => inner.update(id, |st| {
+            st.phase = JobPhase::Failed;
+            st.error = Some(format!("manifest write failed: {e}"));
+        }),
+    }
+    let jobs = inner.jobs.lock().expect("registry lock");
+    if let Some(st) = jobs.get(&id) {
+        let _ = persist_job(&inner.jobs_dir, id, st);
     }
 }
 
@@ -775,6 +761,24 @@ mod tests {
         spec
     }
 
+    /// A daemon's shared state over the job store `dir`, holding `spec`
+    /// as queued job 1.
+    fn store(dir: &Path, spec: RunSpec) -> Inner {
+        Inner {
+            jobs_dir: dir.to_path_buf(),
+            stopping: AtomicBool::new(false),
+            jobs: Mutex::new(BTreeMap::from([(1, JobState::new(spec, JobPhase::Queued, None))])),
+            changed: Condvar::new(),
+            metrics: MetricsHub::new(),
+        }
+    }
+
+    /// Job 1's phase and the snapshots its last run noted.
+    fn phase_and_checkpoints(inner: &Inner) -> (JobPhase, u64) {
+        let jobs = inner.jobs.lock().expect("registry lock");
+        (jobs[&1].phase, jobs[&1].checkpoints)
+    }
+
     /// Runs job 1 of a fresh store holding `ckpt` and `prev` (if any) as
     /// its newest snapshot and the one before; returns the final phase,
     /// the snapshots the run took and the manifest bytes.
@@ -784,13 +788,7 @@ mod tests {
         prev: Option<&[u8]>,
     ) -> (JobPhase, u64, Vec<u8>) {
         let dir = temp_store(tag);
-        let inner = Inner {
-            jobs_dir: dir.clone(),
-            stopping: AtomicBool::new(false),
-            jobs: Mutex::new(BTreeMap::from([(1, JobState::new(spec(), JobPhase::Queued, None))])),
-            changed: Condvar::new(),
-            metrics: MetricsHub::new(),
-        };
+        let inner = store(&dir, spec());
         if let Some(bytes) = ckpt {
             std::fs::write(ckpt_file(&dir, 1), bytes).expect("write snapshot");
         }
@@ -798,10 +796,7 @@ mod tests {
             std::fs::write(prev_ckpt_file(&dir, 1), bytes).expect("write snapshot");
         }
         run_job(&inner, 1);
-        let (phase, checkpoints) = {
-            let jobs = inner.jobs.lock().expect("registry lock");
-            (jobs[&1].phase, jobs[&1].checkpoints)
-        };
+        let (phase, checkpoints) = phase_and_checkpoints(&inner);
         let manifest = std::fs::read(manifest_file(&dir, 1)).unwrap_or_default();
         let _ = std::fs::remove_dir_all(&dir);
         (phase, checkpoints, manifest)
@@ -835,6 +830,55 @@ mod tests {
         assert_eq!(phase, JobPhase::Done);
         assert!(!fresh.is_empty());
         assert_eq!(resumed, fresh, "the restarted job matches a fresh run");
+    }
+
+    #[test]
+    fn a_drained_job_parks_as_queued_and_resumes_to_the_straight_manifest() {
+        let mut spec = RunSpec::new("bzip2");
+        spec.max_insts = 400_000;
+        spec.checkpoint_every = 5_000;
+        let dir = temp_store("drain");
+        let inner = store(&dir, spec.clone());
+        // Raise the stop flag once the first snapshot is noted. bzip2
+        // halts after about 197 000 instructions, so dozens of chunks
+        // are still to run.
+        std::thread::scope(|s| {
+            s.spawn(|| loop {
+                let (phase, noted) = phase_and_checkpoints(&inner);
+                if noted > 0 || phase.is_terminal() {
+                    inner.stopping.store(true, Ordering::SeqCst);
+                    return;
+                }
+                std::thread::yield_now();
+            });
+            run_job(&inner, 1);
+        });
+        assert_eq!(phase_and_checkpoints(&inner).0, JobPhase::Queued, "the drain parks the job");
+        assert!(newest_snapshot(&dir, 1).is_some(), "the drain leaves a whole snapshot");
+        assert!(!manifest_file(&dir, 1).exists(), "a parked job has no manifest");
+
+        inner.stopping.store(false, Ordering::SeqCst);
+        run_job(&inner, 1);
+        let (phase, noted) = phase_and_checkpoints(&inner);
+        let manifest = std::fs::read(manifest_file(&dir, 1)).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        // The straight run, counting the snapshots a run from
+        // instruction 0 notes.
+        let (w, layout) = spec.prepare().expect("builds");
+        let mut straight = 0;
+        let out = spec
+            .session(&w.image, layout.as_ref())
+            .and_then(|mut s| {
+                spec.execute(&mut s, None, |_| {
+                    straight += 1;
+                    ControlFlow::Continue(())
+                })
+            })
+            .expect("runs")
+            .expect("finishes");
+        assert_eq!(phase, JobPhase::Done);
+        assert_eq!(manifest, spec.manifest(&out, Json::obj()).canonical_bytes().into_bytes());
+        assert!(noted < straight, "the second run resumed from the drain's snapshot ({noted} noted)");
     }
 
     #[test]

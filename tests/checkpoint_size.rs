@@ -3,9 +3,10 @@
 //! a serve-shaped job's snapshots stay small, and restoring one still
 //! finishes with the uninterrupted run's manifest bytes.
 
+use std::ops::ControlFlow;
 use vcfr_bench::{ModeSpec, RunSpec};
 use vcfr_obs::Json;
-use vcfr_sim::{EngineKind, SessionOutcome, SessionStatus};
+use vcfr_sim::{EngineKind, SessionOutcome};
 use vcfr_workloads::SPEC_NAMES;
 
 const KIB: usize = 1024;
@@ -49,20 +50,23 @@ fn serve_shaped_checkpoints_stay_small_and_resume_byte_identically() {
 
             // The daemon's loop: a snapshot after every chunk that leaves
             // the run unfinished.
-            let mut chunked = session();
             let mut snaps = Vec::new();
-            let out = loop {
-                match chunked.run_for(spec.checkpoint_every).expect("runs") {
-                    SessionStatus::Running => snaps.push(chunked.checkpoint()),
-                    SessionStatus::Done(out) => break out,
-                }
-            };
+            let out = spec
+                .execute(&mut session(), None, |s| {
+                    snaps.push(s.checkpoint());
+                    ControlFlow::Continue(())
+                })
+                .expect("runs")
+                .expect("finishes");
             assert_eq!(manifest(&out), straight, "{app} {mode}: snapshots changed the run");
             assert!(!snaps.is_empty(), "{app} {mode}: no mid-run snapshot");
 
-            let mut resumed = session();
-            resumed.restore(&snaps[snaps.len() / 2]).expect("the snapshot restores");
-            let out = resumed.run().expect("runs");
+            let out = spec
+                .execute(&mut session(), Some(&snaps[snaps.len() / 2]), |_| {
+                    ControlFlow::Continue(())
+                })
+                .expect("the snapshot restores and runs")
+                .expect("finishes");
             assert_eq!(manifest(&out), straight, "{app} {mode}: the resumed run diverged");
             sizes.extend(snaps.iter().map(Vec::len));
         }

@@ -3,13 +3,14 @@
 //! executing it may change a byte of its canonical manifest.
 //!
 //! A fixed table of cells runs once as the reference: one worker,
-//! superblocks on, no tap. Every cell then runs again under each
+//! superblocks on, no tap, one chunk. Every cell then runs again under each
 //! perturbation a real caller uses, and each run must reproduce the
 //! reference manifest byte for byte. Every divergence is collected
 //! first, named by the spec's JSON and the perturbation, and reported
 //! together. `just determinism` runs this test in release.
 
 use std::error::Error;
+use std::ops::ControlFlow;
 use vcfr_bench::{parallel_map, ModeSpec, RunSpec};
 use vcfr_obs::{Json, Manifest};
 use vcfr_rewriter::RandomizedProgram;
@@ -30,7 +31,9 @@ const EPOCH: u64 = 4_000;
 /// `CHUNK`, `EPOCH`, the sampling interval or the tap interval.
 const SPLIT: u64 = 5_555;
 
-/// A way of executing a run that must not change its result.
+/// A way of executing a run that must not change its result. Every run
+/// finishes through the one run loop, `RunSpec::execute`; all but
+/// Chunked and Restore run it as one chunk.
 #[derive(Clone, Copy, Debug)]
 enum Perturbation {
     /// Two workers and nothing else: the matrix and campaign fan-out.
@@ -40,12 +43,13 @@ enum Perturbation {
     NoSuperblocks,
     /// A telemetry tap at the daemon's interval, `max_insts / 100`.
     Tap,
-    /// The daemon's loop: `run_for(checkpoint_every)`, with a
-    /// checkpoint after every chunk that leaves the run unfinished.
+    /// The daemon's loop: `checkpoint_every` instructions at a time,
+    /// with a checkpoint after every chunk that leaves the run
+    /// unfinished.
     Chunked,
-    /// A tapped run checkpointed at [`SPLIT`], restored into a fresh
-    /// untapped session and finished: the daemon's resume and the
-    /// fleet's re-dispatch.
+    /// A tapped run checkpointed at [`SPLIT`], resumed from that
+    /// checkpoint in a fresh untapped session and finished in the
+    /// daemon's chunks: the daemon's resume and the fleet's re-dispatch.
     Restore,
 }
 
@@ -96,41 +100,59 @@ fn session<'a>(spec: &RunSpec, (w, layout): &'a Prepared) -> Fallible<Session<'a
     Ok(spec.session(&w.image, layout.as_ref())?)
 }
 
+/// Finishes `s` through `spec`'s run loop after restoring `resume`,
+/// calling `between` after every unfinished chunk.
+fn execute(
+    spec: &RunSpec,
+    mut s: Session<'_>,
+    resume: Option<&[u8]>,
+    between: impl FnMut(&Session<'_>) -> ControlFlow<()>,
+) -> Fallible<SessionOutcome> {
+    Ok(spec.execute(&mut s, resume, between)?.ok_or("the run stopped early")?)
+}
+
+/// [`execute`] from instruction 0 in one chunk.
+fn whole(spec: &RunSpec, s: Session<'_>) -> Fallible<SessionOutcome> {
+    let one_chunk = RunSpec { checkpoint_every: u64::MAX, ..spec.clone() };
+    execute(&one_chunk, s, None, |_| ControlFlow::Continue(()))
+}
+
 /// The reference run: one shot, superblocks on, no tap.
 fn plain(spec: &RunSpec, app: &Prepared) -> Fallible<SessionOutcome> {
-    Ok(session(spec, app)?.run()?)
+    whole(spec, session(spec, app)?)
 }
 
 fn perturbed(spec: &RunSpec, app: &Prepared, p: Perturbation) -> Fallible<SessionOutcome> {
     let tap_every = spec.max_insts / 100;
     match p {
         Perturbation::Workers => plain(spec, app),
-        Perturbation::NoSuperblocks => Ok(session(spec, app)?.with_superblocks(false).run()?),
+        Perturbation::NoSuperblocks => whole(spec, session(spec, app)?.with_superblocks(false)),
         Perturbation::Tap => {
             let mut fired = 0;
-            let out = session(spec, app)?.with_progress(tap_every, |_| fired += 1).run()?;
+            let out = whole(spec, session(spec, app)?.with_progress(tap_every, |_| fired += 1))?;
             if fired == 0 {
                 return Err("the tap never fired".into());
             }
             Ok(out)
         }
-        Perturbation::Chunked => {
-            let mut s = session(spec, app)?;
-            loop {
-                match s.run_for(spec.checkpoint_every)? {
-                    SessionStatus::Running => drop(s.checkpoint()),
-                    SessionStatus::Done(out) => return Ok(*out),
-                }
-            }
-        }
+        Perturbation::Chunked => execute(spec, session(spec, app)?, None, |s| {
+            drop(s.checkpoint());
+            ControlFlow::Continue(())
+        }),
         Perturbation::Restore => {
             let mut tapped = session(spec, app)?.with_progress(tap_every, |_| {});
             if let SessionStatus::Done(_) = tapped.run_for(SPLIT)? {
                 return Err(format!("finished before instruction {SPLIT}").into());
             }
-            let mut fresh = session(spec, app)?;
-            fresh.restore(&tapped.checkpoint())?;
-            Ok(fresh.run()?)
+            let mut resumed = true;
+            let out = execute(spec, session(spec, app)?, Some(&tapped.checkpoint()), |s| {
+                resumed &= s.instructions() > SPLIT;
+                ControlFlow::Continue(())
+            })?;
+            if !resumed {
+                return Err(format!("the run did not resume from instruction {SPLIT}").into());
+            }
+            Ok(out)
         }
     }
 }

@@ -1,23 +1,25 @@
 //! One run description across every surface: admission refuses what the
 //! run refuses, sharding validates every cell before a chunk leaves the
-//! client, and a `RunSpec` run reproduces, byte for byte, the cells the
-//! fault campaign and the experiment matrix run in their own loops.
+//! client, and a `RunSpec` run on its own reproduces, byte for byte, the
+//! committed fault campaign and the cells of the experiment matrix.
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use vcfr_bench::{
-    build_matrix_manifests, matrix_over, parallel_map, shard_campaign, shard_matrix, ModeSpec,
-    RunSpec, MODE_NAMES,
+    matrix_over, parallel_map, shard_campaign, shard_matrix, ModeSpec, RunSpec, MODE_NAMES,
 };
 use vcfr_obs::{Json, Manifest};
 use vcfr_service::{serve, serve_fleet, Client, FleetOptions, ServeOptions};
-use vcfr_workloads::{by_name, SPEC_NAMES};
+use vcfr_workloads::SPEC_NAMES;
 
-/// Runs `spec` through the shared path: prepare, session, manifest.
+/// Runs `spec` through the shared path: prepare, session, execute,
+/// manifest.
 fn run(spec: &RunSpec) -> Manifest {
     let (w, layout) = spec.prepare().expect("the spec builds");
-    let out = spec.session(&w.image, layout.as_ref()).and_then(|mut s| s.run()).expect("runs");
-    spec.manifest(&out, Json::obj())
+    let mut session = spec.session(&w.image, layout.as_ref()).expect("a valid spec");
+    let out = spec.execute(&mut session, None, |_| ControlFlow::Continue(())).expect("runs");
+    spec.manifest(&out.expect("finishes"), Json::obj())
 }
 
 /// Specs no run can build, with the field each refusal must name: two
@@ -125,16 +127,7 @@ fn faulted_specs_reproduce_the_committed_campaign() {
 fn specs_reproduce_the_matrix_cells() {
     const APPS: [&str; 2] = ["bzip2", "xalan"];
     const BUDGET: u64 = 60_000;
-    let suite: Vec<_> = APPS
-        .iter()
-        .map(|a| {
-            let mut w = by_name(a).expect("known app");
-            w.max_insts = BUDGET;
-            w
-        })
-        .collect();
-    let (matrix, timing) = matrix_over(&suite, 2);
-    let cells = build_matrix_manifests(&matrix, &timing);
+    let (_, cells, _) = matrix_over(&APPS, Some(BUDGET), 1, 2);
     let specs = shard_matrix(&APPS, &MODE_NAMES, Some(BUDGET), 1, 100_000).expect("valid");
     assert_eq!(specs.len(), cells.len());
     for spec in &specs {

@@ -37,8 +37,8 @@ pub use modes::{ModeParseError, ModeSpec, DEFAULT_DRC_ENTRIES};
 pub use pool::{parallel_map, PoolFull, PoolSnapshot, WorkerPool, WorkerStat};
 pub use run::{RunSpec, SpecError};
 pub use shard::{
-    merge_manifest_bytes, merge_manifest_trees, shard_campaign, shard_matrix, MergeOutcome,
-    MergeReport,
+    merge_manifest_bytes, merge_manifest_trees, shard_campaign, shard_matrix, write_atomic,
+    MergeOutcome, MergeReport,
 };
 
 /// Geometric mean of an iterator of positive values.

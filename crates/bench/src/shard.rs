@@ -102,7 +102,7 @@ pub enum MergeOutcome {
 }
 
 /// Merges one canonical manifest into `dir` under `file_name`:
-/// write-if-absent (atomic tmp + rename), byte-compare otherwise. Never
+/// write-if-absent ([`write_atomic`]), byte-compare otherwise. Never
 /// overwrites — see [`MergeOutcome`].
 ///
 /// # Errors
@@ -119,13 +119,24 @@ pub fn merge_manifest_bytes(
         Ok(existing) if existing == bytes => Ok(MergeOutcome::Identical),
         Ok(_) => Ok(MergeOutcome::Conflict),
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let tmp = dir.join(format!("{file_name}.tmp"));
-            std::fs::write(&tmp, bytes)?;
-            std::fs::rename(&tmp, &path)?;
+            write_atomic(&path, bytes)?;
             Ok(MergeOutcome::Written)
         }
         Err(e) => Err(e),
     }
+}
+
+/// Writes `bytes` to `path` through `<path>.tmp` and a rename, so a hard
+/// kill leaves either the old file or the new one, never a torn write.
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Per-file tally of a tree merge.

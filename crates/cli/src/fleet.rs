@@ -5,13 +5,13 @@
 
 use crate::args::Args;
 use crate::commands::CliError;
-use crate::serve::render_top;
+use crate::serve::{render_top, serve_options};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 use vcfr_bench::{shard_campaign, shard_matrix, RunSpec};
 use vcfr_obs::{Backoff, Json};
-use vcfr_service::{serve, serve_fleet, Client, FleetOptions, ServeOptions};
+use vcfr_service::{serve, serve_fleet, Client, FleetOptions};
 
 fn fleet_dir(args: &Args) -> PathBuf {
     PathBuf::from(args.value("fleet").unwrap_or("results/fleet"))
@@ -44,15 +44,10 @@ pub fn cmd_fleet_serve(args: &Args) -> Result<String, CliError> {
 /// retries, so it does not matter whether the coordinator or the
 /// worker starts first.
 pub fn cmd_fleet_join(args: &Args) -> Result<String, CliError> {
-    let Some(worker_dir) = args.value("dir") else {
+    if args.value("dir").is_none() {
         return Err(CliError::Msg("fleet join needs --dir (the worker's state directory)".into()));
-    };
-    let opts = ServeOptions {
-        dir: PathBuf::from(worker_dir),
-        port: args.u64_or("port", 0)? as u16,
-        workers: args.u64_or("workers", 2)? as usize,
-        queue_capacity: args.u64_or("queue", 16)? as usize,
-    };
+    }
+    let opts = serve_options(args)?;
     let slots = args.u64_or("slots", opts.workers as u64)?.max(1);
     let coordinator = fleet_dir(args);
     let my_dir = opts.dir.clone();

@@ -14,15 +14,22 @@ fn state_dir(args: &Args) -> PathBuf {
     PathBuf::from(args.value("dir").unwrap_or("results/service"))
 }
 
+/// The daemon's options from `--dir`, `--port`, `--workers` and
+/// `--queue`, each defaulting to [`ServeOptions::default`]'s.
+pub(crate) fn serve_options(args: &Args) -> Result<ServeOptions, CliError> {
+    let defaults = ServeOptions::default();
+    Ok(ServeOptions {
+        dir: args.value("dir").map_or(defaults.dir, PathBuf::from),
+        port: args.u64_or("port", u64::from(defaults.port))? as u16,
+        workers: args.u64_or("workers", defaults.workers as u64)? as usize,
+        queue_capacity: args.u64_or("queue", defaults.queue_capacity as u64)? as usize,
+    })
+}
+
 /// `vcfr serve [--dir D] [--port P] [--workers N] [--queue N]` — runs
 /// the batch-simulation daemon until a client asks it to shut down.
 pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
-    let opts = ServeOptions {
-        dir: state_dir(args),
-        port: args.u64_or("port", 0)? as u16,
-        workers: args.u64_or("workers", 2)? as usize,
-        queue_capacity: args.u64_or("queue", 16)? as usize,
-    };
+    let opts = serve_options(args)?;
     serve(&opts)?;
     Ok(format!("service stopped; state in {}", opts.dir.display()))
 }

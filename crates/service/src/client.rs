@@ -207,20 +207,6 @@ impl Client {
         Ok(resp.get("jobs").and_then(Json::as_arr).unwrap_or(&[]).to_vec())
     }
 
-    /// One job's status object.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Protocol`] for unknown ids.
-    pub fn status(&mut self, id: u64) -> Result<Json, ServiceError> {
-        let mut req = Self::op("status");
-        req.set("id", Json::U64(id));
-        let resp = Self::expect_ok(self.roundtrip(&req)?)?;
-        resp.get("job")
-            .cloned()
-            .ok_or_else(|| ServiceError::Protocol("status response lacks a job".to_string()))
-    }
-
     /// Streams status events for `id`, invoking `on_event` per line,
     /// until the daemon sends the `end` event.
     ///

@@ -16,19 +16,18 @@
 //! ```
 
 use crate::metrics::MetricsHub;
-use crate::protocol::{
-    err_response, hex_decode, ok_response, send_lines, JobPhase, ServiceError, ENDPOINT_FILE,
-};
+use crate::protocol::{err_response, hex_decode, ok_response, send_lines, JobPhase, ServiceError};
+use crate::server::{lock, read_records, record_file, serve_lines, wait, write_record};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
+use std::net::TcpListener;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vcfr_bench::{RunSpec, WorkerPool};
-use vcfr_obs::{parse_json, Backoff, Json, ProgressEvent};
+use vcfr_bench::{write_atomic, RunSpec, WorkerPool};
+use vcfr_obs::{Backoff, Json, ProgressEvent};
 use vcfr_sim::{checkpoint_is_whole, VcfrError};
 
 /// How the daemon is configured.
@@ -91,8 +90,10 @@ impl JobState {
 
 struct Inner {
     jobs_dir: PathBuf,
-    stopping: AtomicBool,
+    stopping: Arc<AtomicBool>,
     jobs: Mutex<BTreeMap<u64, JobState>>,
+    /// The id the next `submit` gets.
+    next_id: AtomicU64,
     changed: Condvar,
     metrics: MetricsHub,
 }
@@ -111,8 +112,7 @@ impl Inner {
     /// Mutates one registry entry without waking anyone: watchers pick
     /// the change up at their next wakeup.
     fn note<F: FnOnce(&mut JobState)>(&self, id: u64, f: F) {
-        let mut jobs = self.jobs.lock().expect("registry lock");
-        if let Some(st) = jobs.get_mut(&id) {
+        if let Some(st) = lock(&self.jobs).get_mut(&id) {
             f(st);
             st.seq += 1;
         }
@@ -129,8 +129,16 @@ impl Inner {
 /// wakes watchers at once.
 const PROGRESS_WAKE_GAP: Duration = Duration::from_millis(10);
 
+/// The kind of the daemon's records in the store: `job-<id>.json`.
+const JOB: &str = "job";
+
+/// Where a daemon with state directory `dir` keeps its jobs.
+pub(crate) fn jobs_dir(dir: &Path) -> PathBuf {
+    dir.join("jobs")
+}
+
 fn job_file(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("job-{id}.json"))
+    record_file(dir, JOB, id)
 }
 
 fn ckpt_file(dir: &Path, id: u64) -> PathBuf {
@@ -141,19 +149,8 @@ fn prev_ckpt_file(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("job-{id}.ckpt.prev"))
 }
 
-fn manifest_file(dir: &Path, id: u64) -> PathBuf {
+pub(crate) fn manifest_file(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("job-{id}.manifest.json"))
-}
-
-/// Writes `bytes` to `path` atomically: a hard kill leaves either the
-/// old file or the new one, never a torn write.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_file_name(format!(
-        "{}.tmp",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("service-write")
-    ));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
 }
 
 /// Overwrites `path` with `bytes` in place, creating it if need be. It
@@ -220,15 +217,11 @@ pub(crate) fn newest_snapshot(dir: &Path, id: u64) -> Option<Vec<u8>> {
 
 /// Persists one job's spec + phase (progress lives in the checkpoint).
 fn persist_job(dir: &Path, id: u64, st: &JobState) -> std::io::Result<()> {
-    let mut j = Json::obj();
-    j.set("id", Json::U64(id));
-    j.set("spec", st.spec.to_json());
-    j.set("phase", Json::Str(st.phase.as_str().to_string()));
-    match &st.error {
-        Some(e) => j.set("error", Json::Str(e.clone())),
-        None => j.set("error", Json::Null),
-    };
-    write_atomic(&job_file(dir, id), j.pretty().as_bytes())
+    write_record(dir, JOB, id, |j| {
+        j.set("spec", st.spec.to_json());
+        j.set("phase", Json::Str(st.phase.as_str().to_string()));
+        j.set("error", st.error.clone().map_or(Json::Null, Json::Str));
+    })
 }
 
 /// One status object (shared by `jobs`, `status`, and `watch` lines).
@@ -252,25 +245,12 @@ fn status_json(id: u64, st: &JobState) -> Json {
 /// Reloads the job store: terminal jobs keep their phase for listings,
 /// everything else is re-admitted as queued (a `running` phase on disk
 /// can only mean the previous daemon died mid-run). Also returns the
-/// next free id, past every record on disk: a record whose spec
-/// admission refuses is skipped, but its file is never reused.
-fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, Vec<u64>, u64) {
+/// next free id: a record whose spec admission refuses is skipped, but
+/// its file is never reused.
+fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, u64) {
+    let (records, next_id) = read_records(jobs_dir, JOB);
     let mut jobs = BTreeMap::new();
-    let mut resumable = Vec::new();
-    let mut next_id = 1;
-    let Ok(entries) = std::fs::read_dir(jobs_dir) else {
-        return (jobs, resumable, next_id);
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if !name.starts_with("job-") || !name.ends_with(".json") || name.contains(".manifest") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
-        let Ok(doc) = parse_json(&text) else { continue };
-        let Some(id) = doc.get("id").and_then(Json::as_u64) else { continue };
-        next_id = next_id.max(id.saturating_add(1));
+    for (id, doc) in records {
         let Some(spec) = doc.get("spec").and_then(|s| RunSpec::from_json(s).ok()) else {
             continue;
         };
@@ -280,13 +260,9 @@ fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, Vec<u64>, u64) {
             .and_then(JobPhase::from_disk)
             .unwrap_or(JobPhase::Queued);
         let error = doc.get("error").and_then(Json::as_str).map(str::to_string);
-        if !phase.is_terminal() {
-            resumable.push(id);
-        }
         jobs.insert(id, JobState::new(spec, phase, error));
     }
-    resumable.sort_unstable();
-    (jobs, resumable, next_id)
+    (jobs, next_id)
 }
 
 /// Marks a job failed, in the registry, on disk, and in the metrics
@@ -297,8 +273,7 @@ fn fail_job(inner: &Inner, id: u64, started: Instant, msg: String) {
         st.phase = JobPhase::Failed;
         st.error = Some(msg);
     });
-    let jobs = inner.jobs.lock().expect("registry lock");
-    if let Some(st) = jobs.get(&id) {
+    if let Some(st) = lock(&inner.jobs).get(&id) {
         let _ = persist_job(&inner.jobs_dir, id, st);
     }
 }
@@ -314,12 +289,9 @@ fn progress_interval(spec: &RunSpec) -> u64 {
 /// window), checkpointing after every chunk.
 fn run_job(inner: &Inner, id: u64) {
     let started = Instant::now();
-    let spec = {
-        let jobs = inner.jobs.lock().expect("registry lock");
-        match jobs.get(&id) {
-            Some(st) if !st.phase.is_terminal() => st.spec.clone(),
-            _ => return,
-        }
+    let spec = match lock(&inner.jobs).get(&id) {
+        Some(st) if !st.phase.is_terminal() => st.spec.clone(),
+        _ => return,
     };
     if inner.stopping() {
         return; // stays queued on disk; the next start re-admits it
@@ -419,19 +391,13 @@ fn run_job(inner: &Inner, id: u64) {
             st.error = Some(format!("manifest write failed: {e}"));
         }),
     }
-    let jobs = inner.jobs.lock().expect("registry lock");
-    if let Some(st) = jobs.get(&id) {
+    if let Some(st) = lock(&inner.jobs).get(&id) {
         let _ = persist_job(&inner.jobs_dir, id, st);
     }
 }
 
 /// Handles the `submit` op: validate, persist, admit.
-fn handle_submit(
-    inner: &Inner,
-    pool: &WorkerPool<u64>,
-    next_id: &Mutex<u64>,
-    req: &Json,
-) -> Json {
+fn handle_submit(inner: &Inner, pool: &WorkerPool<u64>, req: &Json) -> Json {
     let Some(job) = req.get("job") else {
         return err_response("submit needs a \"job\" object");
     };
@@ -450,12 +416,7 @@ fn handle_submit(
             None => return err_response("ckpt must be a hex string"),
         },
     };
-    let id = {
-        let mut next = next_id.lock().expect("id lock");
-        let id = *next;
-        *next += 1;
-        id
-    };
+    let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
     let st = JobState::new(spec, JobPhase::Queued, None);
     // Persist before admitting: a kill right after this line still
     // leaves a resumable job on disk.
@@ -468,9 +429,9 @@ fn handle_submit(
             return err_response(&format!("cannot persist checkpoint: {e}"));
         }
     }
-    inner.jobs.lock().expect("registry lock").insert(id, st);
+    lock(&inner.jobs).insert(id, st);
     if pool.try_submit(id).is_err() {
-        inner.jobs.lock().expect("registry lock").remove(&id);
+        lock(&inner.jobs).remove(&id);
         let _ = std::fs::remove_file(job_file(&inner.jobs_dir, id));
         let _ = std::fs::remove_file(ckpt_file(&inner.jobs_dir, id));
         return err_response("queue full; retry later");
@@ -484,12 +445,9 @@ fn handle_submit(
 /// canonical manifest text and its conventional file name — what the
 /// fleet coordinator merges into the shared `results/` tree.
 fn handle_fetch(inner: &Inner, id: u64) -> Json {
-    let (status, spec, phase) = {
-        let jobs = inner.jobs.lock().expect("registry lock");
-        match jobs.get(&id) {
-            None => return err_response("no such job"),
-            Some(st) => (status_json(id, st), st.spec.clone(), st.phase),
-        }
+    let (status, spec, phase) = match lock(&inner.jobs).get(&id) {
+        None => return err_response("no such job"),
+        Some(st) => (status_json(id, st), st.spec.clone(), st.phase),
     };
     let mut r = ok_response();
     r.set("job", status);
@@ -513,21 +471,21 @@ fn handle_fetch(inner: &Inner, id: u64) -> Json {
 /// exponentially (capped) while nothing moves, so idle watchers cost
 /// the daemon next to nothing; any change snaps it back down. The lines
 /// of one wakeup, the final `end` included, go out as one write.
-fn handle_watch(inner: &Inner, out: &mut TcpStream, id: u64) -> std::io::Result<()> {
+fn handle_watch(inner: &Inner, out: &mut impl Write, id: u64) -> std::io::Result<()> {
     let mut last_seq: Option<u64> = None;
     let mut last_progress = 0u64;
     let mut last_phase: Option<JobPhase> = None;
-    let mut wait = Backoff::new(Duration::from_millis(25), Duration::from_millis(1_600));
+    let mut backoff = Backoff::new(Duration::from_millis(25), Duration::from_millis(1_600));
     loop {
         let (mut lines, terminal) = {
-            let mut jobs = inner.jobs.lock().expect("registry lock");
+            let mut jobs = lock(&inner.jobs);
             loop {
                 let Some(st) = jobs.get(&id) else {
                     return send_lines(out, [&err_response("no such job")]);
                 };
                 if last_seq != Some(st.seq) || st.phase.is_terminal() || inner.stopping() {
                     last_seq = Some(st.seq);
-                    wait.reset();
+                    backoff.reset();
                     let mut lines = Vec::new();
                     if st.progress_count > last_progress {
                         if let Some(p) = &st.progress {
@@ -556,11 +514,10 @@ fn handle_watch(inner: &Inner, out: &mut TcpStream, id: u64) -> std::io::Result<
                         break (lines, st.phase.is_terminal() || inner.stopping());
                     }
                 }
-                let (guard, timeout) =
-                    inner.changed.wait_timeout(jobs, wait.current()).expect("registry lock");
+                let (guard, timeout) = wait(&inner.changed, jobs, backoff.current());
                 jobs = guard;
                 if timeout.timed_out() {
-                    wait.step();
+                    backoff.step();
                 }
             }
         };
@@ -575,121 +532,87 @@ fn handle_watch(inner: &Inner, out: &mut TcpStream, id: u64) -> std::io::Result<
     }
 }
 
-/// Serves one client connection (requests are handled sequentially on
-/// the connection's own thread).
-fn handle_conn(
-    stream: TcpStream,
-    inner: Arc<Inner>,
-    pool: Arc<WorkerPool<u64>>,
-    next_id: Arc<Mutex<u64>>,
-    addr: std::net::SocketAddr,
-) {
-    let Ok(reader) = stream.try_clone() else { return };
-    let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+/// The daemon's op table: answers one request, or writes its own lines
+/// (`watch`, the `shutdown` acknowledgement) and returns `None`.
+fn handle(
+    inner: &Inner,
+    pool: &WorkerPool<u64>,
+    req: &Json,
+    out: &mut impl Write,
+) -> std::io::Result<Option<Json>> {
+    let id = req.get("id").and_then(Json::as_u64);
+    Ok(Some(match req.get("op").and_then(Json::as_str) {
+        Some("ping") => {
+            let mut r = ok_response();
+            r.set("service", Json::Str("vcfr-serve".to_string()));
+            r.set("jobs", Json::U64(lock(&inner.jobs).len() as u64));
+            r
         }
-        let resp = match parse_json(&line) {
-            Err(e) => err_response(&format!("malformed request: {e}")),
-            Ok(req) => match req.get("op").and_then(Json::as_str) {
-                Some("ping") => {
+        Some("submit") => handle_submit(inner, pool, req),
+        Some("jobs") => {
+            let jobs = lock(&inner.jobs);
+            let mut r = ok_response();
+            r.set("jobs", Json::Arr(jobs.iter().map(|(id, st)| status_json(*id, st)).collect()));
+            r
+        }
+        Some("fetch") => match id {
+            None => err_response("fetch needs a job id"),
+            Some(id) => handle_fetch(inner, id),
+        },
+        Some("status") => match id {
+            None => err_response("status needs a job id"),
+            Some(id) => match lock(&inner.jobs).get(&id) {
+                None => err_response("no such job"),
+                Some(st) => {
                     let mut r = ok_response();
-                    r.set("service", Json::Str("vcfr-serve".to_string()));
-                    r.set(
-                        "jobs",
-                        Json::U64(inner.jobs.lock().expect("registry lock").len() as u64),
-                    );
+                    r.set("job", status_json(id, st));
                     r
                 }
-                Some("submit") => handle_submit(&inner, &pool, &next_id, &req),
-                Some("jobs") => {
-                    let jobs = inner.jobs.lock().expect("registry lock");
-                    let mut r = ok_response();
-                    r.set(
-                        "jobs",
-                        Json::Arr(jobs.iter().map(|(id, st)| status_json(*id, st)).collect()),
-                    );
-                    r
-                }
-                Some("fetch") => match req.get("id").and_then(Json::as_u64) {
-                    None => err_response("fetch needs a job id"),
-                    Some(id) => handle_fetch(&inner, id),
-                },
-                Some("status") => match req.get("id").and_then(Json::as_u64) {
-                    None => err_response("status needs a job id"),
-                    Some(id) => {
-                        let jobs = inner.jobs.lock().expect("registry lock");
-                        match jobs.get(&id) {
-                            None => err_response("no such job"),
-                            Some(st) => {
-                                let mut r = ok_response();
-                                r.set("job", status_json(id, st));
-                                r
-                            }
-                        }
-                    }
-                },
-                Some("metrics") => {
-                    let (by_phase, insts_in_flight) = {
-                        let jobs = inner.jobs.lock().expect("registry lock");
-                        let mut counts = (0u64, 0u64, 0u64, 0u64);
-                        let mut insts = 0u64;
-                        for st in jobs.values() {
-                            match st.phase {
-                                JobPhase::Queued => counts.0 += 1,
-                                JobPhase::Running => counts.1 += 1,
-                                JobPhase::Done => counts.2 += 1,
-                                JobPhase::Failed => counts.3 += 1,
-                            }
-                            if !st.phase.is_terminal() {
-                                insts += st.instructions;
-                            }
-                        }
-                        (counts, insts)
-                    };
-                    let mut r = ok_response();
-                    r.set(
-                        "metrics",
-                        inner.metrics.to_json(&pool.snapshot(), by_phase, insts_in_flight),
-                    );
-                    r
-                }
-                Some("watch") => match req.get("id").and_then(Json::as_u64) {
-                    None => err_response("watch needs a job id"),
-                    Some(id) => {
-                        if handle_watch(&inner, &mut writer, id).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                },
-                Some("shutdown") => {
-                    // Acknowledge before triggering the stop, so the
-                    // reply reaches the client even if the daemon wins
-                    // the race and exits first.
-                    if send_lines(&mut writer, [&ok_response()]).is_err() {
-                        return;
-                    }
-                    inner.stopping.store(true, Ordering::SeqCst);
-                    inner.changed.notify_all();
-                    // Wake the accept loop so `serve` can wind down.
-                    let _ = TcpStream::connect(addr);
-                    return;
-                }
-                _ => err_response("unknown op"),
             },
-        };
-        if send_lines(&mut writer, [&resp]).is_err() {
-            return;
+        },
+        Some("metrics") => {
+            let (by_phase, insts_in_flight) = {
+                let jobs = lock(&inner.jobs);
+                let mut counts = (0u64, 0u64, 0u64, 0u64);
+                let mut insts = 0u64;
+                for st in jobs.values() {
+                    match st.phase {
+                        JobPhase::Queued => counts.0 += 1,
+                        JobPhase::Running => counts.1 += 1,
+                        JobPhase::Done => counts.2 += 1,
+                        JobPhase::Failed => counts.3 += 1,
+                    }
+                    if !st.phase.is_terminal() {
+                        insts += st.instructions;
+                    }
+                }
+                (counts, insts)
+            };
+            let mut r = ok_response();
+            r.set("metrics", inner.metrics.to_json(&pool.snapshot(), by_phase, insts_in_flight));
+            r
         }
-    }
+        Some("watch") => match id {
+            None => err_response("watch needs a job id"),
+            Some(id) => return handle_watch(inner, out, id).map(|()| None),
+        },
+        Some("shutdown") => {
+            // Acknowledge before raising the stop flag, so the reply
+            // reaches the client even if the daemon wins the race and
+            // exits first.
+            send_lines(out, [&ok_response()])?;
+            inner.stopping.store(true, Ordering::SeqCst);
+            inner.changed.notify_all();
+            return Ok(None);
+        }
+        _ => err_response("unknown op"),
+    }))
 }
 
 /// Runs the daemon until a client sends `shutdown`: binds 127.0.0.1,
-/// writes the endpoint file, re-admits every non-terminal job found in
-/// the state directory, then accepts JSON-lines clients.
+/// re-admits every non-terminal job found in the state directory, then
+/// serves JSON-lines clients. The endpoint file goes once the pool has
+/// stopped.
 ///
 /// # Errors
 ///
@@ -697,21 +620,21 @@ fn handle_conn(
 /// be set up. Per-job failures never abort the daemon — they are
 /// recorded in the job's status.
 pub fn serve(opts: &ServeOptions) -> Result<(), ServiceError> {
-    let jobs_dir = opts.dir.join("jobs");
+    let jobs_dir = jobs_dir(&opts.dir);
     std::fs::create_dir_all(&jobs_dir)?;
-    let (jobs, resumable, next_id) = load_jobs(&jobs_dir);
-    let next_id = Arc::new(Mutex::new(next_id));
+    let (jobs, next_id) = load_jobs(&jobs_dir);
+    let resumable: Vec<u64> =
+        jobs.iter().filter(|(_, st)| !st.phase.is_terminal()).map(|(&id, _)| id).collect();
     let inner = Arc::new(Inner {
         jobs_dir,
-        stopping: AtomicBool::new(false),
+        stopping: Arc::default(),
         jobs: Mutex::new(jobs),
+        next_id: AtomicU64::new(next_id),
         changed: Condvar::new(),
         metrics: MetricsHub::new(),
     });
 
     let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
-    let addr = listener.local_addr()?;
-
     let pool_inner = Arc::clone(&inner);
     let pool = Arc::new(WorkerPool::new(
         opts.workers,
@@ -722,30 +645,16 @@ pub fn serve(opts: &ServeOptions) -> Result<(), ServiceError> {
         let _ = pool.try_submit(id);
     }
 
-    // The endpoint file is the last thing written: once it exists,
-    // clients may connect.
-    write_atomic(&opts.dir.join(ENDPOINT_FILE), format!("{addr}\n").as_bytes())?;
-
-    for conn in listener.incoming() {
-        if inner.stopping() {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        // A `watch` stream answers one request with many writes, and the
-        // client sends nothing while it reads them. Under Nagle each
-        // wakeup's write after the first would wait for the client's
-        // delayed ACK (about 40 ms on Linux).
-        let _ = stream.set_nodelay(true);
-        let inner = Arc::clone(&inner);
-        let pool = Arc::clone(&pool);
-        let next_id = Arc::clone(&next_id);
-        std::thread::spawn(move || handle_conn(stream, inner, pool, next_id, addr));
-    }
-
+    let ops_pool = Arc::clone(&pool);
     // Workers observe `stopping` at their next chunk boundary,
     // checkpoint, and park their job as queued.
-    pool.stop();
-    let _ = std::fs::remove_file(opts.dir.join(ENDPOINT_FILE));
+    serve_lines(
+        &opts.dir,
+        listener,
+        Arc::clone(&inner.stopping),
+        move |req, out| handle(&inner, &ops_pool, req, out),
+        || pool.stop(),
+    )?;
     Ok(())
 }
 
@@ -766,8 +675,9 @@ mod tests {
     fn store(dir: &Path, spec: RunSpec) -> Inner {
         Inner {
             jobs_dir: dir.to_path_buf(),
-            stopping: AtomicBool::new(false),
+            stopping: Arc::default(),
             jobs: Mutex::new(BTreeMap::from([(1, JobState::new(spec, JobPhase::Queued, None))])),
+            next_id: AtomicU64::new(2),
             changed: Condvar::new(),
             metrics: MetricsHub::new(),
         }
@@ -775,7 +685,7 @@ mod tests {
 
     /// Job 1's phase and the snapshots its last run noted.
     fn phase_and_checkpoints(inner: &Inner) -> (JobPhase, u64) {
-        let jobs = inner.jobs.lock().expect("registry lock");
+        let jobs = lock(&inner.jobs);
         (jobs[&1].phase, jobs[&1].checkpoints)
     }
 
@@ -888,10 +798,32 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp store");
         let text = r#"{"id":7,"spec":{"workload":"bzip2","mode":"base","rerand_epoch":1000}}"#;
         std::fs::write(job_file(&dir, 7), text).expect("write record");
-        let (jobs, resumable, next_id) = load_jobs(&dir);
+        let (jobs, next_id) = load_jobs(&dir);
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(jobs.is_empty() && resumable.is_empty());
+        assert!(jobs.is_empty());
         assert_eq!(next_id, 8, "job 7's file is not overwritten by the next submit");
+    }
+
+    #[test]
+    fn a_panic_holding_the_registry_costs_only_its_own_thread() {
+        let dir = temp_store("poisoned");
+        let inner = store(&dir, spec());
+        std::thread::scope(|s| {
+            let planted = s.spawn(|| {
+                let _jobs = inner.jobs.lock();
+                panic!("a handler panics while it holds the registry");
+            });
+            assert!(planted.join().is_err());
+        });
+        assert!(inner.jobs.is_poisoned());
+        run_job(&inner, 1);
+        let phase = phase_and_checkpoints(&inner).0;
+        let fetched = handle_fetch(&inner, 1);
+        let manifest = std::fs::read_to_string(manifest_file(&dir, 1)).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(phase, JobPhase::Done);
+        assert!(!manifest.is_empty());
+        assert_eq!(fetched.get("manifest").and_then(Json::as_str), Some(manifest.as_str()));
     }
 
     #[test]

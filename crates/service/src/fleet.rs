@@ -25,18 +25,19 @@
 //! equal duplicates collapse, disagreements fail the chunk.
 
 use crate::client::Client;
-use crate::daemon::newest_snapshot;
+use crate::daemon::{jobs_dir, manifest_file, newest_snapshot};
 use crate::metrics::aggregate_node_metrics;
-use crate::protocol::{err_response, ok_response, send_lines, ServiceError, ENDPOINT_FILE};
+use crate::protocol::{err_response, ok_response, send_lines, ServiceError};
+use crate::server::{lock, read_records, serve_lines, wait, write_record};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vcfr_bench::{merge_manifest_bytes, MergeOutcome, RunSpec};
-use vcfr_obs::{parse_json, Backoff, Json};
+use vcfr_bench::{merge_manifest_bytes, write_atomic, MergeOutcome, RunSpec};
+use vcfr_obs::{Backoff, Json};
 
 /// How the coordinator is configured.
 #[derive(Clone, Debug)]
@@ -139,6 +140,11 @@ struct FleetState {
     resumed_chunks: u64,
     /// Lost-worker recoveries: chunks re-queued from scratch.
     restarted_chunks: u64,
+    /// Bumped under the lock by every `register`, `submit` and
+    /// `shutdown`. The scheduler reads it when it plans a round and
+    /// checks it before it waits, so one that arrives while the round is
+    /// out on the network starts the next round at once.
+    wakes: u64,
 }
 
 struct FleetInner {
@@ -146,11 +152,13 @@ struct FleetInner {
     chunks_dir: PathBuf,
     manifests_dir: PathBuf,
     lost_after: u32,
+    /// The scheduler's heartbeat floor and ceiling.
+    heartbeat: (Duration, Duration),
     /// Bound on every coordinator RPC to a worker (connect, each read,
     /// each write): `lost_after` heartbeats at the backoff ceiling, the
     /// window after which a silent worker is declared lost anyway.
     rpc_timeout: Duration,
-    stopping: AtomicBool,
+    stopping: Arc<AtomicBool>,
     state: Mutex<FleetState>,
     /// Wakes the scheduler on registration/submission/shutdown.
     changed: Condvar,
@@ -167,81 +175,43 @@ impl FleetInner {
     }
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_file_name(format!(
-        "{}.tmp",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("fleet-write")
-    ));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
 fn persist_worker(dir: &Path, id: u64, w: &WorkerState) {
-    let mut j = Json::obj();
-    j.set("id", Json::U64(id));
-    j.set("dir", Json::Str(w.dir.display().to_string()));
-    j.set("slots", Json::U64(w.slots));
-    let _ = write_atomic(&dir.join(format!("worker-{id}.json")), j.pretty().as_bytes());
+    let _ = write_record(dir, "worker", id, |j| {
+        j.set("dir", Json::Str(w.dir.display().to_string()));
+        j.set("slots", Json::U64(w.slots));
+    });
 }
 
 fn persist_chunk(dir: &Path, id: u64, c: &ChunkState) {
-    let mut j = Json::obj();
-    j.set("id", Json::U64(id));
-    j.set("spec", c.spec.to_json());
-    j.set("phase", Json::Str(c.phase.as_str().to_string()));
-    match c.phase {
-        ChunkPhase::Dispatched { worker, remote_id } => {
-            j.set("worker", Json::U64(worker));
-            j.set("remote_id", Json::U64(remote_id));
-        }
-        _ => {
-            j.set("worker", Json::Null);
-            j.set("remote_id", Json::Null);
-        }
-    }
-    j.set("redispatches", Json::U64(c.redispatches));
-    j.set("resumed", Json::Bool(c.resumed));
-    match &c.error {
-        Some(e) => {
-            j.set("error", Json::Str(e.clone()));
-        }
-        None => {
-            j.set("error", Json::Null);
-        }
-    }
-    let _ = write_atomic(&dir.join(format!("chunk-{id}.json")), j.pretty().as_bytes());
+    let _ = write_record(dir, "chunk", id, |j| {
+        j.set("spec", c.spec.to_json());
+        j.set("phase", Json::Str(c.phase.as_str().to_string()));
+        let (worker, remote_id) = match c.phase {
+            ChunkPhase::Dispatched { worker, remote_id } => {
+                (Json::U64(worker), Json::U64(remote_id))
+            }
+            _ => (Json::Null, Json::Null),
+        };
+        j.set("worker", worker);
+        j.set("remote_id", remote_id);
+        j.set("redispatches", Json::U64(c.redispatches));
+        j.set("resumed", Json::Bool(c.resumed));
+        j.set("error", c.error.clone().map_or(Json::Null, Json::Str));
+    });
 }
 
 /// Reloads the worker registry and chunk table after a coordinator
 /// restart. Dispatched chunks stay dispatched — the first scheduler
 /// round re-synchronises with the (restarted or still-running) workers,
-/// and the lost-worker path covers everything else.
+/// and the lost-worker path covers everything else. A chunk whose spec
+/// admission refuses is skipped, but its id (and so its file) is never
+/// handed out again.
 fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
-    let mut st = FleetState::default();
-    let docs = |dir: &Path, prefix: &str| -> Vec<Json> {
-        let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
-        let mut out = Vec::new();
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.starts_with(prefix) || !name.ends_with(".json") {
-                continue;
-            }
-            if let Ok(text) = std::fs::read_to_string(e.path()) {
-                if let Ok(doc) = parse_json(&text) {
-                    out.push(doc);
-                }
-            }
-        }
-        out
-    };
-    for doc in docs(workers_dir, "worker-") {
-        let (Some(id), Some(dir)) = (
-            doc.get("id").and_then(Json::as_u64),
-            doc.get("dir").and_then(Json::as_str),
-        ) else {
-            continue;
-        };
+    let (workers, next_worker) = read_records(workers_dir, "worker");
+    let (chunks, next_chunk) = read_records(chunks_dir, "chunk");
+    let mut st = FleetState { next_worker, next_chunk, ..FleetState::default() };
+    for (id, doc) in workers {
+        let Some(dir) = doc.get("dir").and_then(Json::as_str) else { continue };
         st.workers.insert(
             id,
             WorkerState {
@@ -252,13 +222,8 @@ fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
                 done: 0,
             },
         );
-        st.next_worker = st.next_worker.max(id + 1);
     }
-    for doc in docs(chunks_dir, "chunk-") {
-        let Some(id) = doc.get("id").and_then(Json::as_u64) else { continue };
-        // A chunk whose spec admission refuses is skipped, but its id
-        // (and so its file) is never handed out again.
-        st.next_chunk = st.next_chunk.max(id.saturating_add(1));
+    for (id, doc) in chunks {
         let Some(spec) = doc.get("spec").and_then(|s| RunSpec::from_json(s).ok()) else {
             continue;
         };
@@ -288,16 +253,21 @@ fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
     st
 }
 
-/// In-flight chunk count of one worker.
-fn in_flight(st: &FleetState, worker: u64) -> u64 {
-    st.chunks
-        .values()
-        .filter(|c| matches!(c.phase, ChunkPhase::Dispatched { worker: w, .. } if w == worker))
-        .count() as u64
-}
-
 /// `(chunk id, remote job id)` pairs a worker currently holds.
 type HeldChunks = Vec<(u64, u64)>;
+
+/// The chunks dispatched to `worker`, in id order.
+fn held_by(st: &FleetState, worker: u64) -> HeldChunks {
+    st.chunks
+        .iter()
+        .filter_map(|(&cid, c)| match c.phase {
+            ChunkPhase::Dispatched { worker: w, remote_id } if w == worker => {
+                Some((cid, remote_id))
+            }
+            _ => None,
+        })
+        .collect()
+}
 
 /// What one scheduler round plans to do on the network (computed under
 /// the state lock, executed without it).
@@ -305,9 +275,11 @@ type HeldChunks = Vec<(u64, u64)>;
 struct Plan {
     /// `(worker, dir, dispatched chunks)` per live worker.
     polls: Vec<(u64, PathBuf, HeldChunks)>,
-    /// `(chunk, worker, stashed checkpoint)` dispatches, each to a
-    /// worker in `polls`.
-    dispatches: Vec<(u64, u64, Option<Vec<u8>>)>,
+    /// `(chunk, worker, spec, stashed checkpoint)` dispatches, each to
+    /// a worker in `polls`.
+    dispatches: Vec<(u64, u64, RunSpec, Option<Vec<u8>>)>,
+    /// [`FleetState::wakes`] when the round was planned.
+    wakes: u64,
 }
 
 /// What the network phase observed (applied back under the lock).
@@ -327,29 +299,20 @@ struct RoundResult {
 
 /// Phase A: snapshot the state into a network plan.
 fn plan_round(inner: &FleetInner) -> Plan {
-    let st = inner.state.lock().expect("fleet lock");
-    let mut plan = Plan::default();
+    let st = lock(&inner.state);
+    let mut plan = Plan { wakes: st.wakes, ..Plan::default() };
     let mut free: BTreeMap<u64, u64> = BTreeMap::new();
     for (&wid, w) in &st.workers {
         if !w.alive {
             continue;
         }
-        let holding: Vec<(u64, u64)> = st
-            .chunks
-            .iter()
-            .filter_map(|(&cid, c)| match c.phase {
-                ChunkPhase::Dispatched { worker, remote_id } if worker == wid => {
-                    Some((cid, remote_id))
-                }
-                _ => None,
-            })
-            .collect();
+        let holding = held_by(&st, wid);
         free.insert(wid, w.slots.saturating_sub(holding.len() as u64));
         plan.polls.push((wid, w.dir.clone(), holding));
     }
     // Hand pending chunks (id order) to the least-loaded live worker
     // with a free slot; a stashed checkpoint rides along.
-    for (&cid, _) in st.chunks.iter().filter(|(_, c)| c.phase == ChunkPhase::Pending) {
+    for (&cid, c) in st.chunks.iter().filter(|(_, c)| c.phase == ChunkPhase::Pending) {
         let Some((&wid, _)) = free
             .iter()
             .filter(|(_, slots)| **slots > 0)
@@ -359,7 +322,7 @@ fn plan_round(inner: &FleetInner) -> Plan {
         };
         *free.get_mut(&wid).expect("picked above") -= 1;
         let ckpt = std::fs::read(inner.stash_file(cid)).ok();
-        plan.dispatches.push((cid, wid, ckpt));
+        plan.dispatches.push((cid, wid, c.spec.clone(), ckpt));
     }
     plan
 }
@@ -418,10 +381,10 @@ fn execute_round(inner: &FleetInner, plan: Plan) -> RoundResult {
     // Every planned worker was polled above, so a worker without a
     // connection here missed this round's heartbeat: its chunks stay
     // pending.
-    for (cid, wid, ckpt) in plan.dispatches {
+    for (cid, wid, spec, ckpt) in plan.dispatches {
         let Some(client) = clients.get_mut(&wid) else { continue };
         let resumed = ckpt.is_some();
-        match client.submit_with(&inner_chunk_spec(inner, cid), ckpt.as_deref()) {
+        match client.submit_with(&spec, ckpt.as_deref()) {
             Ok(remote_id) => result.dispatched.push((cid, wid, remote_id, resumed)),
             // A refusal (e.g. the worker's queue is full) leaves the
             // chunk pending for a later round — per-worker slots keep
@@ -443,33 +406,44 @@ fn execute_round(inner: &FleetInner, plan: Plan) -> RoundResult {
     result
 }
 
-/// The chunk's spec, cloned out of the registry.
-fn inner_chunk_spec(inner: &FleetInner, chunk: u64) -> RunSpec {
-    let st = inner.state.lock().expect("fleet lock");
-    st.chunks[&chunk].spec.clone()
-}
-
-/// Merges one manifest into the canonical tree and returns the chunk's
-/// new terminal phase.
+/// Merges chunk `cid`'s finished manifest, which worker `wid` ran, into
+/// the canonical tree, and records the chunk's terminal phase: done,
+/// with its stashed checkpoint removed and the worker's tally bumped, or
+/// failed. Returns whether it is done.
 fn merge_chunk(
     inner: &FleetInner,
+    st: &mut FleetState,
+    cid: u64,
+    wid: u64,
     file: &str,
     text: &str,
-) -> (ChunkPhase, Option<String>) {
-    match merge_manifest_bytes(&inner.manifests_dir, file, text.as_bytes()) {
+) -> bool {
+    let (phase, error) = match merge_manifest_bytes(&inner.manifests_dir, file, text.as_bytes()) {
         Ok(MergeOutcome::Written) | Ok(MergeOutcome::Identical) => (ChunkPhase::Done, None),
         Ok(MergeOutcome::Conflict) => (
             ChunkPhase::Failed,
             Some(format!("manifest conflict: {file} differs from the canonical tree")),
         ),
         Err(e) => (ChunkPhase::Failed, Some(format!("manifest merge failed: {e}"))),
+    };
+    if phase == ChunkPhase::Done {
+        let _ = std::fs::remove_file(inner.stash_file(cid));
+        if let Some(w) = st.workers.get_mut(&wid) {
+            w.done += 1;
+        }
     }
+    if let Some(c) = st.chunks.get_mut(&cid) {
+        c.phase = phase;
+        c.error = error;
+        persist_chunk(&inner.chunks_dir, cid, c);
+    }
+    phase == ChunkPhase::Done
 }
 
 /// Phase C: fold the round's observations back into the state. Returns
 /// whether anything moved (resets the scheduler backoff).
 fn apply_round(inner: &FleetInner, result: RoundResult) -> bool {
-    let mut st = inner.state.lock().expect("fleet lock");
+    let mut st = lock(&inner.state);
     let mut moved = false;
     for wid in result.ok {
         if let Some(w) = st.workers.get_mut(&wid) {
@@ -491,19 +465,8 @@ fn apply_round(inner: &FleetInner, result: RoundResult) -> bool {
         }
     }
     for (cid, wid, file, text) in result.done {
-        let (phase, error) = merge_chunk(inner, &file, &text);
-        if phase == ChunkPhase::Done {
-            let _ = std::fs::remove_file(inner.stash_file(cid));
-            if let Some(w) = st.workers.get_mut(&wid) {
-                w.done += 1;
-            }
-        }
-        if let Some(c) = st.chunks.get_mut(&cid) {
-            c.phase = phase;
-            c.error = error;
-            persist_chunk(&inner.chunks_dir, cid, c);
-            moved = true;
-        }
+        merge_chunk(inner, &mut st, cid, wid, &file, &text);
+        moved = true;
     }
     for (cid, msg) in result.failed {
         if let Some(c) = st.chunks.get_mut(&cid) {
@@ -540,66 +503,46 @@ fn apply_round(inner: &FleetInner, result: RoundResult) -> bool {
 /// from scratch. All reads go to the dead worker's state directory —
 /// sound on the single-host fleet, exactly like a daemon restart.
 fn recover_lost_worker(inner: &FleetInner, st: &mut FleetState, wid: u64) {
-    let jobs_dir = st.workers[&wid].dir.join("jobs");
-    let held: Vec<(u64, u64)> = st
-        .chunks
-        .iter()
-        .filter_map(|(&cid, c)| match c.phase {
-            ChunkPhase::Dispatched { worker, remote_id } if worker == wid => {
-                Some((cid, remote_id))
-            }
-            _ => None,
-        })
-        .collect();
-    for (cid, remote_id) in held {
-        let manifest = jobs_dir.join(format!("job-{remote_id}.manifest.json"));
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
+    let jobs_dir = jobs_dir(&st.workers[&wid].dir);
+    for (cid, remote_id) in held_by(st, wid) {
+        if let Ok(text) = std::fs::read_to_string(manifest_file(&jobs_dir, remote_id)) {
             let file = st.chunks[&cid].spec.manifest_file_name();
-            let (phase, error) = merge_chunk(inner, &file, &text);
-            if phase == ChunkPhase::Done {
+            if merge_chunk(inner, st, cid, wid, &file, &text) {
                 st.recovered_manifests += 1;
-                if let Some(w) = st.workers.get_mut(&wid) {
-                    w.done += 1;
-                }
             }
-            let c = st.chunks.get_mut(&cid).expect("held chunk");
-            c.phase = phase;
-            c.error = error;
-            persist_chunk(&inner.chunks_dir, cid, c);
-        } else if newest_snapshot(&jobs_dir, remote_id)
-            .is_some_and(|bytes| write_atomic(&inner.stash_file(cid), &bytes).is_ok())
-        {
+            continue;
+        }
+        let resumed = newest_snapshot(&jobs_dir, remote_id)
+            .is_some_and(|bytes| write_atomic(&inner.stash_file(cid), &bytes).is_ok());
+        if resumed {
             st.resumed_chunks += 1;
-            let c = st.chunks.get_mut(&cid).expect("held chunk");
-            c.phase = ChunkPhase::Pending;
-            c.redispatches += 1;
-            c.resumed = true;
-            persist_chunk(&inner.chunks_dir, cid, c);
         } else {
             st.restarted_chunks += 1;
-            let c = st.chunks.get_mut(&cid).expect("held chunk");
-            c.phase = ChunkPhase::Pending;
-            c.redispatches += 1;
-            persist_chunk(&inner.chunks_dir, cid, c);
         }
+        let c = st.chunks.get_mut(&cid).expect("held chunk");
+        c.phase = ChunkPhase::Pending;
+        c.redispatches += 1;
+        c.resumed |= resumed;
+        persist_chunk(&inner.chunks_dir, cid, c);
     }
 }
 
 /// The scheduler thread: heartbeat, poll, dispatch, recover — then wait
-/// with capped backoff (any op wakes it immediately).
-fn scheduler(inner: &FleetInner, floor: Duration, cap: Duration) {
-    let mut backoff = Backoff::new(floor, cap);
+/// with capped backoff, unless a `register`, `submit` or `shutdown` came
+/// in during the round (one that comes in during the wait ends it).
+fn scheduler(inner: &FleetInner) {
+    let mut backoff = Backoff::new(inner.heartbeat.0, inner.heartbeat.1);
     while !inner.stopping() {
         let plan = plan_round(inner);
+        let wakes = plan.wakes;
         let result = execute_round(inner, plan);
         if apply_round(inner, result) {
             backoff.reset();
         }
-        let guard = inner.state.lock().expect("fleet lock");
-        if inner.stopping() {
-            return;
+        let st = lock(&inner.state);
+        if st.wakes == wakes && !inner.stopping() {
+            let _ = wait(&inner.changed, st, backoff.step());
         }
-        let _ = inner.changed.wait_timeout(guard, backoff.step()).expect("fleet lock");
     }
 }
 
@@ -615,7 +558,7 @@ fn fleet_status_json(inner: &FleetInner, st: &FleetState) -> Json {
         wj.set("alive", Json::Bool(w.alive));
         wj.set("misses", Json::U64(u64::from(w.misses)));
         wj.set("slots", Json::U64(w.slots));
-        wj.set("in_flight", Json::U64(in_flight(st, wid)));
+        wj.set("in_flight", Json::U64(held_by(st, wid).len() as u64));
         wj.set("done", Json::U64(w.done));
         workers.push(wj);
     }
@@ -663,7 +606,7 @@ fn handle_register(inner: &FleetInner, req: &Json) -> Json {
     let dir = PathBuf::from(dir);
     let dir = std::fs::canonicalize(&dir).unwrap_or(dir);
     let slots = req.get("slots").and_then(Json::as_u64).unwrap_or(1).max(1);
-    let mut st = inner.state.lock().expect("fleet lock");
+    let mut st = lock(&inner.state);
     let id = match st.workers.iter().find(|(_, w)| w.dir == dir).map(|(&id, _)| id) {
         Some(id) => {
             let w = st.workers.get_mut(&id).expect("found above");
@@ -673,7 +616,7 @@ fn handle_register(inner: &FleetInner, req: &Json) -> Json {
             id
         }
         None => {
-            let id = st.next_worker.max(1);
+            let id = st.next_worker;
             st.next_worker = id + 1;
             st.workers
                 .insert(id, WorkerState { dir, slots, alive: true, misses: 0, done: 0 });
@@ -681,6 +624,7 @@ fn handle_register(inner: &FleetInner, req: &Json) -> Json {
         }
     };
     persist_worker(&inner.workers_dir, id, &st.workers[&id]);
+    st.wakes += 1;
     inner.changed.notify_all();
     let mut r = ok_response();
     r.set("worker", Json::U64(id));
@@ -696,7 +640,7 @@ fn handle_submit(inner: &FleetInner, capacity: usize, req: &Json) -> Json {
         Ok(spec) => spec,
         Err(e) => return err_response(&ServiceError::Protocol(e.0).to_string()),
     };
-    let mut st = inner.state.lock().expect("fleet lock");
+    let mut st = lock(&inner.state);
     let open = st
         .chunks
         .values()
@@ -705,7 +649,7 @@ fn handle_submit(inner: &FleetInner, capacity: usize, req: &Json) -> Json {
     if open >= capacity {
         return err_response("fleet queue full; retry later");
     }
-    let id = st.next_chunk.max(1);
+    let id = st.next_chunk;
     st.next_chunk = id + 1;
     let chunk = ChunkState {
         spec,
@@ -716,6 +660,7 @@ fn handle_submit(inner: &FleetInner, capacity: usize, req: &Json) -> Json {
     };
     persist_chunk(&inner.chunks_dir, id, &chunk);
     st.chunks.insert(id, chunk);
+    st.wakes += 1;
     inner.changed.notify_all();
     let mut r = ok_response();
     r.set("id", Json::U64(id));
@@ -725,14 +670,12 @@ fn handle_submit(inner: &FleetInner, capacity: usize, req: &Json) -> Json {
 /// Handles the coordinator's `metrics` op: fans out to every live
 /// worker and aggregates, then attaches the coordinator's own view.
 fn handle_metrics(inner: &FleetInner) -> Json {
-    let worker_dirs: Vec<(u64, PathBuf)> = {
-        let st = inner.state.lock().expect("fleet lock");
-        st.workers
-            .iter()
-            .filter(|(_, w)| w.alive)
-            .map(|(&id, w)| (id, w.dir.clone()))
-            .collect()
-    };
+    let worker_dirs: Vec<(u64, PathBuf)> = lock(&inner.state)
+        .workers
+        .iter()
+        .filter(|(_, w)| w.alive)
+        .map(|(&id, w)| (id, w.dir.clone()))
+        .collect();
     let mut bodies = Vec::new();
     for (id, dir) in worker_dirs {
         if let Ok(metrics) =
@@ -744,92 +687,66 @@ fn handle_metrics(inner: &FleetInner) -> Json {
     let refs: Vec<(u64, &Json)> = bodies.iter().map(|(id, j)| (*id, j)).collect();
     let mut m = aggregate_node_metrics(&refs);
     m.set("uptime_secs", Json::F64(inner.started.elapsed().as_secs_f64()));
-    let st = inner.state.lock().expect("fleet lock");
-    m.set("fleet", fleet_status_json(inner, &st));
+    m.set("fleet", fleet_status_json(inner, &lock(&inner.state)));
     let mut r = ok_response();
     r.set("metrics", m);
     r
 }
 
-/// Serves one coordinator connection.
-fn handle_conn(stream: TcpStream, inner: Arc<FleetInner>, opts: FleetOptions, addr: std::net::SocketAddr) {
-    let Ok(reader) = stream.try_clone() else { return };
-    let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+/// The coordinator's op table: answers one request, or writes its own
+/// line (the `shutdown` acknowledgement) and returns `None`.
+fn handle(
+    inner: &FleetInner,
+    capacity: usize,
+    req: &Json,
+    out: &mut impl Write,
+) -> std::io::Result<Option<Json>> {
+    Ok(Some(match req.get("op").and_then(Json::as_str) {
+        Some("ping") => {
+            let st = lock(&inner.state);
+            let mut r = ok_response();
+            r.set("service", Json::Str("vcfr-fleet".to_string()));
+            r.set("workers", Json::U64(st.workers.values().filter(|w| w.alive).count() as u64));
+            r.set("jobs", Json::U64(st.chunks.len() as u64));
+            r
         }
-        let resp = match parse_json(&line) {
-            Err(e) => err_response(&format!("malformed request: {e}")),
-            Ok(req) => match req.get("op").and_then(Json::as_str) {
-                Some("ping") => {
-                    let st = inner.state.lock().expect("fleet lock");
-                    let mut r = ok_response();
-                    r.set("service", Json::Str("vcfr-fleet".to_string()));
-                    r.set(
-                        "workers",
-                        Json::U64(st.workers.values().filter(|w| w.alive).count() as u64),
-                    );
-                    r.set("jobs", Json::U64(st.chunks.len() as u64));
-                    r
-                }
-                Some("register") => handle_register(&inner, &req),
-                Some("submit") => handle_submit(&inner, opts.chunk_capacity, &req),
-                Some("status") => {
-                    let st = inner.state.lock().expect("fleet lock");
-                    let mut r = ok_response();
-                    r.set("fleet", fleet_status_json(&inner, &st));
-                    r
-                }
-                Some("metrics") => handle_metrics(&inner),
-                Some("shutdown") => {
-                    // `workers: false` leaves the worker daemons up
-                    // (they keep draining their local queues).
-                    let stop_workers =
-                        !matches!(req.get("workers"), Some(Json::Bool(false)));
-                    if send_lines(&mut writer, [&ok_response()]).is_err() {
-                        return;
-                    }
-                    if stop_workers {
-                        let dirs: Vec<PathBuf> = {
-                            let st = inner.state.lock().expect("fleet lock");
-                            st.workers
-                                .values()
-                                .filter(|w| w.alive)
-                                .map(|w| w.dir.clone())
-                                .collect()
-                        };
-                        for dir in dirs {
-                            let _ = Client::connect_within(&dir, inner.rpc_timeout)
-                                .and_then(|mut c| c.shutdown());
-                        }
-                    }
-                    inner.stopping.store(true, Ordering::SeqCst);
-                    inner.changed.notify_all();
-                    let _ = TcpStream::connect(addr);
-                    return;
-                }
-                _ => err_response("unknown op"),
-            },
-        };
-        if send_lines(&mut writer, [&resp]).is_err() {
-            return;
+        Some("register") => handle_register(inner, req),
+        Some("submit") => handle_submit(inner, capacity, req),
+        Some("status") => {
+            let mut r = ok_response();
+            r.set("fleet", fleet_status_json(inner, &lock(&inner.state)));
+            r
         }
-    }
+        Some("metrics") => handle_metrics(inner),
+        Some("shutdown") => {
+            // `workers: false` leaves the worker daemons up (they keep
+            // draining their local queues).
+            let stop_workers = !matches!(req.get("workers"), Some(Json::Bool(false)));
+            send_lines(out, [&ok_response()])?;
+            if stop_workers {
+                let dirs: Vec<PathBuf> = lock(&inner.state)
+                    .workers
+                    .values()
+                    .filter(|w| w.alive)
+                    .map(|w| w.dir.clone())
+                    .collect();
+                for dir in dirs {
+                    let _ = Client::connect_within(&dir, inner.rpc_timeout)
+                        .and_then(|mut c| c.shutdown());
+                }
+            }
+            inner.stopping.store(true, Ordering::SeqCst);
+            lock(&inner.state).wakes += 1;
+            inner.changed.notify_all();
+            return Ok(None);
+        }
+        _ => err_response("unknown op"),
+    }))
 }
 
-/// Runs the fleet coordinator until a client sends `shutdown`: binds
-/// 127.0.0.1, reloads the worker registry and chunk table, starts the
-/// scheduler, writes the endpoint file last, then accepts JSON-lines
-/// clients (`register` / `submit` / `status` / `metrics` / `shutdown`).
-///
-/// # Errors
-///
-/// [`ServiceError::Io`] when the state directory or socket cannot be
-/// set up. Per-chunk and per-worker failures never abort the
-/// coordinator — they are recorded in the chunk table.
-pub fn serve_fleet(opts: &FleetOptions) -> Result<(), ServiceError> {
+/// Creates the coordinator's state directories and reloads its worker
+/// registry and chunk table.
+fn open(opts: &FleetOptions) -> std::io::Result<FleetInner> {
     let workers_dir = opts.dir.join("workers");
     let chunks_dir = opts.dir.join("chunks");
     let manifests_dir = opts.dir.join("results").join("manifests");
@@ -838,42 +755,48 @@ pub fn serve_fleet(opts: &FleetOptions) -> Result<(), ServiceError> {
     std::fs::create_dir_all(&manifests_dir)?;
     let state = load_state(&workers_dir, &chunks_dir);
     let floor = Duration::from_millis(opts.heartbeat_ms.max(1));
-    let cap = Duration::from_millis(opts.heartbeat_cap_ms.max(opts.heartbeat_ms.max(1)));
+    let cap = Duration::from_millis(opts.heartbeat_cap_ms).max(floor);
     let lost_after = opts.lost_after.max(1);
-    let inner = Arc::new(FleetInner {
+    Ok(FleetInner {
         workers_dir,
         chunks_dir,
         manifests_dir,
         lost_after,
+        heartbeat: (floor, cap),
         rpc_timeout: cap.saturating_mul(lost_after),
-        stopping: AtomicBool::new(false),
+        stopping: Arc::default(),
         state: Mutex::new(state),
         changed: Condvar::new(),
         started: Instant::now(),
-    });
+    })
+}
 
+/// Runs the fleet coordinator until a client sends `shutdown`: binds
+/// 127.0.0.1, reloads the worker registry and chunk table, starts the
+/// scheduler, then serves JSON-lines clients (`register` / `submit` /
+/// `status` / `metrics` / `shutdown`). The endpoint file goes once the
+/// scheduler has joined.
+///
+/// # Errors
+///
+/// [`ServiceError::Io`] when the state directory or socket cannot be
+/// set up. Per-chunk and per-worker failures never abort the
+/// coordinator — they are recorded in the chunk table.
+pub fn serve_fleet(opts: &FleetOptions) -> Result<(), ServiceError> {
+    let inner = Arc::new(open(opts)?);
     let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
-    let addr = listener.local_addr()?;
-
     let sched_inner = Arc::clone(&inner);
-    let sched = std::thread::spawn(move || scheduler(&sched_inner, floor, cap));
-
-    // The endpoint file is the last thing written: once it exists,
-    // workers may register and clients may submit.
-    write_atomic(&opts.dir.join(ENDPOINT_FILE), format!("{addr}\n").as_bytes())?;
-
-    for conn in listener.incoming() {
-        if inner.stopping() {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let inner = Arc::clone(&inner);
-        let opts = opts.clone();
-        std::thread::spawn(move || handle_conn(stream, inner, opts, addr));
-    }
-
-    let _ = sched.join();
-    let _ = std::fs::remove_file(opts.dir.join(ENDPOINT_FILE));
+    let sched = std::thread::spawn(move || scheduler(&sched_inner));
+    let capacity = opts.chunk_capacity;
+    serve_lines(
+        &opts.dir,
+        listener,
+        Arc::clone(&inner.stopping),
+        move |req, out| handle(&inner, capacity, req, out),
+        || {
+            let _ = sched.join();
+        },
+    )?;
     Ok(())
 }
 
@@ -892,5 +815,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert!(st.chunks.is_empty());
         assert_eq!(st.next_chunk, 5, "chunk 4's file is not overwritten by the next submit");
+    }
+
+    /// A coordinator's state over a fresh directory.
+    fn temp_fleet(tag: &str) -> (PathBuf, FleetInner) {
+        let dir = std::env::temp_dir().join(format!("vcfr-fleet-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = FleetOptions { dir: dir.clone(), ..FleetOptions::default() };
+        (dir, open(&opts).expect("state directories"))
+    }
+
+    fn request(op: &str) -> Json {
+        let mut req = Json::obj();
+        req.set("op", Json::Str(op.to_string()));
+        req
+    }
+
+    #[test]
+    fn a_panic_holding_the_fleet_state_costs_only_its_own_thread() {
+        let (dir, inner) = temp_fleet("poisoned");
+        std::thread::scope(|s| {
+            let planted = s.spawn(|| {
+                let _st = inner.state.lock();
+                panic!("a handler panics while it holds the fleet state");
+            });
+            assert!(planted.join().is_err());
+        });
+        assert!(inner.state.is_poisoned());
+        let mut submit = request("submit");
+        submit.set("job", RunSpec::new("bzip2").to_json());
+        let submitted = handle(&inner, 1, &submit, &mut Vec::new()).expect("answers");
+        let plan = plan_round(&inner);
+        let status = handle(&inner, 1, &request("status"), &mut Vec::new()).expect("answers");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(submitted.and_then(|r| r.get("id").and_then(Json::as_u64)), Some(1));
+        assert!(plan.polls.is_empty() && plan.dispatches.is_empty(), "no worker to plan for");
+        let pending =
+            status.and_then(|r| r.get_path("fleet.chunks.pending").and_then(Json::as_u64));
+        assert_eq!(pending, Some(1));
+    }
+
+    #[test]
+    fn a_lost_workers_finished_chunk_merges_and_drops_its_stash() {
+        let (dir, inner) = temp_fleet("recover");
+        // Chunk 1 resumed on worker 1 from a stashed checkpoint, finished
+        // as its job 7, and the worker died before the next poll.
+        let worker = dir.join("worker");
+        let jobs = jobs_dir(&worker);
+        std::fs::create_dir_all(&jobs).expect("worker jobs dir");
+        std::fs::write(manifest_file(&jobs, 7), "{}\n").expect("write manifest");
+        std::fs::write(inner.stash_file(1), b"an earlier worker's checkpoint").expect("stash");
+        let spec = RunSpec::new("bzip2");
+        let file = spec.manifest_file_name();
+        let mut st = lock(&inner.state);
+        st.workers
+            .insert(1, WorkerState { dir: worker, slots: 1, alive: false, misses: 3, done: 0 });
+        let phase = ChunkPhase::Dispatched { worker: 1, remote_id: 7 };
+        st.chunks
+            .insert(1, ChunkState { spec, phase, redispatches: 1, resumed: true, error: None });
+        recover_lost_worker(&inner, &mut st, 1);
+        let outcome = (st.chunks[&1].phase, st.recovered_manifests, st.workers[&1].done);
+        drop(st);
+        let stashed = inner.stash_file(1).exists();
+        let merged = std::fs::read_to_string(inner.manifests_dir.join(file)).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(outcome, (ChunkPhase::Done, 1, 1));
+        assert_eq!(merged, "{}\n");
+        assert!(!stashed, "the merged chunk's stashed checkpoint is removed");
     }
 }

@@ -15,6 +15,10 @@
 //! manifests into one canonical tree that is byte-identical to a
 //! single-daemon run.
 //!
+//! Both services run one core (`server.rs`): the JSON-lines server loop,
+//! the `<kind>-<id>.json` record store, and a lock discipline under
+//! which a panicking handler costs only its own connection.
+//!
 //! The wire protocol, the on-disk job layout, and the checkpoint
 //! versioning policy are documented in `docs/service.md`; the fleet
 //! layer (topology, heartbeat/re-dispatch semantics, failure matrix)
@@ -27,12 +31,12 @@ mod daemon;
 mod fleet;
 mod metrics;
 mod protocol;
+mod server;
 
 pub use client::Client;
 pub use daemon::{serve, ServeOptions};
 pub use fleet::{serve_fleet, FleetOptions};
-pub use metrics::{aggregate_node_metrics, MetricsHub};
-pub use protocol::{JobPhase, ServiceError, ENDPOINT_FILE};
+pub use protocol::{ServiceError, ENDPOINT_FILE};
 /// The wire job is the shared run description; this name stays for the
 /// benchmark harness, which imports it.
 pub use vcfr_bench::RunSpec as JobSpec;

@@ -8,6 +8,7 @@
 //! the daemon alone. None of it ever feeds back into manifests or
 //! checkpoints.
 
+use crate::server::lock;
 use std::sync::Mutex;
 use std::time::Instant;
 use vcfr_bench::PoolSnapshot;
@@ -34,15 +35,9 @@ struct HubState {
 /// finish; the `metrics` op reads it out together with a
 /// [`PoolSnapshot`].
 #[derive(Debug)]
-pub struct MetricsHub {
+pub(crate) struct MetricsHub {
     started: Instant,
     state: Mutex<HubState>,
-}
-
-impl Default for MetricsHub {
-    fn default() -> MetricsHub {
-        MetricsHub::new()
-    }
 }
 
 impl MetricsHub {
@@ -59,7 +54,7 @@ impl MetricsHub {
     /// Records one finished job: its wall-clock latency, outcome, and
     /// how many instructions it retired.
     pub fn record_job(&self, latency_ms: u64, ok: bool, instructions: u64) {
-        let mut st = self.state.lock().expect("metrics lock");
+        let mut st = lock(&self.state);
         st.job_latency_ms.record(latency_ms);
         if ok {
             st.jobs_done += 1;
@@ -71,7 +66,7 @@ impl MetricsHub {
 
     /// Counts one progress event emitted by a worker's telemetry tap.
     pub fn record_progress_event(&self) {
-        self.state.lock().expect("metrics lock").progress_events += 1;
+        lock(&self.state).progress_events += 1;
     }
 
     /// Builds the `metrics` response body. `pool` is the worker pool's
@@ -84,7 +79,7 @@ impl MetricsHub {
         jobs_by_phase: (u64, u64, u64, u64),
         insts_in_flight: u64,
     ) -> Json {
-        let st = self.state.lock().expect("metrics lock");
+        let st = lock(&self.state);
         let uptime = self.uptime_secs();
         let total_insts = st.insts_finished + insts_in_flight;
 
@@ -137,7 +132,7 @@ impl MetricsHub {
 /// are merged (associative, so any merge order yields the same bytes).
 /// `uptime_secs` is deliberately absent — it belongs to whoever serves
 /// the aggregate (the coordinator), not to any node.
-pub fn aggregate_node_metrics(nodes: &[(u64, &Json)]) -> Json {
+pub(crate) fn aggregate_node_metrics(nodes: &[(u64, &Json)]) -> Json {
     let num = |j: &Json, path: &str| j.get_path(path).and_then(Json::as_u64).unwrap_or(0);
     let fnum = |j: &Json, path: &str| j.get_path(path).and_then(Json::as_f64).unwrap_or(0.0);
 

@@ -16,7 +16,7 @@ pub const ENDPOINT_FILE: &str = "endpoint";
 
 /// Where a job is in its lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobPhase {
+pub(crate) enum JobPhase {
     /// Admitted (or re-admitted after a restart), waiting for a worker.
     Queued,
     /// A worker is simulating it right now.

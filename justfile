@@ -23,9 +23,10 @@ sim-smoke:
 
 # Determinism harness: 30 RunSpec cells (engines x modes x rerand x
 # faults), each re-run on two workers, with superblocks off, with the
-# telemetry tap, in the daemon's checkpointed chunks and through a
-# mid-run restore; every canonical manifest must stay byte-identical
-# (see docs/architecture.md, "Determinism invariants").
+# telemetry tap, in the daemon's checkpointed chunks, through a
+# mid-run restore and through an in-process daemon; every canonical
+# manifest must stay byte-identical (see docs/architecture.md,
+# "Determinism invariants").
 determinism:
     cargo test --release --test determinism
 

@@ -11,9 +11,11 @@
 
 use std::error::Error;
 use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
 use vcfr_bench::{parallel_map, ModeSpec, RunSpec};
 use vcfr_obs::{Json, Manifest};
 use vcfr_rewriter::RandomizedProgram;
+use vcfr_service::{serve, Client, ServeOptions};
 use vcfr_sim::{EngineKind, Session, SessionOutcome, SessionStatus};
 use vcfr_workloads::Workload;
 
@@ -33,7 +35,7 @@ const SPLIT: u64 = 5_555;
 
 /// A way of executing a run that must not change its result. Every run
 /// finishes through the one run loop, `RunSpec::execute`; all but
-/// Chunked and Restore run it as one chunk.
+/// Chunked, Restore and Served run it as one chunk.
 #[derive(Clone, Copy, Debug)]
 enum Perturbation {
     /// Two workers and nothing else: the matrix and campaign fan-out.
@@ -51,8 +53,13 @@ enum Perturbation {
     /// checkpoint in a fresh untapped session and finished in the
     /// daemon's chunks: the daemon's resume and the fleet's re-dispatch.
     Restore,
+    /// The daemon itself: every cell goes to one in-process `serve` with
+    /// two workers and a queue that holds them all, and is watched to
+    /// its end and fetched over the wire (see [`served`]).
+    Served,
 }
 
+/// The perturbations that run in this process, through [`perturbed`].
 const PERTURBATIONS: [Perturbation; 5] = [
     Perturbation::Workers,
     Perturbation::NoSuperblocks,
@@ -154,7 +161,46 @@ fn perturbed(spec: &RunSpec, app: &Prepared, p: Perturbation) -> Fallible<Sessio
             }
             Ok(out)
         }
+        Perturbation::Served => unreachable!("served cells run through one daemon"),
     }
+}
+
+/// Runs every cell through one in-process daemon, as `vcfr submit
+/// --watch` and the fleet do: submits them all, then watches each to its
+/// end and fetches its manifest text.
+fn served(cells: &[RunSpec]) -> Fallible<Vec<Fallible<String>>> {
+    let dir = std::env::temp_dir().join(format!("vcfr-determinism-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ServeOptions {
+        dir: dir.clone(),
+        workers: 2,
+        queue_capacity: cells.len(),
+        ..ServeOptions::default()
+    };
+    let daemon = std::thread::spawn(move || serve(&opts));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut client = loop {
+        match Client::connect(&dir) {
+            Ok(client) => break client,
+            Err(e) if Instant::now() > deadline => return Err(e.into()),
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        }
+    };
+    let ids: Vec<_> = cells.iter().map(|spec| client.submit(spec)).collect();
+    let mut fetch = |id| -> Fallible<String> {
+        client.watch(id, |_| {})?;
+        match client.fetch(id)? {
+            (_, Some((_, text))) => Ok(text),
+            (job, None) => {
+                Err(format!("the job ended without a manifest: {}", job.compact()).into())
+            }
+        }
+    };
+    let texts = ids.into_iter().map(|id| fetch(id?)).collect();
+    client.shutdown()?;
+    daemon.join().map_err(|_| "the daemon panicked")??;
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(texts)
 }
 
 /// What every reference manifest must hold: a passing audit, its
@@ -213,7 +259,13 @@ fn no_perturbation_changes_a_manifest_byte() {
             .map(|out| spec.manifest(&out, Json::obj()).canonical_bytes())
             .map_err(|e| e.to_string())
     });
-    for ((c, p), got) in runs.into_iter().zip(manifests) {
+    let served = match served(&cells) {
+        Ok(texts) => texts.into_iter().map(|got| got.map_err(|e| e.to_string())).collect(),
+        Err(e) => vec![Err(format!("the daemon failed: {e}")); cells.len()],
+    };
+    let runs = runs.into_iter().zip(manifests);
+    let served = served.into_iter().enumerate().map(|(c, got)| ((c, Perturbation::Served), got));
+    for ((c, p), got) in runs.chain(served) {
         let Ok(want) = &references[c] else { continue };
         match got {
             Ok(bytes) if bytes == want.canonical_bytes() => {}

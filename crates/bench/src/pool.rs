@@ -3,6 +3,7 @@
 //! batch-simulation service schedules jobs on.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -169,7 +170,11 @@ impl<J: Send + 'static> WorkerPool<J> {
                     };
                     let Some(job) = job else { return };
                     let t = Instant::now();
-                    handler(job);
+                    // A job that panics costs only itself: the worker
+                    // thread lives on and the job still leaves
+                    // `in_flight`. Recording the failure is the handler's
+                    // business.
+                    let _ = panic::catch_unwind(AssertUnwindSafe(|| handler(job)));
                     {
                         let mut stats = shared.stats.lock().expect("stats lock");
                         stats[w].jobs += 1;
@@ -297,6 +302,29 @@ mod tests {
             assert!((0.0..=1.0).contains(&snap.utilization(i)));
         }
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_job_that_panics_leaves_its_worker_running() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        let pool = Arc::new(WorkerPool::new(1, 4, move |n: usize| {
+            assert!(n != 0, "job 0 panics");
+            r.fetch_add(1, Ordering::SeqCst);
+        }));
+        pool.try_submit(0).expect("queue has room");
+        pool.try_submit(1).expect("queue has room");
+        // Drained off-thread, so a pool whose worker died fails the bound
+        // instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let drainer = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            drainer.drain();
+            let _ = tx.send(drainer.pending());
+        });
+        let pending = rx.recv_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(pending, Ok(0), "drain returns with nothing pending");
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "job 1 ran on the same worker");
     }
 
     #[test]

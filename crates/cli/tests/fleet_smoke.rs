@@ -46,6 +46,12 @@ fn spawn(args: &[&str], dir_flag: &str, dir: &Path) -> Proc {
     Proc(child)
 }
 
+/// Sends `signal` (`-STOP`, `-CONT`) to the process with `kill(1)`.
+fn signal(proc: &Proc, signal: &str) {
+    let sent = Command::new("kill").arg(signal).arg(proc.0.id().to_string()).status();
+    assert!(sent.is_ok_and(|s| s.success()), "kill {signal} failed");
+}
+
 fn wait_for(what: &str, mut ready: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(120);
     while !ready() {
@@ -132,8 +138,16 @@ fn killed_worker_chunks_resume_and_merge_bit_identically() {
 
     // As soon as worker 1 has an interrupted job snapshotted to disk,
     // pull the plug on it — its chunks must be re-dispatched from the
-    // checkpoints left behind.
-    wait_for("a mid-run checkpoint on worker 1", || has_unfinished_ckpt(&w1));
+    // checkpoints left behind. The disk is checked while the worker is
+    // frozen, so the job cannot finish between the check and the kill.
+    wait_for("a mid-run checkpoint on worker 1", || {
+        signal(&worker1, "-STOP");
+        let mid_run = has_unfinished_ckpt(&w1);
+        if !mid_run {
+            signal(&worker1, "-CONT");
+        }
+        mid_run
+    });
     drop(worker1); // SIGKILL, mid-campaign
 
     let merged = fleet.join("results").join("manifests");

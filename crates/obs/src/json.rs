@@ -57,6 +57,19 @@ impl Json {
         }
     }
 
+    /// Removes `key` from an object and returns its value, so a caller
+    /// that drops the rest of a document keeps a subtree without copying
+    /// it.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => {
+                let i = pairs.iter().position(|(k, _)| k == key)?;
+                Some(pairs.remove(i).1)
+            }
+            _ => None,
+        }
+    }
+
     /// Follows a dotted path (`"sim.il1.miss"`) through nested objects.
     pub fn get_path(&self, path: &str) -> Option<&Json> {
         let mut cur = self;
@@ -515,6 +528,15 @@ mod tests {
             w.set("k", Json::U64(2));
             w
         });
+    }
+
+    #[test]
+    fn take_moves_a_value_out() {
+        let mut v = parse_json(r#"{"a": 1, "b": {"c": [2]}, "d": 3}"#).unwrap();
+        assert_eq!(v.take("b"), parse_json(r#"{"c": [2]}"#).ok());
+        assert_eq!(v.take("b"), None);
+        assert_eq!(v.compact(), r#"{"a":1,"d":3}"#, "the other keys keep their order");
+        assert_eq!(Json::U64(1).take("a"), None);
     }
 
     #[test]

@@ -151,16 +151,12 @@ impl Client {
     pub fn fetch(&mut self, id: u64) -> Result<(Json, Option<(String, String)>), ServiceError> {
         let mut req = Self::op("fetch");
         req.set("id", Json::U64(id));
-        let resp = Self::expect_ok(self.roundtrip(&req)?)?;
+        let mut resp = Self::expect_ok(self.roundtrip(&req)?)?;
         let job = resp
-            .get("job")
-            .cloned()
+            .take("job")
             .ok_or_else(|| ServiceError::Protocol("fetch response lacks a job".to_string()))?;
-        let manifest = match (
-            resp.get("file").and_then(Json::as_str),
-            resp.get("manifest").and_then(Json::as_str),
-        ) {
-            (Some(f), Some(m)) => Some((f.to_string(), m.to_string())),
+        let manifest = match (resp.take("file"), resp.take("manifest")) {
+            (Some(Json::Str(f)), Some(Json::Str(m))) => Some((f, m)),
             _ => None,
         };
         Ok((job, manifest))
@@ -191,20 +187,22 @@ impl Client {
     ///
     /// Propagates transport and protocol failures.
     pub fn fleet_status(&mut self) -> Result<Json, ServiceError> {
-        let resp = Self::expect_ok(self.roundtrip(&Self::op("status"))?)?;
-        resp.get("fleet")
-            .cloned()
+        Self::expect_ok(self.roundtrip(&Self::op("status"))?)?
+            .take("fleet")
             .ok_or_else(|| ServiceError::Protocol("status response lacks a fleet body".to_string()))
     }
 
-    /// Lists every job the daemon knows about, as status objects.
+    /// Lists the jobs the daemon holds in memory, as status objects: its
+    /// open jobs and its most recently finished ones.
     ///
     /// # Errors
     ///
     /// Propagates transport and protocol failures.
     pub fn jobs(&mut self) -> Result<Vec<Json>, ServiceError> {
-        let resp = Self::expect_ok(self.roundtrip(&Self::op("jobs"))?)?;
-        Ok(resp.get("jobs").and_then(Json::as_arr).unwrap_or(&[]).to_vec())
+        match Self::expect_ok(self.roundtrip(&Self::op("jobs"))?)?.take("jobs") {
+            Some(Json::Arr(jobs)) => Ok(jobs),
+            _ => Ok(Vec::new()),
+        }
     }
 
     /// Streams status events for `id`, invoking `on_event` per line,
@@ -218,6 +216,20 @@ impl Client {
         id: u64,
         mut on_event: impl FnMut(&Json),
     ) -> Result<(), ServiceError> {
+        self.watch_while(id, |line| {
+            on_event(line);
+            true
+        })
+        .map(drop)
+    }
+
+    /// [`Client::watch`], but it stops reading as soon as `on_event`
+    /// returns `false`. Returns whether the stream reached `end`.
+    pub(crate) fn watch_while(
+        &mut self,
+        id: u64,
+        mut on_event: impl FnMut(&Json) -> bool,
+    ) -> Result<bool, ServiceError> {
         let mut req = Self::op("watch");
         req.set("id", Json::U64(id));
         send_lines(&mut self.writer, [&req])?;
@@ -227,9 +239,11 @@ impl Client {
                 return Err(ServiceError::Protocol(err.to_string()));
             }
             if line.get("event").and_then(Json::as_str) == Some("end") {
-                return Ok(());
+                return Ok(true);
             }
-            on_event(&line);
+            if !on_event(&line) {
+                return Ok(false);
+            }
         }
     }
 
@@ -241,9 +255,8 @@ impl Client {
     ///
     /// Propagates transport and protocol failures.
     pub fn metrics(&mut self) -> Result<Json, ServiceError> {
-        let resp = Self::expect_ok(self.roundtrip(&Self::op("metrics"))?)?;
-        resp.get("metrics")
-            .cloned()
+        Self::expect_ok(self.roundtrip(&Self::op("metrics"))?)?
+            .take("metrics")
             .ok_or_else(|| ServiceError::Protocol("metrics response lacks a body".to_string()))
     }
 

@@ -17,17 +17,17 @@
 
 use crate::metrics::MetricsHub;
 use crate::protocol::{err_response, hex_decode, ok_response, send_lines, JobPhase, ServiceError};
-use crate::server::{lock, read_records, record_file, serve_lines, wait, write_record};
-use std::collections::BTreeMap;
+use crate::server::{lock, read_records, record_file, serve_lines, wait, write_record, Retained};
 use std::io::Write;
 use std::net::TcpListener;
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use vcfr_bench::{write_atomic, RunSpec, WorkerPool};
-use vcfr_obs::{Backoff, Json, ProgressEvent};
+use vcfr_obs::{parse_json, Backoff, Json, ProgressEvent};
 use vcfr_sim::{checkpoint_is_whole, VcfrError};
 
 /// How the daemon is configured.
@@ -88,10 +88,17 @@ impl JobState {
     }
 }
 
+/// Finished jobs the registry keeps in memory beside its open ones. An
+/// older finished job answers `status`, `fetch` and `watch` from its
+/// record and manifest on disk.
+const KEEP_FINISHED: usize = 64;
+
 struct Inner {
     jobs_dir: PathBuf,
     stopping: Arc<AtomicBool>,
-    jobs: Mutex<BTreeMap<u64, JobState>>,
+    /// The job registry: every open job plus the [`KEEP_FINISHED`] most
+    /// recently finished ones.
+    jobs: Mutex<Retained<JobState, KEEP_FINISHED>>,
     /// The id the next `submit` gets.
     next_id: AtomicU64,
     changed: Condvar,
@@ -112,10 +119,26 @@ impl Inner {
     /// Mutates one registry entry without waking anyone: watchers pick
     /// the change up at their next wakeup.
     fn note<F: FnOnce(&mut JobState)>(&self, id: u64, f: F) {
-        if let Some(st) = lock(&self.jobs).get_mut(&id) {
+        if let Some(st) = lock(&self.jobs).live.get_mut(&id) {
             f(st);
             st.seq += 1;
         }
+    }
+
+    /// Ends job `id`: `f` sets its terminal phase, the job's record is
+    /// written and the job retires from the registry, all before any
+    /// watcher wakes. A job seen finished has its final record on disk.
+    fn finish<F: FnOnce(&mut JobState)>(&self, id: u64, f: F) {
+        {
+            let mut jobs = lock(&self.jobs);
+            let Some(st) = jobs.live.get_mut(&id) else { return };
+            f(st);
+            st.seq += 1;
+            let _ = persist_job(&self.jobs_dir, id, st);
+            let done = st.phase == JobPhase::Done;
+            jobs.retire(id, done);
+        }
+        self.changed.notify_all();
     }
 }
 
@@ -215,13 +238,54 @@ pub(crate) fn newest_snapshot(dir: &Path, id: u64) -> Option<Vec<u8>> {
         .find(|bytes| checkpoint_is_whole(bytes))
 }
 
-/// Persists one job's spec + phase (progress lives in the checkpoint).
+/// Persists one job's spec, phase and status counters (a running job's
+/// progress lives in its checkpoint; a finished job's counters are final,
+/// so its status can be answered from here).
 fn persist_job(dir: &Path, id: u64, st: &JobState) -> std::io::Result<()> {
     write_record(dir, JOB, id, |j| {
         j.set("spec", st.spec.to_json());
         j.set("phase", Json::Str(st.phase.as_str().to_string()));
         j.set("error", st.error.clone().map_or(Json::Null, Json::Str));
+        j.set("instructions", Json::U64(st.instructions));
+        j.set("cycles", Json::U64(st.cycles));
+        j.set("checkpoints", Json::U64(st.checkpoints));
     })
+}
+
+/// A job as its record describes it; `None` when admission refuses the
+/// record's spec.
+fn job_from_record(doc: &Json) -> Option<JobState> {
+    let spec = doc.get("spec").and_then(|s| RunSpec::from_json(s).ok())?;
+    let phase = doc
+        .get("phase")
+        .and_then(Json::as_str)
+        .and_then(JobPhase::from_disk)
+        .unwrap_or(JobPhase::Queued);
+    let error = doc.get("error").and_then(Json::as_str).map(str::to_string);
+    let count = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
+    Some(JobState {
+        instructions: count("instructions"),
+        cycles: count("cycles"),
+        checkpoints: count("checkpoints"),
+        ..JobState::new(spec, phase, error)
+    })
+}
+
+/// Finished job `id` as its record in `dir` holds it: what `status`,
+/// `fetch` and `watch` answer from once the job has left the registry.
+fn finished_job(dir: &Path, id: u64) -> Option<JobState> {
+    let text = std::fs::read_to_string(job_file(dir, id)).ok()?;
+    job_from_record(&parse_json(&text).ok()?).filter(|st| st.phase.is_terminal())
+}
+
+/// Applies `f` to job `id`: its registry entry, or its record on disk
+/// once it has left the registry. `None` for an id the daemon does not
+/// know.
+fn with_job<R>(inner: &Inner, id: u64, f: impl FnOnce(&JobState) -> R) -> Option<R> {
+    if let Some(st) = lock(&inner.jobs).live.get(&id) {
+        return Some(f(st));
+    }
+    finished_job(&inner.jobs_dir, id).map(|st| f(&st))
 }
 
 /// One status object (shared by `jobs`, `status`, and `watch` lines).
@@ -242,25 +306,22 @@ fn status_json(id: u64, st: &JobState) -> Json {
     j
 }
 
-/// Reloads the job store: terminal jobs keep their phase for listings,
-/// everything else is re-admitted as queued (a `running` phase on disk
-/// can only mean the previous daemon died mid-run). Also returns the
-/// next free id: a record whose spec admission refuses is skipped, but
-/// its file is never reused.
-fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, u64) {
+/// Reloads the job store: everything not finished is re-admitted as
+/// queued (a `running` phase on disk can only mean the previous daemon
+/// died mid-run), and the [`KEEP_FINISHED`] newest finished jobs keep
+/// their phase for listings. Also returns the next free id: a record
+/// whose spec admission refuses is skipped, but its file is never
+/// reused.
+fn load_jobs(jobs_dir: &Path) -> (Retained<JobState, KEEP_FINISHED>, u64) {
     let (records, next_id) = read_records(jobs_dir, JOB);
-    let mut jobs = BTreeMap::new();
+    let mut jobs = Retained::default();
     for (id, doc) in records {
-        let Some(spec) = doc.get("spec").and_then(|s| RunSpec::from_json(s).ok()) else {
-            continue;
-        };
-        let phase = doc
-            .get("phase")
-            .and_then(Json::as_str)
-            .and_then(JobPhase::from_disk)
-            .unwrap_or(JobPhase::Queued);
-        let error = doc.get("error").and_then(Json::as_str).map(str::to_string);
-        jobs.insert(id, JobState::new(spec, phase, error));
+        let Some(st) = job_from_record(&doc) else { continue };
+        let (finished, done) = (st.phase.is_terminal(), st.phase == JobPhase::Done);
+        jobs.live.insert(id, st);
+        if finished {
+            jobs.retire(id, done);
+        }
     }
     (jobs, next_id)
 }
@@ -269,12 +330,28 @@ fn load_jobs(jobs_dir: &Path) -> (BTreeMap<u64, JobState>, u64) {
 /// hub (`started` anchors its latency sample).
 fn fail_job(inner: &Inner, id: u64, started: Instant, msg: String) {
     inner.metrics.record_job(started.elapsed().as_millis() as u64, false, 0);
-    inner.update(id, |st| {
+    inner.finish(id, |st| {
         st.phase = JobPhase::Failed;
         st.error = Some(msg);
     });
-    if let Some(st) = lock(&inner.jobs).get(&id) {
-        let _ = persist_job(&inner.jobs_dir, id, st);
+}
+
+/// Runs job `id` through `run` (the daemon passes [`run_job`]). A run
+/// that panics fails its job, naming the panic, so its watchers get
+/// `end` and its record says why; the pool's worker thread lives on.
+fn run_caught(inner: &Inner, id: u64, run: impl FnOnce(&Inner, u64)) {
+    let started = Instant::now();
+    let Err(panic) = panic::catch_unwind(AssertUnwindSafe(|| run(inner, id))) else {
+        return;
+    };
+    let msg = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a non-string payload".to_string());
+    let open = lock(&inner.jobs).live.get(&id).is_some_and(|st| !st.phase.is_terminal());
+    if open {
+        fail_job(inner, id, started, format!("job panicked: {msg}"));
     }
 }
 
@@ -289,7 +366,7 @@ fn progress_interval(spec: &RunSpec) -> u64 {
 /// window), checkpointing after every chunk.
 fn run_job(inner: &Inner, id: u64) {
     let started = Instant::now();
-    let spec = match lock(&inner.jobs).get(&id) {
+    let spec = match lock(&inner.jobs).live.get(&id) {
         Some(st) if !st.phase.is_terminal() => st.spec.clone(),
         _ => return,
     };
@@ -381,18 +458,15 @@ fn run_job(inner: &Inner, id: u64) {
         out.output.stats.instructions,
     );
     match written {
-        Ok(()) => inner.update(id, |st| {
+        Ok(()) => inner.finish(id, |st| {
             st.phase = JobPhase::Done;
             st.instructions = out.output.stats.instructions;
             st.cycles = out.output.stats.cycles;
         }),
-        Err(e) => inner.update(id, |st| {
+        Err(e) => inner.finish(id, |st| {
             st.phase = JobPhase::Failed;
             st.error = Some(format!("manifest write failed: {e}"));
         }),
-    }
-    if let Some(st) = lock(&inner.jobs).get(&id) {
-        let _ = persist_job(&inner.jobs_dir, id, st);
     }
 }
 
@@ -429,9 +503,9 @@ fn handle_submit(inner: &Inner, pool: &WorkerPool<u64>, req: &Json) -> Json {
             return err_response(&format!("cannot persist checkpoint: {e}"));
         }
     }
-    lock(&inner.jobs).insert(id, st);
+    lock(&inner.jobs).live.insert(id, st);
     if pool.try_submit(id).is_err() {
-        lock(&inner.jobs).remove(&id);
+        lock(&inner.jobs).live.remove(&id);
         let _ = std::fs::remove_file(job_file(&inner.jobs_dir, id));
         let _ = std::fs::remove_file(ckpt_file(&inner.jobs_dir, id));
         return err_response("queue full; retry later");
@@ -445,22 +519,38 @@ fn handle_submit(inner: &Inner, pool: &WorkerPool<u64>, req: &Json) -> Json {
 /// canonical manifest text and its conventional file name — what the
 /// fleet coordinator merges into the shared `results/` tree.
 fn handle_fetch(inner: &Inner, id: u64) -> Json {
-    let (status, spec, phase) = match lock(&inner.jobs).get(&id) {
-        None => return err_response("no such job"),
-        Some(st) => (status_json(id, st), st.spec.clone(), st.phase),
+    let found =
+        with_job(inner, id, |st| (status_json(id, st), st.spec.manifest_file_name(), st.phase));
+    let Some((status, file, phase)) = found else {
+        return err_response("no such job");
     };
     let mut r = ok_response();
     r.set("job", status);
     if phase == JobPhase::Done {
         match std::fs::read_to_string(manifest_file(&inner.jobs_dir, id)) {
             Ok(text) => {
-                r.set("file", Json::Str(spec.manifest_file_name()));
+                r.set("file", Json::Str(file));
                 r.set("manifest", Json::Str(text));
             }
             Err(e) => return err_response(&format!("manifest unreadable: {e}")),
         }
     }
     r
+}
+
+/// A `watch` stream's `status` line for job `id`.
+fn status_line(id: u64, st: &JobState) -> Json {
+    let mut line = status_json(id, st);
+    line.set("event", Json::Str("status".to_string()));
+    line
+}
+
+/// A `watch` stream's last line.
+fn end_line(id: u64) -> Json {
+    let mut end = Json::obj();
+    end.set("event", Json::Str("end".to_string()));
+    end.set("id", Json::U64(id));
+    end
 }
 
 /// Streams watch lines for one job until it reaches a terminal phase
@@ -470,7 +560,9 @@ fn handle_fetch(inner: &Inner, id: u64) -> Json {
 /// where the job stands). The wait between registry changes backs off
 /// exponentially (capped) while nothing moves, so idle watchers cost
 /// the daemon next to nothing; any change snaps it back down. The lines
-/// of one wakeup, the final `end` included, go out as one write.
+/// of one wakeup, the final `end` included, go out as one write. A job
+/// that has left the registry answers with its final status line and
+/// `end`, from its record on disk.
 fn handle_watch(inner: &Inner, out: &mut impl Write, id: u64) -> std::io::Result<()> {
     let mut last_seq: Option<u64> = None;
     let mut last_progress = 0u64;
@@ -480,8 +572,12 @@ fn handle_watch(inner: &Inner, out: &mut impl Write, id: u64) -> std::io::Result
         let (mut lines, terminal) = {
             let mut jobs = lock(&inner.jobs);
             loop {
-                let Some(st) = jobs.get(&id) else {
-                    return send_lines(out, [&err_response("no such job")]);
+                let Some(st) = jobs.live.get(&id) else {
+                    drop(jobs);
+                    return match finished_job(&inner.jobs_dir, id) {
+                        Some(st) => send_lines(out, [&status_line(id, &st), &end_line(id)]),
+                        None => send_lines(out, [&err_response("no such job")]),
+                    };
                 };
                 if last_seq != Some(st.seq) || st.phase.is_terminal() || inner.stopping() {
                     last_seq = Some(st.seq);
@@ -506,9 +602,7 @@ fn handle_watch(inner: &Inner, out: &mut impl Write, id: u64) -> std::io::Result
                     if last_phase != Some(st.phase) || st.phase.is_terminal() || inner.stopping()
                     {
                         last_phase = Some(st.phase);
-                        let mut line = status_json(id, st);
-                        line.set("event", Json::Str("status".to_string()));
-                        lines.push(line);
+                        lines.push(status_line(id, st));
                     }
                     if !lines.is_empty() || st.phase.is_terminal() || inner.stopping() {
                         break (lines, st.phase.is_terminal() || inner.stopping());
@@ -522,10 +616,7 @@ fn handle_watch(inner: &Inner, out: &mut impl Write, id: u64) -> std::io::Result
             }
         };
         if terminal {
-            let mut end = Json::obj();
-            end.set("event", Json::Str("end".to_string()));
-            end.set("id", Json::U64(id));
-            lines.push(end);
+            lines.push(end_line(id));
             return send_lines(out, &lines);
         }
         send_lines(out, &lines)?;
@@ -545,14 +636,15 @@ fn handle(
         Some("ping") => {
             let mut r = ok_response();
             r.set("service", Json::Str("vcfr-serve".to_string()));
-            r.set("jobs", Json::U64(lock(&inner.jobs).len() as u64));
+            r.set("jobs", Json::U64(lock(&inner.jobs).total()));
             r
         }
         Some("submit") => handle_submit(inner, pool, req),
         Some("jobs") => {
             let jobs = lock(&inner.jobs);
             let mut r = ok_response();
-            r.set("jobs", Json::Arr(jobs.iter().map(|(id, st)| status_json(*id, st)).collect()));
+            let list = jobs.live.iter().map(|(id, st)| status_json(*id, st)).collect();
+            r.set("jobs", Json::Arr(list));
             r
         }
         Some("fetch") => match id {
@@ -561,11 +653,11 @@ fn handle(
         },
         Some("status") => match id {
             None => err_response("status needs a job id"),
-            Some(id) => match lock(&inner.jobs).get(&id) {
+            Some(id) => match with_job(inner, id, |st| status_json(id, st)) {
                 None => err_response("no such job"),
-                Some(st) => {
+                Some(status) => {
                     let mut r = ok_response();
-                    r.set("job", status_json(id, st));
+                    r.set("job", status);
                     r
                 }
             },
@@ -573,9 +665,9 @@ fn handle(
         Some("metrics") => {
             let (by_phase, insts_in_flight) = {
                 let jobs = lock(&inner.jobs);
-                let mut counts = (0u64, 0u64, 0u64, 0u64);
+                let mut counts = (0u64, 0u64, jobs.dropped[0], jobs.dropped[1]);
                 let mut insts = 0u64;
-                for st in jobs.values() {
+                for st in jobs.live.values() {
                     match st.phase {
                         JobPhase::Queued => counts.0 += 1,
                         JobPhase::Running => counts.1 += 1,
@@ -624,7 +716,7 @@ pub fn serve(opts: &ServeOptions) -> Result<(), ServiceError> {
     std::fs::create_dir_all(&jobs_dir)?;
     let (jobs, next_id) = load_jobs(&jobs_dir);
     let resumable: Vec<u64> =
-        jobs.iter().filter(|(_, st)| !st.phase.is_terminal()).map(|(&id, _)| id).collect();
+        jobs.live.iter().filter(|(_, st)| !st.phase.is_terminal()).map(|(&id, _)| id).collect();
     let inner = Arc::new(Inner {
         jobs_dir,
         stopping: Arc::default(),
@@ -639,7 +731,7 @@ pub fn serve(opts: &ServeOptions) -> Result<(), ServiceError> {
     let pool = Arc::new(WorkerPool::new(
         opts.workers,
         opts.queue_capacity.max(resumable.len()),
-        move |id| run_job(&pool_inner, id),
+        move |id| run_caught(&pool_inner, id, run_job),
     ));
     for id in resumable {
         let _ = pool.try_submit(id);
@@ -676,7 +768,11 @@ mod tests {
         Inner {
             jobs_dir: dir.to_path_buf(),
             stopping: Arc::default(),
-            jobs: Mutex::new(BTreeMap::from([(1, JobState::new(spec, JobPhase::Queued, None))])),
+            jobs: Mutex::new({
+                let mut jobs = Retained::default();
+                jobs.live.insert(1, JobState::new(spec, JobPhase::Queued, None));
+                jobs
+            }),
             next_id: AtomicU64::new(2),
             changed: Condvar::new(),
             metrics: MetricsHub::new(),
@@ -686,7 +782,7 @@ mod tests {
     /// Job 1's phase and the snapshots its last run noted.
     fn phase_and_checkpoints(inner: &Inner) -> (JobPhase, u64) {
         let jobs = lock(&inner.jobs);
-        (jobs[&1].phase, jobs[&1].checkpoints)
+        (jobs.live[&1].phase, jobs.live[&1].checkpoints)
     }
 
     /// Runs job 1 of a fresh store holding `ckpt` and `prev` (if any) as
@@ -800,7 +896,7 @@ mod tests {
         std::fs::write(job_file(&dir, 7), text).expect("write record");
         let (jobs, next_id) = load_jobs(&dir);
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(jobs.is_empty());
+        assert!(jobs.live.is_empty());
         assert_eq!(next_id, 8, "job 7's file is not overwritten by the next submit");
     }
 
@@ -824,6 +920,37 @@ mod tests {
         assert_eq!(phase, JobPhase::Done);
         assert!(!manifest.is_empty());
         assert_eq!(fetched.get("manifest").and_then(Json::as_str), Some(manifest.as_str()));
+    }
+
+    #[test]
+    fn a_job_that_panics_fails_on_disk_and_ends_its_watch() {
+        let dir = temp_store("panics");
+        let inner = store(&dir, spec());
+        let watched = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut out = Vec::new();
+                handle_watch(&inner, &mut out, 1).map(|()| out)
+            });
+            run_caught(&inner, 1, |_, _| panic!("a planted fault"));
+            watcher.join().expect("the watcher returns")
+        });
+        let record = std::fs::read_to_string(job_file(&dir, 1)).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        let lines: Vec<Json> = String::from_utf8(watched.expect("the stream is written"))
+            .expect("utf-8")
+            .lines()
+            .map(|l| parse_json(l).expect("a JSON line"))
+            .collect();
+        let field = |j: &Json, key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
+        let end = lines.last().and_then(|l| field(l, "event"));
+        assert_eq!(end.as_deref(), Some("end"), "{lines:?}");
+        let is_status = |l: &&Json| field(l, "event").as_deref() == Some("status");
+        let last_status = lines.iter().rev().find(is_status).and_then(|l| field(l, "phase"));
+        assert_eq!(last_status.as_deref(), Some("failed"));
+        let record = parse_json(&record).expect("the record is written");
+        assert_eq!(field(&record, "phase").as_deref(), Some("failed"));
+        let error = field(&record, "error").unwrap_or_default();
+        assert!(error.contains("a planted fault"), "the record names the panic: {error}");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! The coordinator is a JSON-lines service of the same dialect as the
 //! daemon (`docs/fleet.md` documents the protocol): workers *register*
 //! with it, clients *submit* `RunSpec` chunks to it, and a scheduler
-//! thread dispatches pending chunks to the least-loaded live worker,
-//! polls dispatched ones, and heartbeats every worker with capped
-//! exponential backoff. A worker that misses `lost_after` consecutive
+//! thread polls dispatched chunks and hands pending ones to the
+//! least-loaded live worker, in a round that each dispatched job's end
+//! wakes, and heartbeats every worker on its own capped exponential
+//! backoff clock. A worker that misses `lost_after` consecutive
 //! heartbeats is declared lost and its chunks are recovered: a finished
 //! manifest found in the dead worker's state directory is merged as
 //! done; otherwise the worker's last on-disk checkpoint (the VCFRCKP1
@@ -28,9 +29,10 @@ use crate::client::Client;
 use crate::daemon::{jobs_dir, manifest_file, newest_snapshot};
 use crate::metrics::aggregate_node_metrics;
 use crate::protocol::{err_response, ok_response, send_lines, ServiceError};
-use crate::server::{lock, read_records, serve_lines, wait, write_record};
+use crate::server::{lock, read_records, serve_lines, wait, write_record, Retained};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,6 +94,10 @@ enum ChunkPhase {
 }
 
 impl ChunkPhase {
+    fn is_terminal(self) -> bool {
+        matches!(self, ChunkPhase::Done | ChunkPhase::Failed)
+    }
+
     fn as_str(self) -> &'static str {
         match self {
             ChunkPhase::Pending => "pending",
@@ -127,10 +133,16 @@ struct WorkerState {
     done: u64,
 }
 
+/// Terminal chunks the coordinator keeps in memory, and lists in
+/// `status`, beside its open ones. Every chunk's record stays in
+/// `chunks/`, and `status` counts every chunk exactly.
+const KEEP_TERMINAL: usize = 32;
+
 #[derive(Default)]
 struct FleetState {
     workers: BTreeMap<u64, WorkerState>,
-    chunks: BTreeMap<u64, ChunkState>,
+    /// Every open chunk plus the [`KEEP_TERMINAL`] that ended last.
+    chunks: Retained<ChunkState, KEEP_TERMINAL>,
     next_worker: u64,
     next_chunk: u64,
     /// Lost-worker recoveries: chunks whose finished manifest was
@@ -141,9 +153,10 @@ struct FleetState {
     /// Lost-worker recoveries: chunks re-queued from scratch.
     restarted_chunks: u64,
     /// Bumped under the lock by every `register`, `submit` and
-    /// `shutdown`. The scheduler reads it when it plans a round and
-    /// checks it before it waits, so one that arrives while the round is
-    /// out on the network starts the next round at once.
+    /// `shutdown`, and by every dispatched job that ends on its worker.
+    /// The scheduler reads it when it plans a round and checks it before
+    /// it waits, so one that arrives while the round is out on the
+    /// network starts the next round at once.
     wakes: u64,
 }
 
@@ -160,7 +173,8 @@ struct FleetInner {
     rpc_timeout: Duration,
     stopping: Arc<AtomicBool>,
     state: Mutex<FleetState>,
-    /// Wakes the scheduler on registration/submission/shutdown.
+    /// Wakes the scheduler on registration, submission, shutdown and the
+    /// end of a dispatched job.
     changed: Condvar,
     started: Instant,
 }
@@ -201,11 +215,12 @@ fn persist_chunk(dir: &Path, id: u64, c: &ChunkState) {
 }
 
 /// Reloads the worker registry and chunk table after a coordinator
-/// restart. Dispatched chunks stay dispatched — the first scheduler
-/// round re-synchronises with the (restarted or still-running) workers,
-/// and the lost-worker path covers everything else. A chunk whose spec
-/// admission refuses is skipped, but its id (and so its file) is never
-/// handed out again.
+/// restart: every open chunk, and the [`KEEP_TERMINAL`] terminal ones
+/// with the highest ids. Dispatched chunks stay dispatched — the first
+/// scheduler round re-synchronises with the (restarted or still-running)
+/// workers, and the lost-worker path covers everything else. A chunk
+/// whose spec admission refuses is skipped, but its id (and so its file)
+/// is never handed out again.
 fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
     let (workers, next_worker) = read_records(workers_dir, "worker");
     let (chunks, next_chunk) = read_records(chunks_dir, "chunk");
@@ -239,7 +254,7 @@ fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
             Some("failed") => ChunkPhase::Failed,
             _ => ChunkPhase::Pending,
         };
-        st.chunks.insert(
+        st.chunks.live.insert(
             id,
             ChunkState {
                 spec,
@@ -249,6 +264,9 @@ fn load_state(workers_dir: &Path, chunks_dir: &Path) -> FleetState {
                 error: doc.get("error").and_then(Json::as_str).map(str::to_string),
             },
         );
+        if phase.is_terminal() {
+            st.chunks.retire(id, phase == ChunkPhase::Done);
+        }
     }
     st
 }
@@ -259,6 +277,7 @@ type HeldChunks = Vec<(u64, u64)>;
 /// The chunks dispatched to `worker`, in id order.
 fn held_by(st: &FleetState, worker: u64) -> HeldChunks {
     st.chunks
+        .live
         .iter()
         .filter_map(|(&cid, c)| match c.phase {
             ChunkPhase::Dispatched { worker: w, remote_id } if w == worker => {
@@ -269,23 +288,22 @@ fn held_by(st: &FleetState, worker: u64) -> HeldChunks {
         .collect()
 }
 
-/// What one scheduler round plans to do on the network (computed under
-/// the state lock, executed without it).
-#[derive(Default)]
-struct Plan {
+/// A round's polls (planned under the state lock, executed without it).
+struct Polls {
     /// `(worker, dir, dispatched chunks)` per live worker.
-    polls: Vec<(u64, PathBuf, HeldChunks)>,
-    /// `(chunk, worker, spec, stashed checkpoint)` dispatches, each to
-    /// a worker in `polls`.
-    dispatches: Vec<(u64, u64, RunSpec, Option<Vec<u8>>)>,
+    workers: Vec<(u64, PathBuf, HeldChunks)>,
     /// [`FleetState::wakes`] when the round was planned.
     wakes: u64,
 }
 
-/// What the network phase observed (applied back under the lock).
+/// `(chunk, worker, spec, stashed checkpoint)`: one planned dispatch.
+type Dispatch = (u64, u64, RunSpec, Option<Vec<u8>>);
+
+/// What the network half of a round observed (applied back under the
+/// lock).
 #[derive(Default)]
 struct RoundResult {
-    /// Workers that answered the heartbeat.
+    /// Workers that answered every request of the round.
     ok: Vec<u64>,
     /// Workers that did not.
     missed: Vec<u64>,
@@ -297,22 +315,59 @@ struct RoundResult {
     dispatched: Vec<(u64, u64, u64, bool)>,
 }
 
-/// Phase A: snapshot the state into a network plan.
-fn plan_round(inner: &FleetInner) -> Plan {
+/// Plans a round's polls: every live worker, with the chunks it holds.
+fn plan_polls(inner: &FleetInner) -> Polls {
     let st = lock(&inner.state);
-    let mut plan = Plan { wakes: st.wakes, ..Plan::default() };
-    let mut free: BTreeMap<u64, u64> = BTreeMap::new();
-    for (&wid, w) in &st.workers {
-        if !w.alive {
-            continue;
-        }
-        let holding = held_by(&st, wid);
-        free.insert(wid, w.slots.saturating_sub(holding.len() as u64));
-        plan.polls.push((wid, w.dir.clone(), holding));
-    }
-    // Hand pending chunks (id order) to the least-loaded live worker
-    // with a free slot; a stashed checkpoint rides along.
-    for (&cid, c) in st.chunks.iter().filter(|(_, c)| c.phase == ChunkPhase::Pending) {
+    let workers = st
+        .workers
+        .iter()
+        .filter(|(_, w)| w.alive)
+        .map(|(&wid, w)| (wid, w.dir.clone(), held_by(&st, wid)))
+        .collect();
+    Polls { workers, wakes: st.wakes }
+}
+
+/// The order pending chunks go out in: largest instruction budget first,
+/// then by manifest file name, then by id. Among the chunks pending at a
+/// round, the order depends on their specs alone, not on the order they
+/// were submitted in, so a batch's time depends on that order only
+/// through the chunks that go out before the rest of the batch arrives.
+/// Large chunks start early, so a batch does not end with one worker
+/// running a long chunk while the others idle.
+fn dispatch_order(cid: u64, spec: &RunSpec) -> (Reverse<u64>, String, u64) {
+    (Reverse(spec.max_insts), spec.manifest_file_name(), cid)
+}
+
+/// Plans a round's dispatches from what its polls saw, so a slot that a
+/// finished chunk frees is refilled in the same round: the chunks in
+/// `ended` (fetched done or failed) no longer hold a slot, and pending
+/// chunks go to the least-loaded worker that `answered` the polls and has
+/// a free slot, in [`dispatch_order`]; a stashed checkpoint rides along.
+fn plan_dispatches(
+    inner: &FleetInner,
+    answered: impl Fn(u64) -> bool,
+    ended: &[u64],
+) -> Vec<Dispatch> {
+    let st = lock(&inner.state);
+    let mut free: BTreeMap<u64, u64> = st
+        .workers
+        .iter()
+        .filter(|(&wid, _)| answered(wid))
+        .map(|(&wid, w)| {
+            let holding = held_by(&st, wid).iter().filter(|(cid, _)| !ended.contains(cid)).count();
+            (wid, w.slots.saturating_sub(holding as u64))
+        })
+        .collect();
+    let mut pending: Vec<(u64, &ChunkState)> = st
+        .chunks
+        .live
+        .iter()
+        .filter(|(_, c)| c.phase == ChunkPhase::Pending)
+        .map(|(&cid, c)| (cid, c))
+        .collect();
+    pending.sort_by_cached_key(|&(cid, c)| dispatch_order(cid, &c.spec));
+    let mut dispatches = Vec::new();
+    for (cid, c) in pending {
         let Some((&wid, _)) = free
             .iter()
             .filter(|(_, slots)| **slots > 0)
@@ -322,26 +377,48 @@ fn plan_round(inner: &FleetInner) -> Plan {
         };
         *free.get_mut(&wid).expect("picked above") -= 1;
         let ckpt = std::fs::read(inner.stash_file(cid)).ok();
-        plan.dispatches.push((cid, wid, c.spec.clone(), ckpt));
+        dispatches.push((cid, wid, c.spec.clone(), ckpt));
     }
-    plan
+    dispatches
 }
 
-/// Phase B: talk to the workers (no locks held).
-fn execute_round(inner: &FleetInner, plan: Plan) -> RoundResult {
-    let mut result = RoundResult::default();
-    let mut clients: BTreeMap<u64, Client> = BTreeMap::new();
-    for (wid, dir, holding) in plan.polls {
-        let Ok(mut client) = Client::connect_within(&dir, inner.rpc_timeout) else {
+/// Whether an RPC failed by running out of its time bound.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// A connection to the worker in `dir` that has just answered a `ping`:
+/// the one the previous round `kept`, or a fresh one when there is none
+/// or it broke (the daemon restarted). A `ping` that times out gets no
+/// second try, so a wedged worker costs a round one RPC bound.
+fn heartbeat(inner: &FleetInner, dir: &Path, kept: Option<Client>) -> Option<Client> {
+    if let Some(mut client) = kept {
+        match client.ping() {
+            Ok(_) => return Some(client),
+            Err(ServiceError::Io(e)) if timed_out(&e) => return None,
+            Err(_) => {}
+        }
+    }
+    let mut client = Client::connect_within(dir, inner.rpc_timeout).ok()?;
+    client.ping().ok().map(|_| client)
+}
+
+/// The poll half of a round (no locks held): heartbeat every planned
+/// worker and fetch every chunk it holds, over the connection `links`
+/// kept from the previous round. Leaves in `links` the connection of
+/// each worker that answered, for the dispatch half and the next round.
+fn poll_workers(
+    inner: &FleetInner,
+    polls: Vec<(u64, PathBuf, HeldChunks)>,
+    links: &mut BTreeMap<u64, Client>,
+    result: &mut RoundResult,
+) {
+    let mut kept = std::mem::take(links);
+    'workers: for (wid, dir, holding) in polls {
+        let Some(mut client) = heartbeat(inner, &dir, kept.remove(&wid)) else {
             result.missed.push(wid);
             continue;
         };
-        if client.ping().is_err() {
-            result.missed.push(wid);
-            continue;
-        }
-        result.ok.push(wid);
-        let mut worker_died = false;
         for (cid, remote_id) in holding {
             match client.fetch(remote_id) {
                 Ok((_, Some((file, text)))) => result.done.push((cid, wid, file, text)),
@@ -366,23 +443,24 @@ fn execute_round(inner: &FleetInner, plan: Plan) -> RoundResult {
                 // lost-worker recovery can resume it from its
                 // checkpoint once the worker is declared dead.
                 Err(_) => {
-                    worker_died = true;
-                    break;
+                    result.missed.push(wid);
+                    continue 'workers;
                 }
             }
         }
-        if worker_died {
-            result.ok.retain(|&w| w != wid);
-            result.missed.push(wid);
-            continue;
-        }
-        clients.insert(wid, client);
+        links.insert(wid, client);
     }
-    // Every planned worker was polled above, so a worker without a
-    // connection here missed this round's heartbeat: its chunks stay
-    // pending.
-    for (cid, wid, spec, ckpt) in plan.dispatches {
-        let Some(client) = clients.get_mut(&wid) else { continue };
+}
+
+/// The dispatch half of a round (no locks held): sends each planned
+/// dispatch over the connection its worker's poll used.
+fn send_dispatches(
+    dispatches: Vec<Dispatch>,
+    links: &mut BTreeMap<u64, Client>,
+    result: &mut RoundResult,
+) {
+    for (cid, wid, spec, ckpt) in dispatches {
+        let Some(client) = links.get_mut(&wid) else { continue };
         let resumed = ckpt.is_some();
         match client.submit_with(&spec, ckpt.as_deref()) {
             Ok(remote_id) => result.dispatched.push((cid, wid, remote_id, resumed)),
@@ -397,13 +475,11 @@ fn execute_round(inner: &FleetInner, plan: Plan) -> RoundResult {
             // pending and count a missed heartbeat, which also skips the
             // worker's other dispatches this round.
             Err(_) => {
-                clients.remove(&wid);
-                result.ok.retain(|&w| w != wid);
+                links.remove(&wid);
                 result.missed.push(wid);
             }
         }
     }
-    result
 }
 
 /// Merges chunk `cid`'s finished manifest, which worker `wid` ran, into
@@ -432,30 +508,47 @@ fn merge_chunk(
             w.done += 1;
         }
     }
-    if let Some(c) = st.chunks.get_mut(&cid) {
-        c.phase = phase;
-        c.error = error;
-        persist_chunk(&inner.chunks_dir, cid, c);
-    }
+    end_chunk(inner, st, cid, phase, error);
     phase == ChunkPhase::Done
 }
 
-/// Phase C: fold the round's observations back into the state. Returns
-/// whether anything moved (resets the scheduler backoff).
-fn apply_round(inner: &FleetInner, result: RoundResult) -> bool {
+/// Records chunk `cid`'s terminal phase, persists it, and retires the
+/// chunk into the window of recent terminal chunks.
+fn end_chunk(
+    inner: &FleetInner,
+    st: &mut FleetState,
+    cid: u64,
+    phase: ChunkPhase,
+    error: Option<String>,
+) {
+    if let Some(c) = st.chunks.live.get_mut(&cid) {
+        c.phase = phase;
+        c.error = error;
+        persist_chunk(&inner.chunks_dir, cid, c);
+        st.chunks.retire(cid, phase == ChunkPhase::Done);
+    }
+}
+
+/// Folds a round's observations back into the state: its fetched merges
+/// and failures, then its dispatches and, when a heartbeat was due
+/// (`beat`), the liveness of every polled worker. Returns whether
+/// anything moved (resets the heartbeat backoff).
+fn apply_round(inner: &FleetInner, result: RoundResult, beat: bool) -> bool {
     let mut st = lock(&inner.state);
     let mut moved = false;
-    for wid in result.ok {
-        if let Some(w) = st.workers.get_mut(&wid) {
-            if !w.alive {
-                moved = true; // a lost worker came back (daemon restart)
-            }
-            w.alive = true;
-            w.misses = 0;
+    for (cid, wid, file, text) in result.done {
+        merge_chunk(inner, &mut st, cid, wid, &file, &text);
+        moved = true;
+    }
+    for (cid, msg) in result.failed {
+        let phase = st.chunks.live.get(&cid).map(|c| c.phase);
+        if matches!(phase, Some(ChunkPhase::Dispatched { .. })) {
+            end_chunk(inner, &mut st, cid, ChunkPhase::Failed, Some(msg));
+            moved = true;
         }
     }
     for (cid, wid, remote_id, resumed) in result.dispatched {
-        if let Some(c) = st.chunks.get_mut(&cid) {
+        if let Some(c) = st.chunks.live.get_mut(&cid) {
             if c.phase == ChunkPhase::Pending {
                 c.resumed |= resumed;
                 c.phase = ChunkPhase::Dispatched { worker: wid, remote_id };
@@ -464,18 +557,15 @@ fn apply_round(inner: &FleetInner, result: RoundResult) -> bool {
             }
         }
     }
-    for (cid, wid, file, text) in result.done {
-        merge_chunk(inner, &mut st, cid, wid, &file, &text);
-        moved = true;
+    // Liveness runs on the heartbeat clock: a round with no heartbeat due
+    // neither counts a miss nor clears one. (Only live workers are
+    // polled, and only this thread declares one lost.)
+    if !beat {
+        return moved;
     }
-    for (cid, msg) in result.failed {
-        if let Some(c) = st.chunks.get_mut(&cid) {
-            if matches!(c.phase, ChunkPhase::Dispatched { .. }) {
-                c.phase = ChunkPhase::Failed;
-                c.error = Some(msg);
-                persist_chunk(&inner.chunks_dir, cid, c);
-                moved = true;
-            }
+    for wid in result.ok {
+        if let Some(w) = st.workers.get_mut(&wid) {
+            w.misses = 0;
         }
     }
     let mut lost: Vec<u64> = Vec::new();
@@ -506,7 +596,7 @@ fn recover_lost_worker(inner: &FleetInner, st: &mut FleetState, wid: u64) {
     let jobs_dir = jobs_dir(&st.workers[&wid].dir);
     for (cid, remote_id) in held_by(st, wid) {
         if let Ok(text) = std::fs::read_to_string(manifest_file(&jobs_dir, remote_id)) {
-            let file = st.chunks[&cid].spec.manifest_file_name();
+            let file = st.chunks.live[&cid].spec.manifest_file_name();
             if merge_chunk(inner, st, cid, wid, &file, &text) {
                 st.recovered_manifests += 1;
             }
@@ -519,7 +609,7 @@ fn recover_lost_worker(inner: &FleetInner, st: &mut FleetState, wid: u64) {
         } else {
             st.restarted_chunks += 1;
         }
-        let c = st.chunks.get_mut(&cid).expect("held chunk");
+        let c = st.chunks.live.get_mut(&cid).expect("held chunk");
         c.phase = ChunkPhase::Pending;
         c.redispatches += 1;
         c.resumed |= resumed;
@@ -527,26 +617,103 @@ fn recover_lost_worker(inner: &FleetInner, st: &mut FleetState, wid: u64) {
     }
 }
 
-/// The scheduler thread: heartbeat, poll, dispatch, recover — then wait
-/// with capped backoff, unless a `register`, `submit` or `shutdown` came
-/// in during the round (one that comes in during the wait ends it).
-fn scheduler(inner: &FleetInner) {
-    let mut backoff = Backoff::new(inner.heartbeat.0, inner.heartbeat.1);
-    while !inner.stopping() {
-        let plan = plan_round(inner);
-        let wakes = plan.wakes;
-        let result = execute_round(inner, plan);
-        if apply_round(inner, result) {
-            backoff.reset();
-        }
-        let st = lock(&inner.state);
-        if st.wakes == wakes && !inner.stopping() {
-            let _ = wait(&inner.changed, st, backoff.step());
+/// The completion wake of chunk `cid`, dispatched to worker `wid` as its
+/// job `remote_id`: watches the job and, when its stream ends, wakes the
+/// scheduler, whose next round merges the chunk and refills its slot at
+/// once. A read that times out re-opens the watch while the chunk is
+/// still dispatched there (a job queued behind a long one sends no
+/// lines). Any other outcome ends the watch: an error answer (a worker
+/// that does not speak `watch`), a refused connect, or the chunk moving
+/// on. The heartbeat still covers the chunk. Every read is bounded by the
+/// RPC bound, so the watch exits within one bound of its chunk leaving
+/// `dispatched` or of the coordinator stopping.
+fn watch_chunk(inner: &FleetInner, cid: u64, wid: u64, remote_id: u64) {
+    let Some(dir) = lock(&inner.state).workers.get(&wid).map(|w| w.dir.clone()) else {
+        return;
+    };
+    let watching = || {
+        let dispatched = ChunkPhase::Dispatched { worker: wid, remote_id };
+        !inner.stopping()
+            && lock(&inner.state).chunks.live.get(&cid).is_some_and(|c| c.phase == dispatched)
+    };
+    while watching() {
+        let Ok(mut client) = Client::connect_within(&dir, inner.rpc_timeout) else { return };
+        match client.watch_while(remote_id, |_| watching()) {
+            Ok(true) => {
+                lock(&inner.state).wakes += 1;
+                inner.changed.notify_all();
+                return;
+            }
+            Err(ServiceError::Io(e)) if timed_out(&e) => {}
+            _ => return,
         }
     }
 }
 
-/// The fleet `status` body.
+/// One scheduler round: heartbeat and poll every live worker, plan
+/// dispatches into the slots its finished chunks free and send them over
+/// the polls' connections, then apply everything the round saw (merges
+/// and failures first, so the merge's file work comes after the refill;
+/// then the dispatches and every worker's liveness, where a miss counts
+/// only when `beat`), and start a completion watch per dispatched chunk.
+/// `links` holds one connection per worker from round to round. Returns
+/// the wake count the round was planned at and whether anything moved.
+fn round(inner: &Arc<FleetInner>, links: &mut BTreeMap<u64, Client>, beat: bool) -> (u64, bool) {
+    let polls = plan_polls(inner);
+    let mut result = RoundResult::default();
+    poll_workers(inner, polls.workers, links, &mut result);
+    let ended: Vec<u64> =
+        result.done.iter().map(|d| d.0).chain(result.failed.iter().map(|f| f.0)).collect();
+    let dispatches = plan_dispatches(inner, |wid| links.contains_key(&wid), &ended);
+    send_dispatches(dispatches, links, &mut result);
+    result.ok = links.keys().copied().collect();
+    let watches: Vec<(u64, u64, u64)> =
+        result.dispatched.iter().map(|&(cid, wid, remote_id, _)| (cid, wid, remote_id)).collect();
+    let moved = apply_round(inner, result, beat);
+    // Detached, like the server's connection threads: a watch ends on its
+    // own within one RPC bound of its chunk moving on or of a stop, and
+    // joining it would hold a shutdown up for that long.
+    for (cid, wid, remote_id) in watches {
+        let inner = Arc::clone(inner);
+        std::thread::spawn(move || watch_chunk(&inner, cid, wid, remote_id));
+    }
+    (polls.wakes, moved)
+}
+
+/// The scheduler thread. Rounds run at completion pace: a `register`,
+/// `submit` or `shutdown`, or a dispatched job's end, starts the next
+/// round at once (one that comes in during a round starts the round
+/// after it). Heartbeats keep their own clock: one is due a backoff
+/// interval after the previous one, whatever wakes come in between, and
+/// only a round with a heartbeat due counts a missed one. So a dead
+/// worker is declared lost after `lost_after` heartbeats, never after
+/// `lost_after` completions of another worker.
+fn scheduler(inner: &Arc<FleetInner>) {
+    let mut backoff = Backoff::new(inner.heartbeat.0, inner.heartbeat.1);
+    let mut next_beat = Instant::now();
+    let mut links = BTreeMap::new();
+    while !inner.stopping() {
+        let beat = Instant::now() >= next_beat;
+        let (wakes, moved) = round(inner, &mut links, beat);
+        if moved {
+            // Activity pulls the next heartbeat in to the floor; it never
+            // pushes a due one back.
+            backoff.reset();
+            next_beat = next_beat.min(Instant::now() + backoff.current());
+        }
+        if beat {
+            next_beat = Instant::now() + backoff.step();
+        }
+        let st = lock(&inner.state);
+        if st.wakes == wakes && !inner.stopping() {
+            let _ = wait(&inner.changed, st, next_beat.saturating_duration_since(Instant::now()));
+        }
+    }
+}
+
+/// The fleet `status` body: every worker, the chunk counts, and the
+/// chunk list, which holds the open chunks plus the [`KEEP_TERMINAL`]
+/// that ended last. The counts cover every chunk.
 fn fleet_status_json(inner: &FleetInner, st: &FleetState) -> Json {
     let mut f = Json::obj();
     f.set("uptime_secs", Json::F64(inner.started.elapsed().as_secs_f64()));
@@ -565,12 +732,14 @@ fn fleet_status_json(inner: &FleetInner, st: &FleetState) -> Json {
     f.set("workers", Json::Arr(workers));
     let mut counts = Json::obj();
     let count = |phase: &str| {
-        st.chunks.values().filter(|c| c.phase.as_str() == phase).count() as u64
+        st.chunks.live.values().filter(|c| c.phase.as_str() == phase).count() as u64
     };
-    for phase in ["pending", "dispatched", "done", "failed"] {
-        counts.set(phase, Json::U64(count(phase)));
-    }
-    counts.set("total", Json::U64(st.chunks.len() as u64));
+    let [dropped_done, dropped_failed] = st.chunks.dropped;
+    counts.set("pending", Json::U64(count("pending")));
+    counts.set("dispatched", Json::U64(count("dispatched")));
+    counts.set("done", Json::U64(count("done") + dropped_done));
+    counts.set("failed", Json::U64(count("failed") + dropped_failed));
+    counts.set("total", Json::U64(st.chunks.total()));
     f.set("chunks", counts);
     let mut recovery = Json::obj();
     recovery.set("manifests", Json::U64(st.recovered_manifests));
@@ -578,7 +747,7 @@ fn fleet_status_json(inner: &FleetInner, st: &FleetState) -> Json {
     recovery.set("restarted", Json::U64(st.restarted_chunks));
     f.set("recovery", recovery);
     let mut chunk_list = Vec::new();
-    for (&cid, c) in &st.chunks {
+    for (&cid, c) in &st.chunks.live {
         let mut cj = Json::obj();
         cj.set("id", Json::U64(cid));
         cj.set("file", Json::Str(c.spec.manifest_file_name()));
@@ -641,11 +810,7 @@ fn handle_submit(inner: &FleetInner, capacity: usize, req: &Json) -> Json {
         Err(e) => return err_response(&ServiceError::Protocol(e.0).to_string()),
     };
     let mut st = lock(&inner.state);
-    let open = st
-        .chunks
-        .values()
-        .filter(|c| matches!(c.phase, ChunkPhase::Pending | ChunkPhase::Dispatched { .. }))
-        .count();
+    let open = st.chunks.live.values().filter(|c| !c.phase.is_terminal()).count();
     if open >= capacity {
         return err_response("fleet queue full; retry later");
     }
@@ -659,7 +824,7 @@ fn handle_submit(inner: &FleetInner, capacity: usize, req: &Json) -> Json {
         error: None,
     };
     persist_chunk(&inner.chunks_dir, id, &chunk);
-    st.chunks.insert(id, chunk);
+    st.chunks.live.insert(id, chunk);
     st.wakes += 1;
     inner.changed.notify_all();
     let mut r = ok_response();
@@ -707,7 +872,7 @@ fn handle(
             let mut r = ok_response();
             r.set("service", Json::Str("vcfr-fleet".to_string()));
             r.set("workers", Json::U64(st.workers.values().filter(|w| w.alive).count() as u64));
-            r.set("jobs", Json::U64(st.chunks.len() as u64));
+            r.set("jobs", Json::U64(st.chunks.total()));
             r
         }
         Some("register") => handle_register(inner, req),
@@ -813,7 +978,7 @@ mod tests {
         std::fs::write(dir.join("chunk-4.json"), text).expect("write record");
         let st = load_state(&dir, &dir);
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(st.chunks.is_empty());
+        assert!(st.chunks.live.is_empty());
         assert_eq!(st.next_chunk, 5, "chunk 4's file is not overwritten by the next submit");
     }
 
@@ -845,11 +1010,11 @@ mod tests {
         let mut submit = request("submit");
         submit.set("job", RunSpec::new("bzip2").to_json());
         let submitted = handle(&inner, 1, &submit, &mut Vec::new()).expect("answers");
-        let plan = plan_round(&inner);
+        let (polls, dispatches) = (plan_polls(&inner), plan_dispatches(&inner, |_| true, &[]));
         let status = handle(&inner, 1, &request("status"), &mut Vec::new()).expect("answers");
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(submitted.and_then(|r| r.get("id").and_then(Json::as_u64)), Some(1));
-        assert!(plan.polls.is_empty() && plan.dispatches.is_empty(), "no worker to plan for");
+        assert!(polls.workers.is_empty() && dispatches.is_empty(), "no worker to plan for");
         let pending =
             status.and_then(|r| r.get_path("fleet.chunks.pending").and_then(Json::as_u64));
         assert_eq!(pending, Some(1));
@@ -872,9 +1037,10 @@ mod tests {
             .insert(1, WorkerState { dir: worker, slots: 1, alive: false, misses: 3, done: 0 });
         let phase = ChunkPhase::Dispatched { worker: 1, remote_id: 7 };
         st.chunks
+            .live
             .insert(1, ChunkState { spec, phase, redispatches: 1, resumed: true, error: None });
         recover_lost_worker(&inner, &mut st, 1);
-        let outcome = (st.chunks[&1].phase, st.recovered_manifests, st.workers[&1].done);
+        let outcome = (st.chunks.live[&1].phase, st.recovered_manifests, st.workers[&1].done);
         drop(st);
         let stashed = inner.stash_file(1).exists();
         let merged = std::fs::read_to_string(inner.manifests_dir.join(file)).unwrap_or_default();
@@ -882,5 +1048,52 @@ mod tests {
         assert_eq!(outcome, (ChunkPhase::Done, 1, 1));
         assert_eq!(merged, "{}\n");
         assert!(!stashed, "the merged chunk's stashed checkpoint is removed");
+    }
+
+    /// A bzip2 chunk with instruction budget `max_insts`.
+    fn chunk(max_insts: u64, phase: ChunkPhase) -> ChunkState {
+        let mut spec = RunSpec::new("bzip2");
+        spec.max_insts = max_insts;
+        ChunkState { spec, phase, redispatches: 0, resumed: false, error: None }
+    }
+
+    fn worker(dir: &Path, slots: u64) -> WorkerState {
+        WorkerState { dir: dir.join("worker"), slots, alive: true, misses: 0, done: 0 }
+    }
+
+    #[test]
+    fn pending_chunks_go_out_largest_budget_first_in_any_submission_order() {
+        let (dir, inner) = temp_fleet("order");
+        let mut planned = Vec::new();
+        for budgets in
+            [[10_000, 30_000, 20_000], [30_000, 20_000, 10_000], [20_000, 10_000, 30_000]]
+        {
+            let mut st = lock(&inner.state);
+            *st = FleetState::default();
+            st.workers.insert(1, worker(&dir, 3));
+            for (id, budget) in (1..).zip(budgets) {
+                st.chunks.live.insert(id, chunk(budget, ChunkPhase::Pending));
+            }
+            drop(st);
+            let plan = plan_dispatches(&inner, |_| true, &[]);
+            planned.push(plan.iter().map(|d| d.2.max_insts).collect::<Vec<_>>());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(planned, vec![vec![30_000, 20_000, 10_000]; 3]);
+    }
+
+    #[test]
+    fn a_chunk_fetched_finished_frees_its_slot_in_the_same_plan() {
+        let (dir, inner) = temp_fleet("refill");
+        let mut st = lock(&inner.state);
+        st.workers.insert(1, worker(&dir, 1));
+        st.chunks.live.insert(1, chunk(10_000, ChunkPhase::Dispatched { worker: 1, remote_id: 4 }));
+        st.chunks.live.insert(2, chunk(10_000, ChunkPhase::Pending));
+        drop(st);
+        let full = plan_dispatches(&inner, |_| true, &[]);
+        let refilled = plan_dispatches(&inner, |_| true, &[1]);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(full.is_empty(), "the worker's one slot is taken");
+        assert_eq!(refilled.iter().map(|d| (d.0, d.1)).collect::<Vec<_>>(), [(2, 1)]);
     }
 }

@@ -1,9 +1,11 @@
 //! The core both services run: one JSON-lines server loop, one store of
-//! `<kind>-<id>.json` records, and one lock discipline. The daemon and
-//! the coordinator each add only their op table and what runs behind it
-//! (the job runner, the scheduler).
+//! `<kind>-<id>.json` records, one bounded window of them in memory, and
+//! one lock discipline. The daemon and the coordinator each add only
+//! their op table and what runs behind it (the job runner, the
+//! scheduler).
 
 use crate::protocol::{err_response, send_lines, ENDPOINT_FILE};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -72,6 +74,45 @@ pub(crate) fn read_records(dir: &Path, kind: &str) -> (Vec<(u64, Json)>, u64) {
     }
     records.sort_unstable_by_key(|&(id, _)| id);
     (records, next_id)
+}
+
+/// A service's records by id, in memory: every open one plus the `KEEP`
+/// that ended most recently. An older ended record lives on disk only
+/// and is counted by how it ended, so totals stay exact however long the
+/// service runs.
+pub(crate) struct Retained<T, const KEEP: usize> {
+    /// The records in memory.
+    pub(crate) live: BTreeMap<u64, T>,
+    /// The ended records in `live`, in the order they ended, and whether
+    /// each succeeded.
+    ended: VecDeque<(u64, bool)>,
+    /// Ended records that have left `live`: `[succeeded, failed]`.
+    pub(crate) dropped: [u64; 2],
+}
+
+impl<T, const KEEP: usize> Default for Retained<T, KEEP> {
+    fn default() -> Self {
+        Retained { live: BTreeMap::new(), ended: VecDeque::new(), dropped: [0; 2] }
+    }
+}
+
+impl<T, const KEEP: usize> Retained<T, KEEP> {
+    /// Notes that record `id` has ended and its file on disk is final,
+    /// then drops the oldest ended records beyond `KEEP` from memory.
+    pub(crate) fn retire(&mut self, id: u64, succeeded: bool) {
+        self.ended.push_back((id, succeeded));
+        while self.ended.len() > KEEP {
+            let Some((old, ok)) = self.ended.pop_front() else { break };
+            if self.live.remove(&old).is_some() {
+                self.dropped[usize::from(!ok)] += 1;
+            }
+        }
+    }
+
+    /// Every record held so far, the dropped ones included.
+    pub(crate) fn total(&self) -> u64 {
+        self.live.len() as u64 + self.dropped[0] + self.dropped[1]
+    }
 }
 
 /// Serves JSON-lines clients on `listener` until `stopping` is raised.

@@ -3,7 +3,9 @@
 //! checkpoint scale, a fleet worker that accepts connections but never
 //! answers, one that answers a submit only after the coordinator has
 //! given up on it, a submit that arrives while a scheduler round is out
-//! on the network, and a coordinator restart.
+//! on the network, a coordinator restart, the coordinator's completion
+//! pacing and heartbeat clock, and the bounded history of the daemon
+//! and the coordinator.
 //!
 //! Each test bounds its wait, so a regression fails in seconds instead
 //! of hanging the suite.
@@ -178,11 +180,14 @@ fn a_worker_that_accepts_but_never_answers_is_declared_lost() {
 /// `submit` is admitted on receipt, and `admitted[id - 1]` records the
 /// manifest file of job `id`. The first request of op `late_op` is
 /// answered only after `late_by`, like a worker that stalls and then
-/// resumes. Every job reports `running` forever.
+/// resumes. Every job reports `running` forever, or, when `finish`, is
+/// done with the manifest `{}` as soon as it is fetched. `watch` is an
+/// unknown op.
 fn answer_as_stalling_worker(
     stream: TcpStream,
     late_op: &str,
     late_by: Duration,
+    finish: bool,
     first: &AtomicBool,
     admitted: &Mutex<Vec<String>>,
 ) {
@@ -207,9 +212,17 @@ fn answer_as_stalling_worker(
                 resp.set("id", Json::U64(id));
             }
             Some("fetch") => {
+                let phase = if finish { "done" } else { "running" };
                 let mut job = Json::obj();
-                job.set("phase", Json::Str("running".to_string()));
+                job.set("phase", Json::Str(phase.to_string()));
                 resp.set("job", job);
+                let index = req.get("id").and_then(Json::as_u64).and_then(|id| id.checked_sub(1));
+                let admitted = admitted.lock().expect("admitted lock");
+                let file = index.and_then(|i| admitted.get(usize::try_from(i).ok()?).cloned());
+                if let (true, Some(file)) = (finish, file) {
+                    resp.set("file", Json::Str(file));
+                    resp.set("manifest", Json::Str("{}\n".to_string()));
+                }
             }
             _ => {
                 resp.set("ok", Json::Bool(false));
@@ -238,6 +251,15 @@ struct StandIn {
 
 impl StandIn {
     fn start(dir: &Path, late_op: &'static str, late_by: Duration) -> StandIn {
+        StandIn::serve(dir, late_op, late_by, false)
+    }
+
+    /// A stand-in whose jobs are done by the time they are first fetched.
+    fn finishing(dir: &Path) -> StandIn {
+        StandIn::serve(dir, "", Duration::ZERO, true)
+    }
+
+    fn serve(dir: &Path, late_op: &'static str, late_by: Duration, finish: bool) -> StandIn {
         std::fs::create_dir_all(dir).expect("worker dir");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("local addr");
@@ -255,7 +277,8 @@ impl StandIn {
                     let Ok(stream) = conn else { continue };
                     let (admitted, first) = (Arc::clone(&admitted), Arc::clone(&first));
                     std::thread::spawn(move || {
-                        answer_as_stalling_worker(stream, late_op, late_by, &first, &admitted);
+                        let (late, admitted) = (late_by, &admitted);
+                        answer_as_stalling_worker(stream, late_op, late, finish, &first, admitted);
                     });
                 }
             })
@@ -464,4 +487,249 @@ fn a_restarted_coordinator_keeps_its_chunks_workers_and_ids() {
     daemon.join().expect("daemon thread").expect("daemon exits cleanly");
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(on_disk, [true, true], "both merged manifests are on disk");
+}
+
+/// A bzip2 chunk that runs for a few milliseconds.
+fn short_chunk() -> RunSpec {
+    RunSpec {
+        mode: ModeSpec::Base,
+        max_insts: 20_000,
+        checkpoint_every: 20_000,
+        ..RunSpec::new("bzip2")
+    }
+}
+
+/// A daemon with `workers` worker threads, serving `dir` on a thread of
+/// its own.
+fn start_daemon(dir: &Path, workers: usize) -> JoinHandle<Result<(), ServiceError>> {
+    let dir = dir.to_path_buf();
+    let opts =
+        ServeOptions { dir: dir.clone(), workers, queue_capacity: 128, ..ServeOptions::default() };
+    let daemon = std::thread::spawn(move || serve(&opts));
+    drop(connect(&dir));
+    daemon
+}
+
+/// `(pending, dispatched, done, failed, total)` from a fleet `status`.
+fn chunk_counts(status: &Json) -> [u64; 5] {
+    ["pending", "dispatched", "done", "failed", "total"]
+        .map(|k| status.get_path(&format!("chunks.{k}")).and_then(Json::as_u64).unwrap_or(u64::MAX))
+}
+
+/// One worker's entry in a fleet `status`.
+fn worker_entry(status: &Json, id: u64) -> Json {
+    let workers = status.get("workers").and_then(Json::as_arr).unwrap_or(&[]);
+    let found = workers.iter().find(|w| w.get("id").and_then(Json::as_u64) == Some(id));
+    found.cloned().unwrap_or_else(|| panic!("worker {id} is not in {status:?}"))
+}
+
+#[test]
+fn a_finished_chunk_refills_its_slot_without_waiting_for_a_heartbeat() {
+    let root = fresh_dir("pacing");
+    let worker = root.join("worker");
+    // A heartbeat every 3 s: a chunk's end must wake the scheduler, which
+    // merges the chunk and hands the freed slot the next one at once.
+    let opts = FleetOptions {
+        dir: root.join("fleet"),
+        heartbeat_ms: 3_000,
+        heartbeat_cap_ms: 3_000,
+        ..FleetOptions::default()
+    };
+    let daemon = start_daemon(&worker, 1);
+    let (mut client, fleet) = start_fleet(&opts);
+    client.register(&worker, 1).expect("register");
+    let submitted = Instant::now();
+    for _ in 0..4 {
+        client.submit(&short_chunk()).expect("submit");
+    }
+    let deadline = submitted + Duration::from_secs(10);
+    let counts = loop {
+        let counts = chunk_counts(&client.fleet_status().expect("status"));
+        if counts[2] == 4 || Instant::now() > deadline {
+            break counts;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let took = submitted.elapsed();
+    stop_fleet((client, fleet), true);
+    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(counts, [0, 0, 4, 0, 4], "all four chunks are done");
+    assert!(took < Duration::from_millis(1_500), "four chunks on one slot took {took:?}");
+}
+
+#[test]
+fn a_dead_worker_is_lost_on_the_heartbeat_clock_not_at_completion_pace() {
+    let root = fresh_dir("liveness");
+    let (live, dead) = (root.join("live"), root.join("dead"));
+    // The dead worker's endpoint names port 0, which nothing can listen
+    // on, so every connect to it is refused at once.
+    std::fs::create_dir_all(&dead).expect("dead worker dir");
+    std::fs::write(dead.join(ENDPOINT_FILE), "127.0.0.1:0\n").expect("endpoint");
+    let opts = FleetOptions {
+        dir: root.join("fleet"),
+        heartbeat_ms: 100,
+        heartbeat_cap_ms: 100,
+        lost_after: 3,
+        ..FleetOptions::default()
+    };
+    let daemon = start_daemon(&live, 1);
+    let (mut client, fleet) = start_fleet(&opts);
+    let live_id = client.register(&live, 1).expect("register");
+    // Keep two chunks open, so the live worker completes one every few
+    // milliseconds and every completion starts a round.
+    let mut submitted = 0u64;
+    let mut top_up = |client: &mut Client, status: &Json| {
+        let [pending, dispatched, ..] = chunk_counts(status);
+        for _ in pending + dispatched..2 {
+            client.submit(&short_chunk()).expect("submit");
+            submitted += 1;
+        }
+    };
+    let status = client.fleet_status().expect("status");
+    top_up(&mut client, &status);
+    let registered = Instant::now();
+    let dead_id = client.register(&dead, 1).expect("register");
+    // A heartbeat is due at most once per 100 ms, so the third miss cannot
+    // land before 200 ms after the registration. `early` counts the
+    // statuses answered within 150 ms of it, and how many said alive.
+    let mut early = (0, 0);
+    let lost = loop {
+        let status = client.fleet_status().expect("status");
+        let answered = registered.elapsed();
+        let alive = worker_entry(&status, dead_id).get("alive") == Some(&Json::Bool(true));
+        if answered < Duration::from_millis(150) {
+            early = (early.0 + 1, early.1 + u32::from(alive));
+        }
+        if !alive {
+            break Some(answered);
+        }
+        if answered > Duration::from_secs(3) {
+            break None;
+        }
+        top_up(&mut client, &status);
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        let status = client.fleet_status().expect("status");
+        if chunk_counts(&status)[2] == submitted || Instant::now() > deadline {
+            break status;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    stop_fleet((client, fleet), true);
+    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(early.0 > 0, "no status answered within 150 ms of the registration");
+    assert_eq!(early.1, early.0, "the dead worker was declared lost within 150 ms");
+    let lost = lost.expect("the dead worker was not declared lost within 3 s");
+    assert_eq!(chunk_counts(&status), [0, 0, submitted, 0, submitted], "lost after {lost:?}");
+    let done = |id| worker_entry(&status, id).get("done").and_then(Json::as_u64);
+    assert_eq!((done(live_id), done(dead_id)), (Some(submitted), Some(0)));
+}
+
+#[test]
+fn a_coordinator_lists_a_bounded_window_of_ended_chunks_with_exact_counts() {
+    let root = fresh_dir("window");
+    let worker = root.join("worker");
+    let stand_in = StandIn::finishing(&worker);
+    let opts = FleetOptions {
+        dir: root.join("fleet"),
+        heartbeat_ms: 5,
+        heartbeat_cap_ms: 5,
+        ..FleetOptions::default()
+    };
+    let mut fleet = start_fleet(&opts);
+    fleet.0.register(&worker, 64).expect("register");
+    for _ in 0..40 {
+        fleet.0.submit(&short_chunk()).expect("submit");
+    }
+    let counts = |fleet: &mut Fleet| chunk_counts(&fleet.0.fleet_status().expect("status"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counts(&mut fleet)[2] < 40 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (listed, ended) = (chunk_table(&mut fleet.0), counts(&mut fleet));
+    stop_fleet(fleet, false);
+    let mut fleet = start_fleet(&opts);
+    let reloaded = (chunk_table(&mut fleet.0), counts(&mut fleet));
+    let next = fleet.0.submit(&short_chunk()).expect("submit");
+    stop_fleet(fleet, false);
+    stand_in.stop();
+    let _ = std::fs::remove_dir_all(&root);
+
+    assert_eq!(ended, [0, 0, 40, 0, 40], "the counts cover every chunk");
+    let ids: Vec<u64> = listed.iter().map(|(id, _, _)| *id).collect();
+    assert_eq!(ids, (9..=40).collect::<Vec<_>>(), "the 32 chunks that ended last");
+    assert!(listed.iter().all(|(_, _, phase)| phase == "done"), "{listed:?}");
+    assert_eq!(reloaded, (listed, ended), "a restart keeps the window and the counts");
+    assert_eq!(next, 41, "ids are never reused");
+}
+
+/// Sends `request` on a fresh connection to the service in `dir` and
+/// returns the lines of its answer, up to a `watch` stream's `end`.
+fn raw_answer(dir: &Path, request: &str) -> Vec<String> {
+    let addr = std::fs::read_to_string(dir.join(ENDPOINT_FILE)).expect("endpoint");
+    let mut stream = TcpStream::connect(addr.trim()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream.write_all(format!("{request}\n").as_bytes()).expect("request");
+    let mut lines = Vec::new();
+    for line in BufReader::new(stream).lines() {
+        let line = line.expect("an answer line");
+        let last = !line.contains("\"event\"") || line.contains("\"event\":\"end\"");
+        lines.push(line);
+        if last {
+            break;
+        }
+    }
+    lines
+}
+
+/// A done job's `status` line, `fetch` line, and the `status` and `end`
+/// lines of its `watch` stream, as the daemon in `dir` sends them.
+fn job_answers(dir: &Path, id: u64) -> [String; 4] {
+    let [status, fetch] = ["status", "fetch"].map(|op| {
+        raw_answer(dir, &format!(r#"{{"op":"{op}","id":{id}}}"#)).concat()
+    });
+    let watch = raw_answer(dir, &format!(r#"{{"op":"watch","id":{id}}}"#));
+    let line = |event: &str| {
+        let tag = format!("\"event\":\"{event}\"");
+        watch.iter().rev().find(|l| l.contains(&tag)).cloned().unwrap_or_default()
+    };
+    assert!(fetch.contains("\"manifest\""), "job {id} is done: {fetch}");
+    [status, fetch, line("status"), line("end")]
+}
+
+#[test]
+fn a_job_that_left_the_daemons_memory_answers_from_disk_with_the_same_bytes() {
+    let dir = fresh_dir("registry");
+    let daemon = start_daemon(&dir, 2);
+    let mut client = connect(&dir);
+    let first = client.submit(&short_chunk()).expect("submit");
+    client.watch(first, |_| {}).expect("watch");
+    let before = job_answers(&dir, first);
+    // 70 more finished jobs push the first out of the registry.
+    let later: Vec<u64> = (0..70).map(|_| client.submit(&short_chunk()).expect("submit")).collect();
+    for &id in &later {
+        client.watch(id, |_| {}).expect("watch");
+    }
+    let jobs = client.jobs().expect("jobs");
+    let listed: Vec<u64> = jobs.iter().filter_map(|j| j.get("id").and_then(Json::as_u64)).collect();
+    let after = job_answers(&dir, first);
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
+    // A restarted daemon keeps the same window.
+    let daemon = start_daemon(&dir, 2);
+    let mut client = connect(&dir);
+    let relisted = client.jobs().expect("jobs").len();
+    let restarted = job_answers(&dir, first);
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(!listed.contains(&first), "job {first} left the registry: {listed:?}");
+    assert!(listed.len() <= 64 && relisted <= 64, "{} and {relisted} jobs listed", listed.len());
+    assert_eq!(after, before, "the same status, manifest, and watch end from disk");
+    assert_eq!(restarted, before, "the same answers after a restart");
 }

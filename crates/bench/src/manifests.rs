@@ -89,14 +89,9 @@ fn derived_json(stats: &SimStats) -> Json {
 }
 
 /// The manifest `audit` block: the cycle-accounting identity terms plus
-/// the audit verdict at the default tolerance.
-fn audit_json(stats: &SimStats) -> Json {
-    engine_audit_json(EngineKind::InOrder, stats)
-}
-
-/// [`audit_json`] with the identity set matched to the engine that
-/// produced `stats` ([`SimStats::audit`]).
-fn engine_audit_json(engine: EngineKind, stats: &SimStats) -> Json {
+/// the verdict at the default tolerance of the identity set that matches
+/// the engine that produced `stats` ([`SimStats::audit`]).
+fn audit_json(engine: EngineKind, stats: &SimStats) -> Json {
     let report = stats.audit(engine);
     let mut j = stats.accounting().to_json();
     j.set("tolerance", Json::F64(report.tolerance));
@@ -118,7 +113,7 @@ pub fn build_engine_manifest(
     m.set_config(config_json(mode));
     m.set_counters(&stats.snapshot());
     m.set_derived(derived_json(stats));
-    m.set_audit(engine_audit_json(engine, stats));
+    m.set_audit(audit_json(engine, stats));
     m.set_samples(samples.iter().map(sample_json).collect());
     m.set_host(host);
     m
@@ -156,13 +151,15 @@ fn fault_config_json(mode: &str) -> Json {
 
 /// Builds the manifest for one fault-campaign cell: the standard
 /// `sim.*` counters plus the `fault.*` counters, detection coverage in
-/// the `derived` block, and the usual cycle-accounting audit (faulted
+/// the `derived` block, and `engine`'s cycle-accounting audit (faulted
 /// runs stay auditable — recovery charges are ordinary stall cycles).
-/// `mode` is the matrix mode (`base`, `vcfr128`, …); the manifest mode
-/// gets the `faults-` prefix.
+/// `mode` is the matrix mode, engine-prefixed off the in-order engine
+/// (`base`, `vcfr128`, `ooo-vcfr128`, …); the manifest mode gets the
+/// `faults-` prefix.
 pub fn build_fault_manifest(
     app: &str,
     mode: &str,
+    engine: EngineKind,
     f: &vcfr_sim::FaultStats,
     stats: &SimStats,
     host: Json,
@@ -186,7 +183,7 @@ pub fn build_fault_manifest(
     d.set("fault_coverage", Json::F64(f.coverage()));
     d.set("fault_detected", Json::U64(f.detected()));
     m.set_derived(d);
-    m.set_audit(audit_json(stats));
+    m.set_audit(audit_json(engine, stats));
     m.set_host(host);
     m
 }
@@ -238,7 +235,7 @@ pub fn build_frontier_manifest(row: &FrontierRow, fz: &FuzzConfig, host: Json) -
     d.set("base_cycles", Json::U64(row.base_cycles));
     d.set("fault_coverage", Json::F64(row.fault_coverage));
     m.set_derived(d);
-    m.set_audit(audit_json(&row.stats));
+    m.set_audit(audit_json(EngineKind::InOrder, &row.stats));
     m.set_host(host);
     m
 }
@@ -321,7 +318,7 @@ pub fn build_multicore_manifest(cell: &MulticoreCell, host: Json) -> Manifest {
     d.set("core0_ipc", Json::F64(cell.output.per_core[0].ipc()));
     d.set("core1_ipc", Json::F64(cell.output.per_core[1].ipc()));
     m.set_derived(d);
-    m.set_audit(audit_json(&cell.output.stats));
+    m.set_audit(audit_json(EngineKind::Multicore { cores: 2 }, &cell.output.stats));
     m.set_host(host);
     m
 }

@@ -55,7 +55,8 @@ pub struct RunSpec {
     pub scale: u64,
     /// Run the deterministic fault-injection campaign schedule for this
     /// workload ([`fault_plan_for`]) and emit a fault manifest
-    /// (`faults-<mode>`) instead of a matrix manifest.
+    /// (`faults-<mode>`, `faults-<engine>-<mode>` off the in-order engine)
+    /// instead of a matrix manifest.
     pub faults: bool,
     /// Which timing engine executes the run. On the wire this is the
     /// selector vocabulary (`inorder`/`ooo`/`mcN`); absent means
@@ -98,18 +99,22 @@ impl RunSpec {
         self.mode.to_string()
     }
 
-    /// The manifest `mode` column this spec produces —
-    /// [`RunSpec::matrix_mode`], prefixed `faults-` for campaign runs
-    /// and `<engine>-` for non-in-order engines (so an `ooo` or `mc2`
-    /// run never collides with the in-order cell of the same matrix).
-    pub fn manifest_mode(&self) -> String {
-        if self.faults {
-            format!("faults-{}", self.matrix_mode())
-        } else if self.engine != EngineKind::InOrder {
-            format!("{}-{}", self.engine, self.matrix_mode())
-        } else {
-            self.matrix_mode()
+    /// [`RunSpec::matrix_mode`], prefixed `<engine>-` for non-in-order
+    /// engines (so an `ooo` or `mc2` run never collides with the
+    /// in-order cell of the same matrix).
+    fn engine_mode(&self) -> String {
+        match self.engine {
+            EngineKind::InOrder => self.matrix_mode(),
+            engine => format!("{engine}-{}", self.matrix_mode()),
         }
+    }
+
+    /// The manifest `mode` column this spec produces: the engine-prefixed
+    /// matrix mode, itself prefixed `faults-` for campaign runs
+    /// (`vcfr128`, `ooo-vcfr128`, `faults-vcfr128`, `faults-mc2-base`).
+    pub fn manifest_mode(&self) -> String {
+        let campaign = if self.faults { "faults-" } else { "" };
+        format!("{campaign}{}", self.engine_mode())
     }
 
     /// The conventional `results/manifests/` file name of this spec's
@@ -156,11 +161,6 @@ impl RunSpec {
             )));
         }
         self.config().map_err(|e| SpecError(e.to_string()))?;
-        if self.faults && !self.engine.models_faults() {
-            return Err(SpecError(
-                "fault campaigns are only modeled on the in-order engine".to_string(),
-            ));
-        }
         Ok(())
     }
 
@@ -205,17 +205,17 @@ impl RunSpec {
         })
     }
 
-    /// Step 3: the run's manifest — a fault manifest for a campaign
-    /// cell (its builder adds the `faults-` prefix), otherwise the engine
-    /// manifest under [`RunSpec::manifest_mode`], so a non-in-order run
-    /// never merges over the in-order cell of the same matrix.
+    /// Step 3: the run's manifest under [`RunSpec::manifest_mode`] — a
+    /// fault manifest for a campaign cell (its builder adds the `faults-`
+    /// prefix), otherwise the engine manifest — audited by the engine's
+    /// identity set.
     pub fn manifest(&self, out: &SessionOutcome, host: Json) -> Manifest {
-        let (app, stats) = (&self.workload, &out.output.stats);
+        let (app, stats, engine) = (&self.workload, &out.output.stats, self.engine);
         if self.faults {
-            build_fault_manifest(app, &self.matrix_mode(), &out.faults, stats, host)
+            build_fault_manifest(app, &self.engine_mode(), engine, &out.faults, stats, host)
         } else {
             let mode = self.manifest_mode();
-            build_engine_manifest(app, &mode, self.engine, stats, &out.samples, host)
+            build_engine_manifest(app, &mode, engine, stats, &out.samples, host)
         }
     }
 
@@ -506,11 +506,16 @@ mod tests {
             assert!(RunSpec::from_json(&j).is_err(), "{bad} should be rejected");
         }
 
-        // Fault campaigns stay pinned to the in-order engine.
-        let mut j = RunSpec::new("bzip2").to_json();
-        j.set("faults", Json::Bool(true));
-        j.set("engine", Json::Str("ooo".into()));
-        let e = RunSpec::from_json(&j).unwrap_err();
-        assert!(e.to_string().contains("in-order"), "{e}");
+        // Fault campaigns run on every engine, under the engine's prefix
+        // inside the `faults-` one.
+        for (engine, name) in
+            [("ooo", "bzip2__faults-ooo-vcfr128.json"), ("mc2", "bzip2__faults-mc2-vcfr128.json")]
+        {
+            let mut j = RunSpec::new("bzip2").to_json();
+            j.set("faults", Json::Bool(true));
+            j.set("engine", Json::Str(engine.into()));
+            let spec = RunSpec::from_json(&j).expect("admitted");
+            assert_eq!(spec.manifest_file_name(), name);
+        }
     }
 }

@@ -100,16 +100,6 @@ impl FuzzReport {
         }
     }
 
-    /// Mean probes spent per trial.
-    pub fn mean_probes(&self) -> f64 {
-        if self.trials.is_empty() {
-            0.0
-        } else {
-            self.trials.iter().map(|t| t.probes_spent as f64).sum::<f64>()
-                / self.trials.len() as f64
-        }
-    }
-
     /// Total pages of mapped code discovered across all trials.
     pub fn pages_discovered(&self) -> usize {
         self.trials.iter().map(|t| t.pages_discovered).sum()

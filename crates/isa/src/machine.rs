@@ -204,13 +204,6 @@ impl Machine {
         self.decoded.set_fallthrough(&map);
     }
 
-    /// Additionally permits control transfers into `[lo, hi)`. Used when a
-    /// program legitimately spans several code regions (e.g. a scattered
-    /// ILR layout plus an un-randomized fail-over region).
-    pub fn allow_code_range(&mut self, lo: Addr, hi: Addr) {
-        self.decoded.add_range(lo, hi);
-    }
-
     /// Current program counter.
     pub fn pc(&self) -> Addr {
         self.pc

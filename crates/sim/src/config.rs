@@ -158,13 +158,6 @@ impl EngineKind {
         }
     }
 
-    /// Whether injected faults are modeled. Only the in-order core
-    /// classifies them; a session on any other kind refuses a fault
-    /// plan.
-    pub fn models_faults(self) -> bool {
-        self == EngineKind::InOrder
-    }
-
     /// Whether [`crate::Session::trace_events`] reports a post-mortem
     /// trace ring. The out-of-order core keeps none; multicore cores
     /// keep one each (checkpointed with the core) but the session

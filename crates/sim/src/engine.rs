@@ -21,11 +21,10 @@
 
 use crate::config::SimConfig;
 use crate::faults::{
-    target_from_tag, target_tag, ContainmentPolicy, FaultOutcome, FaultPersistence, FaultTarget,
-    ScheduledFault,
+    target_from_tag, target_tag, ContainmentPolicy, FaultOutcome, FaultTarget, ScheduledFault,
 };
 use crate::hierarchy::MemoryHierarchy;
-use crate::mediation::{Mediation, Mode};
+use crate::mediation::{classify_fault, FaultAction, Mediation, Mode};
 use crate::predict::Predictors;
 use crate::session::Session;
 use crate::stats::SimStats;
@@ -313,32 +312,22 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// One instruction through the timing model.
-    pub(crate) fn step(&mut self, info: &StepInfo) {
-        self.instructions += 1;
-        self.cur_pc = info.pc;
-        let cfg = self.cfg;
-        let seq = self.instructions;
-
-        // Context switches flush the DRC; live re-randomization (§V-C)
-        // swaps to a fresh layout every epoch, pausing the pipeline.
-        if let Some(cost) = self.med.as_mut().and_then(|m| m.begin(seq)) {
-            self.rerand_pause(cost);
-        }
-
-        // ---- fetch ------------------------------------------------------
+    /// Fetches the bytes `first..=last` of instruction `seq` at `pc` and
+    /// issues it: the IQ's back-pressure, one IL1 access per new line of
+    /// the fetch window and the `FetchStall` event. Returns when fetch
+    /// finished and when execution starts. Shared by [`Engine::step`] and
+    /// [`Engine::replay_block`], so both paths time fetch identically.
+    #[inline(always)]
+    fn fetch_and_issue(&mut self, seq: u64, pc: Addr, first: Addr, last: Addr) -> (u64, u64) {
         let mut start = self.fetch_time.max(self.redirect_at);
-        if self.iq.len() >= cfg.iq_entries {
+        if self.iq.len() >= self.cfg.iq_entries {
             if let Some(oldest) = self.iq.pop_front() {
                 start = start.max(oldest);
             }
         }
+        let line_bytes = self.cfg.il1.line_bytes as Addr;
+        let (mut line, last) = (first & !(line_bytes - 1), last & !(line_bytes - 1));
         let mut stall = 0;
-        let fetch_pc = self.mode.fetch_addr(info.pc);
-        let line_bytes = cfg.il1.line_bytes as Addr;
-        let first = fetch_pc & !(line_bytes - 1);
-        let last = (fetch_pc + info.len as Addr - 1) & !(line_bytes - 1);
-        let mut line = first;
         loop {
             if self.window_line != Some(line) {
                 stall += self.hier.fetch_line(line, start);
@@ -353,19 +342,32 @@ impl<'a> Engine<'a> {
         self.fetch_stall += stall;
         self.fetch_time = fetch_done;
         if stall > 0 {
-            trace_push(
-                &mut self.trace,
-                seq,
-                info.pc,
-                fetch_done,
-                TraceEventKind::FetchStall { cycles: stall },
-            );
+            let kind = TraceEventKind::FetchStall { cycles: stall };
+            trace_push(&mut self.trace, seq, pc, fetch_done, kind);
         }
-
-        // ---- backend ----------------------------------------------------
         let exec_start = (self.backend_time + 1).max(fetch_done + DECODE_DEPTH);
         self.iq.push_back(exec_start);
+        (fetch_done, exec_start)
+    }
 
+    /// One instruction through the timing model.
+    pub(crate) fn step(&mut self, info: &StepInfo) {
+        self.instructions += 1;
+        self.cur_pc = info.pc;
+        let seq = self.instructions;
+
+        // Context switches flush the DRC; live re-randomization (§V-C)
+        // swaps to a fresh layout every epoch, pausing the pipeline.
+        if let Some(cost) = self.med.as_mut().and_then(|m| m.begin(seq)) {
+            self.rerand_pause(cost);
+        }
+
+        // ---- fetch and issue -------------------------------------------
+        let fetch_pc = self.mode.fetch_addr(info.pc);
+        let last = fetch_pc + info.len as Addr - 1;
+        let (fetch_done, exec_start) = self.fetch_and_issue(seq, info.pc, fetch_pc, last);
+
+        // ---- backend ----------------------------------------------------
         let extra = exec_extra_cycles(&info.inst);
         self.exec_extra += extra;
         let mut exec_end = exec_start + extra;
@@ -445,49 +447,9 @@ impl<'a> Engine<'a> {
     /// cache/TLB/prefetcher state advanced by `fetch_line` on *hits* and
     /// FetchStall/Commit trace events, runs exactly as in `step`.
     pub(crate) fn replay_block(&mut self, insts: &[ReplayInst]) {
-        let cfg = self.cfg;
-        let line_bytes = cfg.il1.line_bytes as Addr;
-        let line_mask = !(line_bytes - 1);
         for ri in insts {
             self.instructions += 1;
-
-            // ---- fetch --------------------------------------------------
-            let mut start = self.fetch_time.max(self.redirect_at);
-            if self.iq.len() >= cfg.iq_entries {
-                if let Some(oldest) = self.iq.pop_front() {
-                    start = start.max(oldest);
-                }
-            }
-            let mut stall = 0;
-            let first = ri.pc & line_mask;
-            let last = ri.last & line_mask;
-            let mut line = first;
-            loop {
-                if self.window_line != Some(line) {
-                    stall += self.hier.fetch_line(line, start);
-                    self.window_line = Some(line);
-                }
-                if line == last {
-                    break;
-                }
-                line += line_bytes;
-            }
-            let fetch_done = start + 1 + stall;
-            self.fetch_stall += stall;
-            self.fetch_time = fetch_done;
-            if stall > 0 {
-                trace_push(
-                    &mut self.trace,
-                    self.instructions,
-                    ri.pc,
-                    fetch_done,
-                    TraceEventKind::FetchStall { cycles: stall },
-                );
-            }
-
-            // ---- backend ------------------------------------------------
-            let exec_start = (self.backend_time + 1).max(fetch_done + DECODE_DEPTH);
-            self.iq.push_back(exec_start);
+            let (_, exec_start) = self.fetch_and_issue(self.instructions, ri.pc, ri.pc, ri.last);
             self.exec_extra += ri.extra;
             let exec_end = exec_start + ri.extra;
             self.backend_time = exec_end;
@@ -498,116 +460,35 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Injects one scheduled fault, classifying its outcome against the
-    /// live structures. Injection is counterfactual — the golden
-    /// architectural run is never corrupted — but detected faults charge
-    /// their trap-and-refill recovery to the pipeline, and a sticky table
-    /// fault either triggers an emergency re-randomization or halts the
-    /// machine, per `policy`.
+    /// Injects one scheduled fault, due at session instruction `at_inst`,
+    /// and applies the mediation unit's verdict ([`classify_fault`]),
+    /// tracing the fault's injection and detection in the ring.
     pub(crate) fn inject_fault(
         &mut self,
         f: &ScheduledFault,
         policy: ContainmentPolicy,
+        at_inst: u64,
     ) -> Result<FaultOutcome, SimError> {
-        trace_push(
-            &mut self.trace,
-            self.instructions,
-            self.cur_pc,
-            self.backend_time,
-            TraceEventKind::FaultInjected { target: f.target },
-        );
-        let bit = 1u32 << (f.bit % 32);
-        let pc = self.cur_pc;
-        let outcome = match (f.target, self.med.as_mut()) {
-            // Baseline machine: the mediation hardware does not exist, so
-            // flips aimed at it land in dead state; a corrupted PC is only
-            // caught when it leaves the text segment.
-            (FaultTarget::Rpc | FaultTarget::Upc, None) => {
-                if self.mode.image_ref().in_text(pc ^ bit) {
-                    FaultOutcome::Silent
-                } else {
-                    FaultOutcome::DetectedDecodeFailure
-                }
+        let (seq, pc, target) = (self.instructions, self.cur_pc, f.target);
+        let injected = TraceEventKind::FaultInjected { target };
+        trace_push(&mut self.trace, seq, pc, self.backend_time, injected);
+        let image = self.mode.image_ref();
+        let (outcome, action) =
+            classify_fault(self.med.as_mut(), f, policy, pc, &mut self.hier.dtlb, image);
+        match action {
+            FaultAction::Halt => {
+                let trace = self.trace.to_vec();
+                return Err(SimError::Fault { at_inst, target, trace });
             }
-            (_, None) => FaultOutcome::Masked,
-            // A flip in a valid DRC entry trips its parity on the next
-            // probe and the entry scrubs (the refill is a natural miss, so
-            // no extra charge); an invalid entry absorbs the flip.
-            (FaultTarget::DrcEntry, Some(med)) => {
-                if med.scrub_drc_entry(f.lane as usize) {
-                    FaultOutcome::DetectedParityScrub
-                } else {
-                    FaultOutcome::Masked
-                }
-            }
-            // Table slots are parity-protected too. A transient flip
-            // scrubs and the slot rewrites from the layout; a sticky one
-            // keeps re-asserting and must be contained.
-            (FaultTarget::TableSlot, Some(med)) => match (f.persistence, policy) {
-                (FaultPersistence::Transient, _) => FaultOutcome::DetectedParityScrub,
-                (FaultPersistence::Sticky, ContainmentPolicy::Recover) => {
-                    let cost = med.swap_epoch();
-                    self.rerand_pause(cost);
-                    FaultOutcome::Contained
-                }
-                (FaultPersistence::Sticky, ContainmentPolicy::Halt) => {
-                    return Err(SimError::Fault {
-                        at_inst: self.instructions,
-                        target: f.target,
-                        trace: self.trace.to_vec(),
-                    });
-                }
-            },
-            // A flipped randomized PC almost never lands on another valid
-            // randomized address: de-randomization rejects it — the same
-            // prohibited/unmapped check that stops an attacker.
-            (FaultTarget::Rpc, Some(med)) => match med.derand_flipped_rpc(pc, bit) {
-                None => FaultOutcome::DetectedTranslationFault,
-                Some(orig) if orig == pc => FaultOutcome::Masked,
-                Some(_) => FaultOutcome::Silent,
-            },
-            // A flipped un-randomized (fetch-space) PC: the TLB
-            // page-visibility bit catches wanders into table pages,
-            // decode catches exits from the text segment.
-            (FaultTarget::Upc, Some(_)) => {
-                let flipped = pc ^ bit;
-                if !self.hier.dtlb.user_visible(flipped) {
-                    self.hier.dtlb.record_visibility_fault();
-                    FaultOutcome::DetectedVisibilityFault
-                } else if !self.mode.image_ref().in_text(flipped) {
-                    FaultOutcome::DetectedDecodeFailure
-                } else {
-                    FaultOutcome::Silent
-                }
-            }
-            // A flipped bitmap word either spuriously de-randomizes a
-            // plain value or returns a raw randomized address — both fail
-            // de-randomization when any slot is live; an idle bitmap
-            // absorbs the flip.
-            (FaultTarget::StackBitmap, Some(med)) => {
-                if med.live_slots() > 0 {
-                    FaultOutcome::DetectedTranslationFault
-                } else {
-                    FaultOutcome::Masked
-                }
-            }
-        };
+            FaultAction::Pause(cost) => self.rerand_pause(cost),
+            FaultAction::None | FaultAction::Refetch => {}
+        }
         if outcome.detected() {
-            trace_push(
-                &mut self.trace,
-                self.instructions,
-                pc,
-                self.backend_time,
-                TraceEventKind::FaultDetected { target: f.target },
-            );
-            // Trap-and-refill recovery for faults caught on the fetch
-            // path (containment already charged the full swap).
-            if outcome != FaultOutcome::Contained && outcome != FaultOutcome::DetectedParityScrub
-            {
-                let resume =
-                    self.backend_time.max(self.fetch_time) + self.cfg.mispredict_penalty;
-                self.redirect(resume);
-            }
+            let detected = TraceEventKind::FaultDetected { target };
+            trace_push(&mut self.trace, seq, pc, self.backend_time, detected);
+        }
+        if action == FaultAction::Refetch {
+            self.redirect(self.backend_time.max(self.fetch_time) + self.cfg.mispredict_penalty);
         }
         Ok(outcome)
     }
@@ -832,7 +713,7 @@ pub fn simulate(mode: Mode<'_>, cfg: &SimConfig, max_insts: u64) -> Result<SimOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPlan;
+    use crate::faults::{FaultPersistence, FaultPlan};
     use crate::session::SessionOutcome;
     use vcfr_core::DrcConfig;
     use vcfr_isa::{AluOp, Asm, Cond, Image, Machine, Reg};

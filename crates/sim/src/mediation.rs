@@ -11,11 +11,17 @@
 //! pause). That contract is the seam an alternative mediation scheme
 //! would plug into without touching an engine.
 //!
+//! The unit also owns the fault policy: [`classify_fault`] judges every
+//! injected flip and names the one [`FaultAction`] the engine owes.
+//!
 //! [`Mode`] is the other half of the seam: it answers every per-mode
 //! question (the front end's address space, the VCFR program and its DRC
 //! geometry) once, so no engine matches on the mode.
 
 use crate::config::{DrcBacking, SimConfig};
+use crate::faults::{
+    ContainmentPolicy, FaultOutcome, FaultPersistence, FaultTarget, ScheduledFault,
+};
 use crate::flatmap::FlatMap;
 use crate::hierarchy::MemoryHierarchy;
 use crate::tlb::Tlb;
@@ -267,7 +273,7 @@ impl<'a> Mediation<'a> {
     /// its new randomized return address, and the DRC is flushed.
     /// Returns the pause: quiesce, plus the table rebuild, plus the slot
     /// rewrites.
-    pub(crate) fn swap_epoch(&mut self) -> u64 {
+    fn swap_epoch(&mut self) -> u64 {
         self.epochs += 1;
         // Deterministic per epoch: seeded by the epoch ordinal alone.
         let seed = 0x5eed_0000_0000_0000u64 ^ self.epochs;
@@ -299,26 +305,6 @@ impl<'a> Mediation<'a> {
         self.epoch_layout = Some(fresh);
         self.epoch_table = Some(table);
         cost
-    }
-
-    /// Scrubs DRC entry `lane` after a parity hit; `true` when a valid
-    /// entry was scrubbed, `false` when the flip landed in an invalid one.
-    pub(crate) fn scrub_drc_entry(&mut self, lane: usize) -> bool {
-        self.drc.scrub_entry(lane)
-    }
-
-    /// Where the randomized PC of original `pc` lands with `bit` flipped:
-    /// `None` when de-randomization rejects it (the same check that stops
-    /// an attacker), else the original instruction it names. Classified
-    /// through the pure table walk, so the DRC is untouched.
-    pub(crate) fn derand_flipped_rpc(&self, pc: Addr, bit: u32) -> Option<Addr> {
-        let table = self.epoch_table.as_ref().unwrap_or(&self.program.table);
-        table.derand(RandAddr(self.rand_of(pc) ^ bit)).ok().map(|o| o.raw())
-    }
-
-    /// Stack slots currently holding a randomized return address.
-    pub(crate) fn live_slots(&self) -> u64 {
-        self.bitmap.marked_count()
     }
 
     /// DRC lookup counters.
@@ -375,4 +361,108 @@ impl<'a> Mediation<'a> {
         self.walk_cycles = r.u64()?;
         Ok(self)
     }
+}
+
+/// What an engine owes once [`classify_fault`] has judged a fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FaultAction {
+    /// Nothing (masked, silent, or scrubbed in place).
+    None,
+    /// Trap-and-refill: re-fetch after the mispredict penalty.
+    Refetch,
+    /// Quiesce for the emergency epoch swap's cycles.
+    Pause(u64),
+    /// Stop the machine (a sticky table fault under the Halt policy).
+    Halt,
+}
+
+/// Classifies one scheduled fault against a core's unit (`None` on the
+/// machines without one), data TLB and image, with `pc` the instruction
+/// just committed, and returns how it resolved and the one action the
+/// engine owes. Injection is counterfactual: the golden architectural
+/// run is never corrupted, so the unit only scrubs, swaps or records.
+pub(crate) fn classify_fault(
+    med: Option<&mut Mediation<'_>>,
+    f: &ScheduledFault,
+    policy: ContainmentPolicy,
+    pc: Addr,
+    dtlb: &mut Tlb,
+    image: &Image,
+) -> (FaultOutcome, FaultAction) {
+    let bit = 1u32 << (f.bit % 32);
+    let outcome = match (f.target, med) {
+        // Base and naive machines: the mediation hardware does not exist,
+        // so flips aimed at it land in dead state; a corrupted PC is only
+        // caught when it leaves the text segment.
+        (FaultTarget::Rpc | FaultTarget::Upc, None) => {
+            if image.in_text(pc ^ bit) {
+                FaultOutcome::Silent
+            } else {
+                FaultOutcome::DetectedDecodeFailure
+            }
+        }
+        (_, None) => FaultOutcome::Masked,
+        // A flip in a valid DRC entry trips its parity on the next probe
+        // and the entry scrubs (the refill is a natural miss, so no extra
+        // charge); an invalid entry absorbs the flip.
+        (FaultTarget::DrcEntry, Some(med)) => {
+            if med.drc.scrub_entry(f.lane as usize) {
+                FaultOutcome::DetectedParityScrub
+            } else {
+                FaultOutcome::Masked
+            }
+        }
+        // Table slots are parity-protected too. A transient flip scrubs
+        // and the slot rewrites from the layout; a sticky one keeps
+        // re-asserting and must be contained.
+        (FaultTarget::TableSlot, Some(med)) => match (f.persistence, policy) {
+            (FaultPersistence::Transient, _) => FaultOutcome::DetectedParityScrub,
+            (FaultPersistence::Sticky, ContainmentPolicy::Recover) => {
+                return (FaultOutcome::Contained, FaultAction::Pause(med.swap_epoch()));
+            }
+            (FaultPersistence::Sticky, ContainmentPolicy::Halt) => {
+                return (FaultOutcome::Contained, FaultAction::Halt);
+            }
+        },
+        // A flipped randomized PC almost never lands on another valid
+        // randomized address: de-randomization rejects it, the same
+        // prohibited/unmapped check that stops an attacker. The pure
+        // table walk classifies it, so the DRC is untouched.
+        (FaultTarget::Rpc, Some(med)) => {
+            let table = med.epoch_table.as_ref().unwrap_or(&med.program.table);
+            match table.derand(RandAddr(med.rand_of(pc) ^ bit)) {
+                Err(_) => FaultOutcome::DetectedTranslationFault,
+                Ok(orig) if orig.raw() == pc => FaultOutcome::Masked,
+                Ok(_) => FaultOutcome::Silent,
+            }
+        }
+        // A flipped un-randomized (fetch-space) PC: the TLB
+        // page-visibility bit catches wanders into table pages, decode
+        // catches exits from the text segment.
+        (FaultTarget::Upc, Some(_)) => {
+            let flipped = pc ^ bit;
+            if !dtlb.user_visible(flipped) {
+                dtlb.record_visibility_fault();
+                FaultOutcome::DetectedVisibilityFault
+            } else if !image.in_text(flipped) {
+                FaultOutcome::DetectedDecodeFailure
+            } else {
+                FaultOutcome::Silent
+            }
+        }
+        // A flipped bitmap word either spuriously de-randomizes a plain
+        // value or returns a raw randomized address; both fail
+        // de-randomization when any slot is live, and an idle bitmap
+        // absorbs the flip.
+        (FaultTarget::StackBitmap, Some(med)) => {
+            if med.bitmap.marked_count() > 0 {
+                FaultOutcome::DetectedTranslationFault
+            } else {
+                FaultOutcome::Masked
+            }
+        }
+    };
+    // Faults caught on the fetch path trap and refill.
+    let refetch = outcome.detected() && outcome != FaultOutcome::DetectedParityScrub;
+    (outcome, if refetch { FaultAction::Refetch } else { FaultAction::None })
 }

@@ -15,13 +15,15 @@
 //! Rather than reimplementing the pipeline, each step temporarily
 //! `mem::swap`s the shared L2/DRAM/port into the stepping core's private
 //! [`crate::MemoryHierarchy`] — the cores inherit every in-order engine
-//! feature (redirect-stall accounting, epoch re-randomization, trace
-//! rings, checkpointing) by construction.
+//! feature (redirect-stall accounting, epoch re-randomization, fault
+//! injection, trace rings, checkpointing) by construction.
 //!
 //! Cores advance under a deterministic global event loop: always step
 //! the live core with the smallest local time (`max(backend, fetch)`),
 //! ties broken by core index, so shared-resource state is touched in a
-//! reproducible global order regardless of host threading.
+//! reproducible global order regardless of host threading. A fault
+//! scheduled at aggregate instruction n lands on the core that committed
+//! instruction n.
 
 use crate::cache::{Cache, CacheStats};
 use crate::config::{EngineKind, SimConfig};
@@ -73,6 +75,9 @@ pub(crate) struct MultiCore<'a> {
     done: Vec<bool>,
     shared: SharedLevel,
     max_insts: u64,
+    /// The core that committed the latest instruction. Never
+    /// checkpointed: a fault always follows a step of the same session.
+    last: usize,
 }
 
 impl<'a> MultiCore<'a> {
@@ -97,6 +102,7 @@ impl<'a> MultiCore<'a> {
                 port: SharedPort::default(),
             },
             max_insts,
+            last: 0,
         }
     }
 
@@ -119,6 +125,7 @@ impl<'a> MultiCore<'a> {
             Err(e) => return Err(self.engines[i].fault(e)),
         };
         self.engines[i].step(&info);
+        self.last = i;
         Ok(())
     }
 
@@ -142,6 +149,12 @@ impl<'a> MultiCore<'a> {
         self.swap_shared(i);
         result?;
         Ok(true)
+    }
+
+    /// The engine of the core that committed the latest instruction,
+    /// which takes a fault due at that aggregate count.
+    pub(crate) fn committing_core(&mut self) -> &mut Engine<'a> {
+        &mut self.engines[self.last]
     }
 
     /// Total instructions committed across all cores (the Session's
@@ -225,7 +238,7 @@ impl<'a> MultiCore<'a> {
             dram: Dram::restore(cfg.dram, r)?,
             port: SharedPort::restore(r)?,
         };
-        Ok(MultiCore { machines, engines, done, shared, max_insts })
+        Ok(MultiCore { machines, engines, done, shared, max_insts, last: 0 })
     }
 }
 

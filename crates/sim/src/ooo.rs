@@ -14,16 +14,20 @@
 //!
 //! The core is a first-class [`crate::Session`] backend
 //! ([`crate::EngineKind::Ooo`]): it tracks redirect stall cycles, pays
-//! epoch re-randomization pauses, serialises into checkpoints, and keeps
-//! a front-end floor identity the audit can check exactly — the fetch
-//! clock absorbs every fetch, redirect and rerand stall cycle serially,
-//! so `cycles ≥ fetch_stall + redirect_stall + rerand_stall` always.
+//! epoch re-randomization pauses, applies the mediation unit's fault
+//! verdicts, serialises into checkpoints, and keeps a front-end floor
+//! identity the audit can check exactly — the fetch clock absorbs every
+//! fetch, redirect and rerand stall cycle serially, so
+//! `cycles ≥ fetch_stall + redirect_stall + rerand_stall` always.
 
 use crate::config::{EngineKind, SimConfig};
-use crate::engine::{exec_extra_cycles, load_line, load_queue, save_line, save_queue, SimOutput};
+use crate::engine::{
+    exec_extra_cycles, load_line, load_queue, save_line, save_queue, SimError, SimOutput,
+};
 use crate::error::VcfrError;
+use crate::faults::{ContainmentPolicy, FaultOutcome, ScheduledFault};
 use crate::hierarchy::MemoryHierarchy;
-use crate::mediation::{Mediation, Mode};
+use crate::mediation::{classify_fault, FaultAction, Mediation, Mode};
 use crate::predict::Predictors;
 use crate::session::Session;
 use crate::stats::SimStats;
@@ -80,14 +84,19 @@ pub(crate) struct OooEngine<'a> {
     redirect_stall: u64,
     exec_extra: u64,
     pub(crate) instructions: u64,
+    /// PC of the instruction `step` saw last, which a fault is classified
+    /// against. Never checkpointed: a fault always follows a step of the
+    /// same session.
+    cur_pc: Addr,
 }
 
 impl<'a> OooEngine<'a> {
     pub(crate) fn new(cfg: &SimConfig, ooo: OooConfig, mode: Mode<'a>) -> OooEngine<'a> {
         let mut hier = MemoryHierarchy::new(cfg);
         // The OoO core models no stack-slot hygiene: it never marks a
-        // slot, so its unit holds no live return addresses and an epoch
-        // swap costs quiesce plus table rebuild only.
+        // slot, so its unit holds no live return addresses, an epoch swap
+        // costs quiesce plus table rebuild only, and a stack-bitmap fault
+        // is always masked.
         let med = Mediation::new(&mode, cfg, &mut hier.dtlb);
         OooEngine {
             cfg: *cfg,
@@ -113,6 +122,7 @@ impl<'a> OooEngine<'a> {
             redirect_stall: 0,
             exec_extra: 0,
             instructions: 0,
+            cur_pc: 0,
         }
     }
 
@@ -148,6 +158,7 @@ impl<'a> OooEngine<'a> {
     /// One instruction through the timing model.
     pub(crate) fn step(&mut self, info: &StepInfo) {
         self.instructions += 1;
+        self.cur_pc = info.pc;
         let cfg = self.cfg;
 
         // Context switches flush the DRC; live re-randomization (§V-C)
@@ -292,6 +303,32 @@ impl<'a> OooEngine<'a> {
         retire = retire.max(self.commit_cycle);
         self.last_retire = retire;
         self.rob.push_back(retire);
+    }
+
+    /// Injects one scheduled fault, due at session instruction `at_inst`,
+    /// and applies the mediation unit's verdict ([`classify_fault`]). The
+    /// core keeps no trace ring, so a halt carries an empty trace.
+    pub(crate) fn inject_fault(
+        &mut self,
+        f: &ScheduledFault,
+        policy: ContainmentPolicy,
+        at_inst: u64,
+    ) -> Result<FaultOutcome, SimError> {
+        let image = self.mode.image_ref();
+        let (outcome, action) =
+            classify_fault(self.med.as_mut(), f, policy, self.cur_pc, &mut self.hier.dtlb, image);
+        match action {
+            FaultAction::None => {}
+            FaultAction::Refetch => {
+                let resume = self.last_retire.max(self.fetch_cycle) + self.cfg.mispredict_penalty;
+                self.redirect_at = self.redirect_at.max(resume);
+            }
+            FaultAction::Pause(cost) => self.rerand_pause(cost),
+            FaultAction::Halt => {
+                return Err(SimError::Fault { at_inst, target: f.target, trace: Vec::new() });
+            }
+        }
+        Ok(outcome)
     }
 
     pub(crate) fn stats_now(&self) -> SimStats {

@@ -16,10 +16,10 @@
 //! and all three route through the same sampling, telemetry, manifest
 //! and checkpoint paths. Boundaries are instruction counts (aggregate
 //! across cores for multicore), so results stay bit-deterministic per
-//! kind. What each kind models beyond that (fault injection, the trace
-//! ring, superblock replay) is stated once, on [`EngineKind`]: fault
-//! plans are rejected at [`Session::run_for`] on kinds that do not model
-//! them, and the fast path only runs where superblocks apply.
+//! kind. Fault plans run on every kind: each injects through the one
+//! mediation-unit classifier. What each kind models beyond that (the
+//! trace ring, superblock replay) is stated once, on [`EngineKind`], and
+//! the fast path only runs where superblocks apply.
 //!
 //! Every simulation in the workspace runs through [`Session::run_for`]:
 //! the free functions ([`crate::simulate`], [`crate::simulate_ooo`],
@@ -29,7 +29,9 @@ use crate::checkpoint::{self, CheckpointError, PAYLOAD_MAGIC};
 use crate::config::{EngineKind, SimConfig};
 use crate::engine::{exec_extra_cycles, Engine, IntervalSample, ReplayInst, SimError, SimOutput};
 use crate::error::VcfrError;
-use crate::faults::{FaultOutcome, FaultPlan, FaultRecord, FaultStats};
+use crate::faults::{
+    ContainmentPolicy, FaultOutcome, FaultPlan, FaultRecord, FaultStats, ScheduledFault,
+};
 use crate::mediation::Mode;
 use crate::multicore::{MultiCore, MultiCoreOutput};
 use crate::ooo::{OooConfig, OooEngine};
@@ -92,6 +94,21 @@ impl Backend<'_> {
             Backend::InOrder { engine, .. } => engine.instructions,
             Backend::Ooo { engine, .. } => engine.instructions,
             Backend::Multicore(mc) => mc.instructions(),
+        }
+    }
+
+    /// Injects `f`, due at instruction `at_inst`, on whichever engine
+    /// backs the run (on multicore, the core that committed `at_inst`).
+    fn inject_fault(
+        &mut self,
+        f: &ScheduledFault,
+        policy: ContainmentPolicy,
+        at_inst: u64,
+    ) -> Result<FaultOutcome, SimError> {
+        match self {
+            Backend::InOrder { engine, .. } => engine.inject_fault(f, policy, at_inst),
+            Backend::Ooo { engine, .. } => engine.inject_fault(f, policy, at_inst),
+            Backend::Multicore(mc) => mc.committing_core().inject_fault(f, policy, at_inst),
         }
     }
 
@@ -356,9 +373,9 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Schedules the faults of `plan` for injection. On kinds that do not
-    /// model faults ([`EngineKind::models_faults`]) the plan is rejected
-    /// when the session runs.
+    /// Schedules the faults of `plan` for injection. The plan's clock is
+    /// the session's instruction count (aggregate across cores for
+    /// multicore).
     pub fn with_faults(mut self, plan: &FaultPlan) -> Session<'a> {
         self.plan = Some(plan.clone());
         self
@@ -464,9 +481,7 @@ impl<'a> Session<'a> {
     /// # Errors
     ///
     /// [`VcfrError::Sim`] when the program faults architecturally or an
-    /// injected sticky fault halts the machine; [`VcfrError::Config`]
-    /// when a fault plan is attached on a kind that does not model
-    /// faults.
+    /// injected sticky fault halts the machine.
     pub fn run(&mut self) -> Result<SessionOutcome, VcfrError> {
         match self.run_for(u64::MAX)? {
             SessionStatus::Done(out) => Ok(*out),
@@ -484,13 +499,6 @@ impl<'a> Session<'a> {
     pub fn run_for(&mut self, budget: u64) -> Result<SessionStatus, VcfrError> {
         if let Some(out) = &self.finished {
             return Ok(SessionStatus::Done(Box::new(out.clone())));
-        }
-        if self.plan.is_some() && !self.cfg.engine.models_faults() {
-            return Err(VcfrError::Config(format!(
-                "fault injection is only modeled on the in-order engine \
-                 (run with EngineKind::InOrder, not {})",
-                self.cfg.engine
-            )));
         }
         let stop_at = self.backend.instructions().saturating_add(budget.max(1));
         loop {
@@ -631,26 +639,21 @@ impl<'a> Session<'a> {
     /// boundary was reached. Both paths land on identical instruction
     /// boundaries, so the records and samples are identical too.
     fn post_step(&mut self) -> Result<(), VcfrError> {
-        // `run_for` admits a plan only on kinds that model faults, so it
-        // always finds the in-order engine here.
-        if let (Some(p), Backend::InOrder { engine, .. }) = (&self.plan, &mut self.backend) {
+        if let Some(p) = &self.plan {
+            let n = self.backend.instructions();
             while let Some(f) = p.faults.get(self.fault_idx) {
-                if f.at_inst > engine.instructions {
+                if f.at_inst > n {
                     break;
                 }
-                let outcome = engine.inject_fault(f, p.policy)?;
+                let outcome = self.backend.inject_fault(f, p.policy, n)?;
                 self.faults.record(outcome);
                 // Recover contains a sticky table fault by an emergency
                 // epoch swap.
                 if outcome == FaultOutcome::Contained {
                     self.faults.emergency_rerands += 1;
                 }
-                self.records.push(FaultRecord {
-                    at_inst: engine.instructions,
-                    target: f.target,
-                    persistence: f.persistence,
-                    outcome,
-                });
+                let (target, persistence) = (f.target, f.persistence);
+                self.records.push(FaultRecord { at_inst: n, target, persistence, outcome });
                 self.fault_idx += 1;
             }
         }
@@ -1203,17 +1206,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_plans_are_rejected_off_the_inorder_engine() {
+    fn fault_plans_run_on_every_engine_kind() {
         let img = workload();
-        let plan = FaultPlan::generate(1, 4, 8_000);
-        for kind in [EngineKind::Ooo, EngineKind::Multicore { cores: 2 }] {
+        let rp = randomize(&img, &RandomizeConfig::with_seed(1)).unwrap();
+        let plan = FaultPlan::generate(1, 24, 5_000);
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(64) };
+        for kind in [EngineKind::InOrder, EngineKind::Ooo, EngineKind::Multicore { cores: 2 }] {
             let cfg = SimConfig::builder().engine(kind).build().unwrap();
-            let err = Session::new(Mode::Baseline(&img), &cfg, 10_000)
-                .unwrap()
-                .with_faults(&plan)
-                .run()
-                .expect_err("fault plans need the in-order engine");
-            assert!(err.to_string().contains("in-order"), "{err}");
+            let out = Session::new(mode, &cfg, 10_000).unwrap().with_faults(&plan).run().unwrap();
+            assert_eq!(out.faults.injected, 24, "{kind}");
+            assert!(out.faults.detected() > 0, "{kind}: {:?}", out.faults);
+            // The records run on the session's clock.
+            let at: Vec<u64> = out.records.iter().map(|r| r.at_inst).collect();
+            let due: Vec<u64> = plan.faults.iter().map(|f| f.at_inst).collect();
+            assert_eq!(at, due, "{kind}");
         }
     }
 }

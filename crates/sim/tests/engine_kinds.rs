@@ -4,7 +4,7 @@
 //!
 //! - A 1-core multicore session is *bit-identical* to the plain
 //!   in-order session (the shared level is private, the port charges
-//!   no same-core wait).
+//!   no same-core wait), faulted or not.
 //! - The OoO and multicore engines are bit-deterministic: two fresh
 //!   runs of the same spec produce identical stats, outcomes, and
 //!   mid-run checkpoint bytes.
@@ -17,8 +17,8 @@
 use vcfr_core::DrcConfig;
 use vcfr_rewriter::{randomize, RandomizeConfig};
 use vcfr_sim::{
-    CheckpointError, EngineKind, Mode, Session, SessionOutcome, SessionStatus, SimConfig,
-    VcfrError,
+    CheckpointError, ContainmentPolicy, EngineKind, FaultPlan, Mode, Session, SessionOutcome,
+    SessionStatus, SimConfig, SimError, VcfrError,
 };
 use vcfr_workloads::Workload;
 
@@ -69,6 +69,31 @@ fn one_core_multicore_session_matches_the_inorder_session() {
         assert_eq!(mc.per_core.len(), 1, "{name}");
         assert_eq!(mc.stats.contention_stall_cycles, 0, "{name}: solo core paid contention");
     }
+
+    // Faulted: the one core commits every instruction, so it takes every
+    // fault and applies it exactly as the in-order engine does.
+    let (_, vcfr) = modes[2];
+    let faulted = |engine, plan: &FaultPlan| {
+        Session::new(vcfr, &config(engine), w.max_insts)
+            .expect("session builds")
+            .with_sampling((w.max_insts / 10).max(1))
+            .with_faults(plan)
+            .run()
+    };
+    let mut plan = FaultPlan::generate(SEED, 64, w.max_insts);
+    let inorder = faulted(EngineKind::InOrder, &plan).expect("recover runs to the end");
+    let mc1 = faulted(EngineKind::Multicore { cores: 1 }, &plan).expect("recover runs");
+    assert_eq!(inorder.output.stats, mc1.output.stats, "faulted stats diverge");
+    assert_eq!(inorder.faults, mc1.faults, "fault counters diverge");
+    assert_eq!(inorder.records, mc1.records, "fault records diverge");
+    assert!(inorder.faults.contained > 0, "the plan holds a sticky table fault");
+
+    plan.policy = ContainmentPolicy::Halt;
+    let halt = |engine| match faulted(engine, &plan) {
+        Err(VcfrError::Sim(e @ SimError::Fault { .. })) => e,
+        other => panic!("{engine:?}: expected a halt, got {other:?}"),
+    };
+    assert_eq!(halt(EngineKind::InOrder), halt(EngineKind::Multicore { cores: 1 }));
 }
 
 #[test]

@@ -21,7 +21,7 @@ bench-smoke:
 sim-smoke:
     cargo test --release -p vcfr-sim
 
-# Determinism harness: 30 RunSpec cells (engines x modes x rerand x
+# Determinism harness: 42 RunSpec cells (engines x modes x rerand x
 # faults), each re-run on two workers, with superblocks off, with the
 # telemetry tap, in the daemon's checkpointed chunks, through a
 # mid-run restore and through an in-process daemon; every canonical

@@ -68,9 +68,9 @@ const PERTURBATIONS: [Perturbation; 5] = [
     Perturbation::Restore,
 ];
 
-/// The 30 cells. Per app: every engine × {base, naive, vcfr128, vcfr64
-/// re-randomizing}, then in-order fault campaigns on {base, vcfr128,
-/// vcfr128 re-randomizing}.
+/// The 42 cells. Per app, every engine × {base, naive, vcfr128, vcfr64
+/// re-randomizing} and fault campaigns on {base, vcfr128, vcfr128
+/// re-randomizing}.
 fn cells() -> Vec<RunSpec> {
     let vcfr = |drc_entries| ModeSpec::Vcfr { drc_entries };
     let (base, naive, vcfr128) =
@@ -90,8 +90,8 @@ fn cells() -> Vec<RunSpec> {
         };
         for engine in ENGINES {
             cells.extend(columns.map(|c| cell(engine, c, false)));
+            cells.extend(faulted.map(|c| cell(engine, c, true)));
         }
-        cells.extend(faulted.map(|c| cell(EngineKind::InOrder, c, true)));
     }
     cells
 }
@@ -232,7 +232,7 @@ fn no_perturbation_changes_a_manifest_byte() {
     let app_of =
         |spec: &RunSpec| apps.iter().find(|(w, _)| w.name == spec.workload).expect("a table app");
     let cells = cells();
-    assert_eq!(cells.len(), 30);
+    assert_eq!(cells.len(), 42);
     let name = |c: usize| cells[c].to_json().compact();
     let mut failures = Vec::new();
 

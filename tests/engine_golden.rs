@@ -53,6 +53,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("bzip2/mc2/vcfr64-rerand", "8b81c0af703461dc"),
     ("bzip2/mc2/vcfr128-dedicated", "779235756613e7af"),
     ("bzip2/inorder/faults-vcfr128", "fb91169eae061dbf"),
+    ("bzip2/ooo/faults-vcfr128", "01f5444c141245c6"),
+    ("bzip2/mc2/faults-vcfr128", "78690db2d232d0d7"),
     ("bzip2/mc2/vcfr128-rerand+base", "a55e5311f664480a"),
     ("xalan/inorder/base", "794b63f3684c868b"),
     ("xalan/inorder/naive", "35164fc05edbbeb2"),
@@ -70,6 +72,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("xalan/mc2/vcfr64-rerand", "ae78e730ad6b9279"),
     ("xalan/mc2/vcfr128-dedicated", "c1488c0fd9990d6e"),
     ("xalan/inorder/faults-vcfr128", "8db108a61209b17a"),
+    ("xalan/ooo/faults-vcfr128", "d99cd7831b6f02df"),
+    ("xalan/mc2/faults-vcfr128", "3463ccab70bbebe4"),
     ("xalan/mc2/vcfr128-rerand+base", "09b5d74fed3ef8dc"),
 ];
 
@@ -145,11 +149,13 @@ fn all_digests() -> Vec<(String, String)> {
             }
         }
 
-        // An in-order fault campaign under the Recover policy.
-        let (mode, cfg) = column("vcfr128", &w, &rp, EngineKind::InOrder);
+        // A fault campaign under the Recover policy on every engine.
         let plan = FaultPlan::generate(2015, 40, BUDGET);
-        let session = Session::new(mode, &cfg, BUDGET).expect("valid").with_faults(&plan);
-        out.push((format!("{app}/inorder/faults-vcfr128"), digest(session, EngineKind::InOrder)));
+        for engine in ENGINES {
+            let (mode, cfg) = column("vcfr128", &w, &rp, engine);
+            let session = Session::new(mode, &cfg, BUDGET).expect("valid").with_faults(&plan);
+            out.push((format!("{app}/{engine}/faults-vcfr128"), digest(session, engine)));
+        }
 
         // A heterogeneous pair: a re-randomizing VCFR core beside a
         // baseline core over the shared L2.

@@ -58,6 +58,32 @@ impl SharedPort {
     }
 }
 
+/// The level below the L1s that every core of a machine shares: the
+/// unified L2, DRAM and the port that arbitrates them. A single-core
+/// engine owns its own. A multicore machine owns one and hands it to
+/// whichever core is stepping by swapping the [`MemoryHierarchy::shared`]
+/// box, one pointer each way.
+#[derive(Clone, Debug)]
+pub(crate) struct SharedLevel {
+    /// Unified L2 (shared by IL1, DL1 and DRC walks, as in the paper).
+    pub(crate) l2: Cache,
+    /// Main memory.
+    pub(crate) dram: Dram,
+    /// Arbitration state of the port.
+    pub(crate) port: SharedPort,
+}
+
+impl SharedLevel {
+    /// An empty shared level built from the machine configuration.
+    pub(crate) fn new(cfg: &SimConfig) -> SharedLevel {
+        SharedLevel {
+            l2: Cache::new(cfg.l2),
+            dram: Dram::new(cfg.dram),
+            port: SharedPort::default(),
+        }
+    }
+}
+
 /// The full cache/TLB/DRAM stack of one core.
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
@@ -65,21 +91,18 @@ pub struct MemoryHierarchy {
     pub il1: Cache,
     /// L1 data cache.
     pub dl1: Cache,
-    /// Unified L2 (shared by IL1, DL1 and DRC walks, as in the paper).
-    /// On a multicore machine the *shared* L2 is swapped in while this
-    /// core steps; between steps this slot holds a placeholder.
-    pub l2: Cache,
     /// Instruction TLB.
     pub itlb: Tlb,
     /// Data TLB.
     pub dtlb: Tlb,
-    /// Main memory (shared and swapped like the L2 on multicore).
-    pub dram: Dram,
+    /// The L2, DRAM and port below the L1s. On a multicore machine the
+    /// machine's one shared level is swapped in while this core steps;
+    /// between steps this box holds the core's own placeholder, which no
+    /// access reaches.
+    pub(crate) shared: Box<SharedLevel>,
     /// Reads issued from the L1s into the L2 — the paper's "L2 pressure"
     /// metric in Figure 3.
     pub l2_reads_from_l1: u64,
-    /// Arbitration state of the shared level (travels with `l2`/`dram`).
-    pub shared_port: SharedPort,
     /// This core's index at the shared port (always 0 on single-core
     /// machines, which makes the port a no-op there).
     pub core_id: u8,
@@ -96,12 +119,10 @@ impl MemoryHierarchy {
         MemoryHierarchy {
             il1: Cache::new(cfg.il1),
             dl1: Cache::new(cfg.dl1),
-            l2: Cache::new(cfg.l2),
             itlb: Tlb::new(cfg.itlb_entries),
             dtlb: Tlb::new(cfg.dtlb_entries),
-            dram: Dram::new(cfg.dram),
+            shared: Box::new(SharedLevel::new(cfg)),
             l2_reads_from_l1: 0,
-            shared_port: SharedPort::default(),
             core_id: 0,
             contention_cycles: 0,
             cfg: *cfg,
@@ -115,19 +136,19 @@ impl MemoryHierarchy {
     /// (prefetches, store-buffer fills) slips through off the critical
     /// path, exactly as it is charged.
     fn l2_then_dram(&mut self, addr: Addr, now: u64, demand: bool) -> u64 {
-        let wait = if demand { self.shared_port.wait(self.core_id, now) } else { 0 };
+        let shared = &mut *self.shared;
+        let wait = if demand { shared.port.wait(self.core_id, now) } else { 0 };
         self.contention_cycles += wait;
         let start = now + wait;
-        let r = self.l2.access(addr, false);
+        let r = shared.l2.access(addr, false);
         let service = if r.hit {
             self.cfg.l2.latency
         } else {
-            let done = self.dram.access(addr, start + self.cfg.l2.latency);
+            let done = shared.dram.access(addr, start + self.cfg.l2.latency);
             done - start
         };
         if demand {
-            self.shared_port =
-                SharedPort { busy_until: start + service, last_core: self.core_id };
+            shared.port = SharedPort { busy_until: start + service, last_core: self.core_id };
         }
         wait + service
     }
@@ -157,7 +178,7 @@ impl MemoryHierarchy {
                 self.l2_reads_from_l1 += 1;
                 let _ = self.l2_then_dram(next, now, false);
                 if let Some(wb) = self.il1.prefetch_fill(next) {
-                    let _ = self.l2.access(wb, true);
+                    let _ = self.shared.l2.access(wb, true);
                 }
             }
         }
@@ -181,7 +202,7 @@ impl MemoryHierarchy {
             }
         }
         if let Some(wb) = r.writeback {
-            let _ = self.l2.access(wb, true);
+            let _ = self.shared.l2.access(wb, true);
         }
         if write {
             0
@@ -198,15 +219,17 @@ impl MemoryHierarchy {
     }
 
     /// Serialises every component of the hierarchy (checkpoint support).
+    /// The shared level's parts interleave with the private ones in the
+    /// order `CHECKPOINT_VERSION` 4 fixed.
     pub fn save(&self, w: &mut Writer) {
         self.il1.save(w);
         self.dl1.save(w);
-        self.l2.save(w);
+        self.shared.l2.save(w);
         self.itlb.save(w);
         self.dtlb.save(w);
-        self.dram.save(w);
+        self.shared.dram.save(w);
         w.u64(self.l2_reads_from_l1);
-        self.shared_port.save(w);
+        self.shared.port.save(w);
         w.u8(self.core_id);
         w.u64(self.contention_cycles);
     }
@@ -218,15 +241,21 @@ impl MemoryHierarchy {
     ///
     /// [`WireError`] on truncated or malformed input.
     pub fn restore(cfg: &SimConfig, r: &mut Reader<'_>) -> Result<MemoryHierarchy, WireError> {
+        let il1 = Cache::restore(cfg.il1, r)?;
+        let dl1 = Cache::restore(cfg.dl1, r)?;
+        let l2 = Cache::restore(cfg.l2, r)?;
+        let itlb = Tlb::restore(r)?;
+        let dtlb = Tlb::restore(r)?;
+        let dram = Dram::restore(cfg.dram, r)?;
+        let l2_reads_from_l1 = r.u64()?;
+        let port = SharedPort::restore(r)?;
         Ok(MemoryHierarchy {
-            il1: Cache::restore(cfg.il1, r)?,
-            dl1: Cache::restore(cfg.dl1, r)?,
-            l2: Cache::restore(cfg.l2, r)?,
-            itlb: Tlb::restore(r)?,
-            dtlb: Tlb::restore(r)?,
-            dram: Dram::restore(cfg.dram, r)?,
-            l2_reads_from_l1: r.u64()?,
-            shared_port: SharedPort::restore(r)?,
+            il1,
+            dl1,
+            itlb,
+            dtlb,
+            shared: Box::new(SharedLevel { l2, dram, port }),
+            l2_reads_from_l1,
             core_id: r.u8()?,
             contention_cycles: r.u64()?,
             cfg: *cfg,
@@ -237,10 +266,10 @@ impl MemoryHierarchy {
     pub fn reset_stats(&mut self) {
         self.il1.reset_stats();
         self.dl1.reset_stats();
-        self.l2.reset_stats();
+        self.shared.l2.reset_stats();
         self.itlb.reset_stats();
         self.dtlb.reset_stats();
-        self.dram.reset_stats();
+        self.shared.dram.reset_stats();
         self.l2_reads_from_l1 = 0;
         self.contention_cycles = 0;
     }
@@ -354,7 +383,7 @@ mod tests {
             assert_eq!(a, b, "data {i}");
         }
         assert_eq!(back.il1.stats(), h.il1.stats());
-        assert_eq!(back.dram.stats(), h.dram.stats());
+        assert_eq!(back.shared.dram.stats(), h.shared.dram.stats());
         assert_eq!(back.l2_reads_from_l1, h.l2_reads_from_l1);
     }
 
@@ -373,8 +402,8 @@ mod tests {
 
     #[test]
     fn cross_core_demand_misses_queue_at_the_shared_port() {
-        // Simulate the multicore swap discipline by hand: one shared
-        // L2/DRAM/port, two private front ends.
+        // The multicore swap discipline by hand: one shared level, two
+        // private front ends.
         let cfg = SimConfig::default();
         let mut a = MemoryHierarchy::new(&cfg);
         let mut b = MemoryHierarchy::new(&cfg);
@@ -384,9 +413,7 @@ mod tests {
         assert!(a_stall > 0);
         // Hand the shared level to core B, which misses a *different*
         // line one cycle later, while A's access is still in flight.
-        b.l2 = a.l2.clone();
-        b.dram = a.dram.clone();
-        b.shared_port = a.shared_port;
+        std::mem::swap(&mut a.shared, &mut b.shared);
         let b_stall = b.fetch_line(0x8_0000, 1);
         assert!(b.contention_cycles > 0, "core B should have queued");
         assert!(b_stall > b.contention_cycles, "wait is part of the stall");

@@ -12,9 +12,11 @@
 //! `sim.stall.contention` counter. Same-core requests pipeline freely, so
 //! a one-core multicore run is bit-identical to the single-core engine.
 //!
-//! Rather than reimplementing the pipeline, each step temporarily
-//! `mem::swap`s the shared L2/DRAM/port into the stepping core's private
-//! [`crate::MemoryHierarchy`] — the cores inherit every in-order engine
+//! Rather than reimplementing the pipeline, each step hands the one
+//! boxed [`SharedLevel`] (L2, DRAM, port) to the stepping core's
+//! [`crate::MemoryHierarchy`] by swapping two pointers, and takes it
+//! back after the step. The core's own level waits in the machine's slot
+//! meanwhile, untouched. The cores inherit every in-order engine
 //! feature (redirect-stall accounting, epoch re-randomization, fault
 //! injection, trace rings, checkpointing) by construction.
 //!
@@ -30,14 +32,14 @@ use crate::config::{EngineKind, SimConfig};
 use crate::dram::Dram;
 use crate::engine::{Engine, SimError};
 use crate::error::VcfrError;
-use crate::hierarchy::SharedPort;
+use crate::hierarchy::{SharedLevel, SharedPort};
 use crate::mediation::Mode;
-use crate::session::Session;
+use crate::session::{outcome_of, Session};
 use crate::stats::SimStats;
 use std::mem;
 use vcfr_core::DrcStats;
 use vcfr_isa::wire::{Reader, WireError, Writer};
-use vcfr_isa::{Machine, RunOutcome, StopReason};
+use vcfr_isa::{Machine, RunOutcome};
 
 /// Results of a multi-core run.
 #[derive(Clone, Debug)]
@@ -59,21 +61,17 @@ pub struct MultiCoreOutput {
     pub outcomes: Vec<RunOutcome>,
 }
 
-/// The shared memory-system state, swapped into whichever core is
-/// currently stepping.
-pub(crate) struct SharedLevel {
-    pub(crate) l2: Cache,
-    pub(crate) dram: Dram,
-    pub(crate) port: SharedPort,
-}
-
 /// N in-order cores over a shared L2/DRAM, stepped one instruction at a
 /// time by the deterministic event loop ([`MultiCore::step_next`]).
 pub(crate) struct MultiCore<'a> {
     machines: Vec<Machine>,
     engines: Vec<Engine<'a>>,
     done: Vec<bool>,
-    shared: SharedLevel,
+    /// The machine's one shared level between steps (the stepping
+    /// core's own placeholder while it steps).
+    shared: Box<SharedLevel>,
+    /// Instructions committed across all cores.
+    committed: u64,
     max_insts: u64,
     /// The core that committed the latest instruction. Never
     /// checkpointed: a fault always follows a step of the same session.
@@ -96,23 +94,17 @@ impl<'a> MultiCore<'a> {
             machines,
             engines,
             done: vec![false; modes.len()],
-            shared: SharedLevel {
-                l2: Cache::new(cfg.l2),
-                dram: Dram::new(cfg.dram),
-                port: SharedPort::default(),
-            },
+            shared: Box::new(SharedLevel::new(cfg)),
+            committed: 0,
             max_insts,
             last: 0,
         }
     }
 
-    /// Swaps the shared L2/DRAM/port with core `i`'s private hierarchy
-    /// slots (self-inverse: call before and after the step).
+    /// Swaps the shared level with core `i`'s own (self-inverse: call
+    /// before and after the step).
     fn swap_shared(&mut self, i: usize) {
-        let h = &mut self.engines[i].hier;
-        mem::swap(&mut h.l2, &mut self.shared.l2);
-        mem::swap(&mut h.dram, &mut self.shared.dram);
-        mem::swap(&mut h.shared_port, &mut self.shared.port);
+        mem::swap(&mut self.engines[i].hier.shared, &mut self.shared);
     }
 
     fn step_core(&mut self, i: usize) -> Result<(), SimError> {
@@ -125,6 +117,7 @@ impl<'a> MultiCore<'a> {
             Err(e) => return Err(self.engines[i].fault(e)),
         };
         self.engines[i].step(&info);
+        self.committed += 1;
         self.last = i;
         Ok(())
     }
@@ -137,13 +130,19 @@ impl<'a> MultiCore<'a> {
     ///
     /// [`SimError::Exec`] when the stepped core's program faults.
     pub(crate) fn step_next(&mut self) -> Result<bool, SimError> {
-        let next = (0..self.engines.len())
-            .filter(|&i| !self.done[i] && self.engines[i].instructions < self.max_insts)
-            .min_by_key(|&i| {
-                let e = &self.engines[i];
-                (e.backend_time.max(e.fetch_time), i)
-            });
-        let Some(i) = next else { return Ok(false) };
+        // One pass: the first live core with the strictly smallest time
+        // wins, so ties go to the lowest index.
+        let mut next: Option<(u64, usize)> = None;
+        for (i, e) in self.engines.iter().enumerate() {
+            if self.done[i] || e.instructions >= self.max_insts {
+                continue;
+            }
+            let t = e.backend_time.max(e.fetch_time);
+            if next.is_none_or(|(best, _)| t < best) {
+                next = Some((t, i));
+            }
+        }
+        let Some((_, i)) = next else { return Ok(false) };
         self.swap_shared(i);
         let result = self.step_core(i);
         self.swap_shared(i);
@@ -160,7 +159,7 @@ impl<'a> MultiCore<'a> {
     /// Total instructions committed across all cores (the Session's
     /// sampling/progress clock for multicore runs).
     pub(crate) fn instructions(&self) -> u64 {
-        self.engines.iter().map(|e| e.instructions).sum()
+        self.committed
     }
 
     /// Per-core statistics (L2/DRAM zeroed: those live in the shared
@@ -175,21 +174,19 @@ impl<'a> MultiCore<'a> {
         aggregate(&self.per_core_stats(), &self.shared)
     }
 
+    /// Core 0's architectural outcome as it stands (the outcome a
+    /// multicore session reports).
+    pub(crate) fn first_outcome(&self) -> RunOutcome {
+        outcome_of(&self.machines[0])
+    }
+
     /// The finished run, packaged: per-core stats, shared counters, the
     /// wall-clock makespan, the aggregate, and each core's outcome.
     pub(crate) fn output(&self) -> MultiCoreOutput {
         let per_core = self.per_core_stats();
         let cycles = per_core.iter().map(|s| s.cycles).max().unwrap_or(0);
         let stats = aggregate(&per_core, &self.shared);
-        let outcomes = self
-            .machines
-            .iter()
-            .map(|m| RunOutcome {
-                output: m.output().to_vec(),
-                steps: m.steps(),
-                stop: m.stop_reason().unwrap_or(StopReason::Halt),
-            })
-            .collect();
+        let outcomes = self.machines.iter().map(outcome_of).collect();
         MultiCoreOutput { per_core, shared_l2: self.shared.l2.stats(), cycles, stats, outcomes }
     }
 
@@ -233,12 +230,13 @@ impl<'a> MultiCore<'a> {
                 tag => return Err(WireError::BadTag { tag }),
             });
         }
-        let shared = SharedLevel {
+        let shared = Box::new(SharedLevel {
             l2: Cache::restore(cfg.l2, r)?,
             dram: Dram::restore(cfg.dram, r)?,
             port: SharedPort::restore(r)?,
-        };
-        Ok(MultiCore { machines, engines, done, shared, max_insts, last: 0 })
+        });
+        let committed = engines.iter().map(|e| e.instructions).sum();
+        Ok(MultiCore { machines, engines, done, shared, committed, max_insts, last: 0 })
     }
 }
 

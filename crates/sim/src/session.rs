@@ -126,12 +126,7 @@ impl Backend<'_> {
     fn current_outcome(&self) -> RunOutcome {
         match self {
             Backend::InOrder { machine, .. } | Backend::Ooo { machine, .. } => outcome_of(machine),
-            Backend::Multicore(mc) => mc
-                .output()
-                .outcomes
-                .into_iter()
-                .next()
-                .expect("a multicore session has at least one core"),
+            Backend::Multicore(mc) => mc.first_outcome(),
         }
     }
 }
@@ -139,7 +134,7 @@ impl Backend<'_> {
 /// The architectural result of `machine` as it stands (a machine still
 /// running was truncated by the instruction window: that reads as a
 /// halt).
-fn outcome_of(machine: &Machine) -> RunOutcome {
+pub(crate) fn outcome_of(machine: &Machine) -> RunOutcome {
     RunOutcome {
         output: machine.output().to_vec(),
         steps: machine.steps(),
@@ -710,8 +705,9 @@ impl<'a> Session<'a> {
             Backend::Multicore(mc) => Some(mc.output()),
             _ => None,
         };
+        let stats = multicore.as_ref().map_or_else(|| self.backend.stats_now(), |m| m.stats);
         let out = SessionOutcome {
-            output: SimOutput { stats: self.backend.stats_now(), outcome },
+            output: SimOutput { stats, outcome },
             samples: self.samples.clone(),
             faults: self.faults,
             records: self.records.clone(),

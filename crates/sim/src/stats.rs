@@ -77,10 +77,10 @@ impl SimStats {
         SimStats {
             il1: hier.il1.stats(),
             dl1: hier.dl1.stats(),
-            l2: hier.l2.stats(),
+            l2: hier.shared.l2.stats(),
             itlb: hier.itlb.stats(),
             dtlb: hier.dtlb.stats(),
-            dram: hier.dram.stats(),
+            dram: hier.shared.dram.stats(),
             l2_reads_from_l1: hier.l2_reads_from_l1,
             contention_stall_cycles: hier.contention_cycles,
             branch: pred.stats,

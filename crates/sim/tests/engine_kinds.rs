@@ -12,7 +12,8 @@
 //!   engine kind; a checkpoint from one kind is rejected by a session
 //!   of another (the kind is part of the context fingerprint).
 //! - Shared-L2 port contention is zero without a sibling and positive
-//!   with one, and stays inside the audit's containment bound.
+//!   with one, and stays inside the audit's containment bound; every
+//!   L2 and DRAM access lands on the one shared level.
 
 use vcfr_core::DrcConfig;
 use vcfr_rewriter::{randomize, RandomizeConfig};
@@ -175,4 +176,36 @@ fn contention_appears_only_with_a_sibling_and_stays_contained() {
     let a = pair.stats.accounting();
     assert!(a.contention <= a.fetch_stall + a.load_stall + a.drc_walk, "containment violated");
     assert!(pair.stats.accounting().audit().passed(), "aggregate audit failed");
+
+    // Every shared-level access reaches the one shared L2/DRAM, never a
+    // core's own placeholder: plainly, across epoch swaps, and through
+    // the emergency swaps a fault campaign triggers between steps.
+    let rp = randomize(&w.image, &RandomizeConfig::with_seed(SEED)).expect("randomizes");
+    let vcfr = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
+    let engine = EngineKind::Multicore { cores: 2 };
+    let plan = FaultPlan::generate(7, 96, w.max_insts);
+    let runs = [
+        ("plain", config(engine), None),
+        ("rerand", SimConfig { rerand_epoch: Some(25_000), ..config(engine) }, None),
+        ("faulted", config(engine), Some(&plan)),
+    ];
+    for (name, cfg, plan) in runs {
+        let mut s = Session::new(vcfr, &cfg, w.max_insts).expect("session builds");
+        if let Some(plan) = plan {
+            s = s.with_faults(plan);
+        }
+        let out = s.run().expect("session finishes");
+        let mc = out.multicore.expect("breakdown");
+        assert!(mc.shared_l2.accesses > 0, "{name}: the shared L2 saw no access");
+        for (i, core) in mc.per_core.iter().enumerate() {
+            assert_eq!(core.l2.accesses, 0, "{name}: core {i} reached its own L2");
+            assert_eq!(core.dram.accesses, 0, "{name}: core {i} reached its own DRAM");
+        }
+        if name == "rerand" {
+            assert!(out.output.stats.rerand_epochs > 0, "no epoch swap");
+        }
+        if name == "faulted" {
+            assert!(out.faults.contained > 0, "no emergency swap between steps");
+        }
+    }
 }

@@ -11,13 +11,20 @@
 //! finishes in seconds in a debug build while still crossing several
 //! re-randomization epochs, DRC flushes and contained sticky faults.
 //!
+//! A second table pins the bytes of mid-run checkpoints (FNV-1a 64 of
+//! `Session::checkpoint`) on every engine kind. Round-trip tests alone
+//! would pass a reordered save and still strand every snapshot already
+//! written at the same `CHECKPOINT_VERSION`; a version bump refreshes
+//! this table in a commit of its own.
+//!
 //! Two more tests pin configurations that used to panic inside the
 //! simulator: each must come back as a typed configuration error.
 
 use vcfr::core::DrcConfig;
 use vcfr::rewriter::{randomize, RandomizeConfig, RandomizedProgram};
 use vcfr::sim::{
-    simulate_ooo, DrcBacking, EngineKind, FaultPlan, Mode, OooConfig, Session, SimConfig, VcfrError,
+    simulate_ooo, DrcBacking, EngineKind, FaultPlan, Mode, OooConfig, Session, SessionStatus,
+    SimConfig, VcfrError,
 };
 use vcfr::workloads::Workload;
 
@@ -29,6 +36,9 @@ const SAMPLE: u64 = 2_500;
 const EPOCH: u64 = 4_000;
 /// DRC flush interval of the `vcfr64-rerand` column.
 const FLUSH: u64 = 3_000;
+/// Session instruction count (aggregate across cores) at which each
+/// checkpoint golden is taken.
+const CHECKPOINT_AT: u64 = 10_000;
 
 const APPS: [&str; 2] = ["bzip2", "xalan"];
 const ENGINES: [EngineKind; 3] =
@@ -75,6 +85,23 @@ const GOLDEN: &[(&str, &str)] = &[
     ("xalan/ooo/faults-vcfr128", "d99cd7831b6f02df"),
     ("xalan/mc2/faults-vcfr128", "3463ccab70bbebe4"),
     ("xalan/mc2/vcfr128-rerand+base", "09b5d74fed3ef8dc"),
+];
+
+/// The expected digest of every mid-run checkpoint, keyed
+/// `app/engine/column`.
+const CHECKPOINT_GOLDEN: &[(&str, &str)] = &[
+    ("bzip2/inorder/base", "27fd93d0761ee048"),
+    ("bzip2/inorder/vcfr128", "01c06484388f4750"),
+    ("bzip2/ooo/base", "c60e9603a6a1afa5"),
+    ("bzip2/ooo/vcfr128", "769e15fdeeec9e9e"),
+    ("bzip2/mc2/base", "9dcfe33bd5edb016"),
+    ("bzip2/mc2/vcfr128", "767dc5609e430862"),
+    ("xalan/inorder/base", "7f0533a1dc8f1c34"),
+    ("xalan/inorder/vcfr128", "54def92c0689fede"),
+    ("xalan/ooo/base", "72ae56d367d9c9ae"),
+    ("xalan/ooo/vcfr128", "e7e35c73466eeb74"),
+    ("xalan/mc2/base", "3e0e76584d861204"),
+    ("xalan/mc2/vcfr128", "115aa8e188fe8ee7"),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -174,14 +201,34 @@ fn all_digests() -> Vec<(String, String)> {
     out
 }
 
-#[test]
-fn engine_results_match_the_golden_digests() {
-    let got = all_digests();
+/// The checkpoint bytes of every engine kind × {base, vcfr128}, taken
+/// `CHECKPOINT_AT` instructions into a sampled run, as `(key, digest)`.
+fn checkpoint_digests() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for app in APPS {
+        let (w, rp) = prepare(app);
+        for engine in ENGINES {
+            for col in ["base", "vcfr128"] {
+                let (mode, cfg) = column(col, &w, &rp, engine);
+                let mut s = Session::new(mode, &cfg, BUDGET).expect("valid").with_sampling(SAMPLE);
+                let key = format!("{app}/{engine}/{col}");
+                let status = s.run_for(CHECKPOINT_AT).expect("golden runs succeed");
+                assert!(matches!(status, SessionStatus::Running), "{key} ended early");
+                out.push((key, format!("{:016x}", fnv1a(&s.checkpoint()))));
+            }
+        }
+    }
+    out
+}
+
+/// Fails with every moved entry and the current table when `got` is
+/// not exactly `golden`.
+fn assert_golden(got: &[(String, String)], golden: &[(&str, &str)]) {
     let table: String = got.iter().map(|(k, d)| format!("    (\"{k}\", \"{d}\"),\n")).collect();
-    assert_eq!(got.len(), GOLDEN.len(), "the grid changed shape; current digests:\n{table}");
+    assert_eq!(got.len(), golden.len(), "the grid changed shape; current digests:\n{table}");
     let diffs: Vec<String> = got
         .iter()
-        .zip(GOLDEN)
+        .zip(golden)
         .filter(|((k, d), (gk, gd))| k != gk || d != gd)
         .map(|((k, d), (_, gd))| format!("{k}: got {d}, golden {gd}"))
         .collect();
@@ -191,6 +238,16 @@ fn engine_results_match_the_golden_digests() {
         diffs.len(),
         diffs.join("\n")
     );
+}
+
+#[test]
+fn engine_results_match_the_golden_digests() {
+    assert_golden(&all_digests(), GOLDEN);
+}
+
+#[test]
+fn mid_run_checkpoints_match_the_golden_digests() {
+    assert_golden(&checkpoint_digests(), CHECKPOINT_GOLDEN);
 }
 
 /// Re-randomization on a baseline run is a configuration error, not a

@@ -175,7 +175,7 @@ pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
             if let Some(name) = by_addr.get(&addr) {
                 let _ = writeln!(out, "{name}:");
             }
-            let reach = if d.reachable.contains(&addr) { ' ' } else { '?' };
+            let reach = if d.is_reachable(addr) { ' ' } else { '?' };
             let _ = writeln!(out, "  {addr:#010x} {reach} {inst}");
         }
     }
@@ -917,6 +917,31 @@ mod tests {
         let a = parse(&[&img_path], &[], &["max"]);
         let msg = cmd_run(&a).unwrap();
         assert!(msg.contains("output:"), "{msg}");
+    }
+
+    #[test]
+    fn images_without_text_are_errors_not_panics() {
+        use vcfr_isa::{Section, SectionKind};
+        let empty = Image {
+            sections: vec![],
+            entry: 0x1000,
+            stack_top: 0xf000,
+            symbols: vec![],
+            relocs: vec![],
+        };
+        let data_only = Image {
+            sections: vec![Section { kind: SectionKind::Data, base: 0x8000, bytes: vec![7; 16] }],
+            ..empty.clone()
+        };
+        for (name, img) in [("no-sections.img", empty), ("data-only.img", data_only)] {
+            let path = tmp(name);
+            fs::write(&path, img.to_bytes()).unwrap();
+            let e = cmd_disasm(&parse(&[&path], &["blocks"], &[])).unwrap_err();
+            assert!(e.to_string().contains("no text section"), "{name}: {e}");
+            let out = tmp(&format!("{name}.rand"));
+            let e = cmd_randomize(&parse(&[&path, "--o", &out], &[], &["o"])).unwrap_err();
+            assert!(e.to_string().contains("no text section"), "{name}: {e}");
+        }
     }
 
     #[test]

@@ -90,6 +90,16 @@ impl LayoutMap {
         Ok(m)
     }
 
+    /// An empty map with room for `n` pairs before either direction
+    /// rehashes.
+    pub fn with_capacity(n: usize) -> LayoutMap {
+        LayoutMap {
+            rand_of: HashMap::with_capacity(n),
+            orig_of: HashMap::with_capacity(n),
+            ..LayoutMap::default()
+        }
+    }
+
     /// Adds one pair.
     ///
     /// # Errors

@@ -108,7 +108,7 @@ impl Image {
     /// # Panics
     ///
     /// Panics if the image has no text section, which [`crate::Asm`] can
-    /// never produce.
+    /// never produce and [`Image::from_bytes`] refuses.
     pub fn text(&self) -> &Section {
         self.sections
             .iter()

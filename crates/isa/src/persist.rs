@@ -45,7 +45,8 @@ impl Image {
     /// # Errors
     ///
     /// Returns a [`WireError`] on truncation, corruption or a version
-    /// mismatch.
+    /// mismatch, and [`WireError::NoTextSection`] when no section holds
+    /// text: every consumer of an image reads its text section.
     ///
     /// # Example
     ///
@@ -94,6 +95,9 @@ impl Image {
             let target = r.u32()?;
             relocs.push(Reloc { at, target });
         }
+        if !sections.iter().any(|s| s.kind == SectionKind::Text) {
+            return Err(WireError::NoTextSection);
+        }
         Ok(Image { sections, entry, stack_top, symbols, relocs })
     }
 }
@@ -137,6 +141,24 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[0] ^= 0xff;
         assert!(matches!(Image::from_bytes(&bytes), Err(WireError::BadMagic { .. })));
+    }
+
+    #[test]
+    fn images_without_text_are_refused() {
+        let empty = Image {
+            sections: vec![],
+            entry: 0x1000,
+            stack_top: 0xf000,
+            symbols: vec![],
+            relocs: vec![],
+        };
+        let data_only = Image {
+            sections: vec![Section { kind: SectionKind::Data, base: 0x8000, bytes: vec![7; 16] }],
+            ..empty.clone()
+        };
+        for img in [empty, data_only] {
+            assert_eq!(Image::from_bytes(&img.to_bytes()), Err(WireError::NoTextSection));
+        }
     }
 
     #[test]

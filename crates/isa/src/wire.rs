@@ -34,6 +34,9 @@ pub enum WireError {
         /// The offending index.
         index: u64,
     },
+    /// An image held no text section, so there is nothing to run or
+    /// rewrite.
+    NoTextSection,
 }
 
 impl fmt::Display for WireError {
@@ -52,6 +55,7 @@ impl fmt::Display for WireError {
             WireError::BadIndex { index } => {
                 write!(f, "index field {index} out of range or out of order")
             }
+            WireError::NoTextSection => write!(f, "image has no text section"),
         }
     }
 }

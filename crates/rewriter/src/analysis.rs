@@ -5,7 +5,8 @@
 
 use crate::cfg::Cfg;
 use crate::disasm::Disassembly;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use vcfr_isa::{Addr, Image, Inst, Reg, SymbolKind};
 
 /// The conservative address-taken set: every address that *could* be the
@@ -19,31 +20,35 @@ use vcfr_isa::{Addr, Image, Inst, Reg, SymbolKind};
 ///   constants naming instruction starts (Hiser et al.'s "simple but
 ///   effective heuristic").
 pub fn address_taken_targets(image: &Image, disasm: &Disassembly) -> BTreeSet<Addr> {
-    let mut out = BTreeSet::new();
-    for r in &image.relocs {
-        if disasm.is_inst_start(r.target) {
-            out.insert(r.target);
+    // One flag per instruction: every lookup below is a range test plus
+    // an index, and the set is bulk-built in address order at the end.
+    let mut taken = vec![false; disasm.len()];
+    let mut mark = |addr: Addr| {
+        if let Some(k) = disasm.index_of(addr) {
+            taken[k] = true;
         }
+    };
+    for r in &image.relocs {
+        mark(r.target);
     }
     for (_, inst) in disasm.iter() {
         if let Inst::MovRI { imm, .. } = inst {
-            let v = *imm as u64;
-            if v <= u32::MAX as u64 && disasm.is_inst_start(v as Addr) {
-                out.insert(v as Addr);
+            if let Ok(v) = Addr::try_from(*imm as u64) {
+                mark(v);
             }
         }
     }
     if let Some(data) = image.data() {
         // Byte-by-byte, exactly as the paper describes — pointers need
         // not be aligned.
-        for off in 0..data.bytes.len().saturating_sub(7) {
-            let v = u64::from_le_bytes(data.bytes[off..off + 8].try_into().expect("8 bytes"));
-            if v <= u32::MAX as u64 && disasm.is_inst_start(v as Addr) {
-                out.insert(v as Addr);
+        for window in data.bytes.windows(8) {
+            let v = u64::from_le_bytes(window.try_into().expect("8 bytes"));
+            if let Ok(v) = Addr::try_from(v) {
+                mark(v);
             }
         }
     }
-    out
+    disasm.iter().zip(taken).filter(|(_, t)| *t).map(|((a, _), _)| a).collect()
 }
 
 /// What the analysis concluded about one indirect transfer site.
@@ -91,9 +96,9 @@ enum AbsVal {
 }
 
 /// A contiguous run of relocation slots starting at `base`: the classic
-/// jump-table shape. Returns the targets in slot order.
-fn reloc_run(image: &Image, base: Addr) -> Vec<Addr> {
-    let by_slot: BTreeMap<Addr, Addr> = image.relocs.iter().map(|r| (r.at, r.target)).collect();
+/// jump-table shape. Returns the targets in slot order. `by_slot` maps a
+/// slot address to its target.
+fn reloc_run(by_slot: &HashMap<Addr, Addr>, base: Addr) -> Vec<Addr> {
     let mut out = Vec::new();
     let mut slot = base;
     while let Some(t) = by_slot.get(&slot) {
@@ -122,6 +127,15 @@ pub fn resolve_indirect_targets(
     cfg: &Cfg,
 ) -> IndirectResolution {
     let mut res = IndirectResolution::default();
+    // Slot → target, built once on the first table access; a later
+    // relocation of a slot wins.
+    let by_slot: OnceCell<HashMap<Addr, Addr>> = OnceCell::new();
+    let run_at = |base: Addr| {
+        reloc_run(
+            by_slot.get_or_init(|| image.relocs.iter().map(|r| (r.at, r.target)).collect()),
+            base,
+        )
+    };
 
     for block in cfg.blocks.values() {
         // Forward pass with a 16-register abstract state.
@@ -134,7 +148,7 @@ pub fn resolve_indirect_targets(
                     Some(match state[target.index()] {
                         AbsVal::Const(c) => Resolved::Exact(vec![c as Addr]),
                         AbsVal::FromTable(t) => {
-                            let run = reloc_run(image, t);
+                            let run = run_at(t);
                             if run.is_empty() {
                                 Resolved::Conservative
                             } else {
@@ -148,7 +162,7 @@ pub fn resolve_indirect_targets(
                     Some(match state[base.index()] {
                         AbsVal::Const(c) => {
                             let table = (c as Addr).wrapping_add(*disp as Addr);
-                            let run = reloc_run(image, table);
+                            let run = run_at(table);
                             if run.is_empty() {
                                 Resolved::Conservative
                             } else {
@@ -224,42 +238,51 @@ pub fn return_address_safety(
     disasm: &Disassembly,
     _cfg: &Cfg,
 ) -> BTreeMap<Addr, bool> {
-    // Pre-compute per-function properties.
-    let mut func_safe: BTreeMap<Addr, bool> = BTreeMap::new();
+    // Prefix counts over the address-ordered instructions: a function's
+    // properties are then one range query, whatever its extent.
+    let insts = disasm.insts();
+    let prefix = |hit: fn(&Inst) -> bool| -> Vec<u32> {
+        let counts = insts.iter().scan(0, |n, (_, inst)| {
+            *n += u32::from(hit(inst));
+            Some(*n)
+        });
+        std::iter::once(0).chain(counts).collect()
+    };
+    let rets = prefix(|inst| matches!(inst, Inst::Ret));
+    let slot_reads = prefix(|inst| matches!(inst, Inst::Load { base: Reg::Rsp, disp: 0, .. }));
+
+    // Pre-compute per-function properties. A later symbol at the same
+    // address wins.
+    let mut func_safe: HashMap<Addr, bool> = HashMap::new();
     for sym in &image.symbols {
         if sym.kind != SymbolKind::Func {
             continue;
         }
-        let mut has_ret = false;
-        let mut reads_ret_slot = false;
+        // `[addr, addr + size)`; a zero size, or an end that wraps past
+        // the top of the address space, covers no instruction.
         let end = sym.addr.wrapping_add(sym.size);
-        for (addr, inst) in disasm.iter() {
-            if addr < sym.addr || addr >= end {
-                continue;
-            }
-            match inst {
-                Inst::Ret => has_ret = true,
-                Inst::Load { base: Reg::Rsp, disp: 0, .. } => reads_ret_slot = true,
-                _ => {}
-            }
-        }
+        let (lo, hi) = if end > sym.addr {
+            let lo = insts.partition_point(|(a, _)| *a < sym.addr);
+            (lo, lo + insts[lo..].partition_point(|(a, _)| *a < end))
+        } else {
+            (0, 0)
+        };
+        let has_ret = rets[hi] > rets[lo];
+        let reads_ret_slot = slot_reads[hi] > slot_reads[lo];
         func_safe.insert(sym.addr, has_ret && !reads_ret_slot);
     }
 
-    let mut out = BTreeMap::new();
-    for (addr, inst) in disasm.iter() {
-        match inst {
+    disasm
+        .iter()
+        .filter_map(|(addr, inst)| match inst {
             Inst::Call { .. } => {
                 let target = inst.direct_target(addr).expect("direct call has target");
-                out.insert(addr, *func_safe.get(&target).unwrap_or(&false));
+                Some((addr, func_safe.get(&target).copied().unwrap_or(false)))
             }
-            Inst::CallR { .. } | Inst::CallM { .. } => {
-                out.insert(addr, false);
-            }
-            _ => {}
-        }
-    }
-    out
+            Inst::CallR { .. } | Inst::CallM { .. } => Some((addr, false)),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]

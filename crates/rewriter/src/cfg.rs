@@ -106,65 +106,68 @@ impl Cfg {
     /// as the paper describes ("connect all indirect control flow
     /// transfer instructions with all possible (relocatable) targets"),
     /// to be pruned later by [`crate::analysis::resolve_indirect_targets`].
+    ///
+    /// Leaders and block starts are dense flags over the disassembly's
+    /// instruction table, so the build is linear in instructions plus
+    /// edges.
     pub fn build(image: &Image, disasm: &Disassembly, indirect_targets: &BTreeSet<Addr>) -> Cfg {
+        let insts = disasm.insts();
+        let reachable: Vec<usize> =
+            (0..insts.len()).filter(|&k| disasm.is_reachable_index(k)).collect();
+
         // ---- find leaders -------------------------------------------
-        let mut leaders: BTreeSet<Addr> = BTreeSet::new();
-        leaders.insert(image.entry);
+        // Only reachable instruction starts can begin a block, so a
+        // leader anywhere else is never consulted.
+        let mut leader = vec![false; insts.len()];
+        let mut mark = |addr: Addr| {
+            if let Some(k) = disasm.index_of(addr).filter(|&k| disasm.is_reachable_index(k)) {
+                leader[k] = true;
+            }
+        };
+        mark(image.entry);
         for s in &image.symbols {
-            if disasm.reachable.contains(&s.addr) {
-                leaders.insert(s.addr);
-            }
+            mark(s.addr);
         }
-        for t in indirect_targets {
-            if disasm.reachable.contains(t) {
-                leaders.insert(*t);
-            }
+        for &t in indirect_targets {
+            mark(t);
         }
-        for (&addr, inst) in &disasm.insts {
-            if !disasm.reachable.contains(&addr) {
-                continue;
-            }
+        for &k in &reachable {
+            let (addr, inst) = insts[k];
             if let Some(t) = inst.direct_target(addr) {
-                leaders.insert(t);
+                mark(t);
             }
             if inst.is_control() {
-                let next = addr.wrapping_add(inst.len() as Addr);
-                if disasm.reachable.contains(&next) {
-                    leaders.insert(next);
-                }
+                mark(addr.wrapping_add(inst.len() as Addr));
             }
         }
 
         // ---- carve blocks -------------------------------------------
-        let mut cfg = Cfg::default();
-        let reachable: Vec<Addr> = disasm
-            .insts
-            .keys()
-            .copied()
-            .filter(|a| disasm.reachable.contains(a))
-            .collect();
+        // Per instruction: the index of the block it starts, if any.
+        let mut block_at = vec![usize::MAX; insts.len()];
+        let mut blocks: Vec<BasicBlock> = Vec::new();
         let mut i = 0;
         while i < reachable.len() {
-            let start = reachable[i];
-            if !leaders.contains(&start) {
+            if !leader[reachable[i]] {
                 i += 1;
                 continue;
             }
-            let mut insts = Vec::new();
+            block_at[reachable[i]] = blocks.len();
             let mut j = i;
             loop {
-                let addr = reachable[j];
-                let inst = disasm.insts[&addr];
-                insts.push((addr, inst));
+                let (addr, inst) = insts[reachable[j]];
                 let next = addr.wrapping_add(inst.len() as Addr);
                 j += 1;
-                let next_is_leader = leaders.contains(&next);
-                let next_is_seq = j < reachable.len() && reachable[j] == next;
-                if inst.is_control() || !inst.falls_through() || next_is_leader || !next_is_seq {
+                let next_is_seq = j < reachable.len() && insts[reachable[j]].0 == next;
+                if inst.is_control()
+                    || !inst.falls_through()
+                    || !next_is_seq
+                    || leader[reachable[j]]
+                {
                     break;
                 }
             }
-            let (last_addr, last) = *insts.last().expect("non-empty block");
+            let block: Vec<(Addr, Inst)> = reachable[i..j].iter().map(|&k| insts[k]).collect();
+            let (last_addr, last) = *block.last().expect("non-empty block");
             let fall = last_addr.wrapping_add(last.len() as Addr);
             let term = match last {
                 Inst::Jmp { .. } => Terminator::Jump(last.direct_target(last_addr).unwrap()),
@@ -182,16 +185,18 @@ impl Cfg {
                 Inst::Halt | Inst::Sys { num: 0 } => Terminator::Halt,
                 _ => Terminator::FallThrough(fall),
             };
-            cfg.blocks.insert(start, BasicBlock { start, insts, term });
+            blocks.push(BasicBlock { start: block[0].0, insts: block, term });
             i = j;
         }
 
         // ---- edges ----------------------------------------------------
-        let block_starts: Vec<Addr> = cfg.blocks.keys().copied().collect();
-        for &start in &block_starts {
-            let term = cfg.blocks[&start].term.clone();
+        let block_of =
+            |t: Addr| disasm.index_of(t).map(|k| block_at[k]).filter(|&b| b != usize::MAX);
+        let mut succs: Vec<Vec<Addr>> = Vec::with_capacity(blocks.len());
+        let mut preds: Vec<Vec<Addr>> = vec![Vec::new(); blocks.len()];
+        for block in &blocks {
             let mut outs: Vec<Addr> = Vec::new();
-            match term {
+            match block.term {
                 Terminator::FallThrough(t) | Terminator::Jump(t) => outs.push(t),
                 Terminator::Branch { taken, fall } => {
                     outs.push(taken);
@@ -208,14 +213,21 @@ impl Cfg {
                 Terminator::IndirectJump => outs.extend(indirect_targets.iter().copied()),
                 Terminator::Return | Terminator::Halt => {}
             }
-            outs.retain(|t| cfg.blocks.contains_key(t));
+            outs.retain(|&t| block_of(t).is_some());
             outs.dedup();
-            for t in &outs {
-                cfg.preds.entry(*t).or_default().push(start);
+            for &t in &outs {
+                preds[block_of(t).expect("retained")].push(block.start);
             }
-            cfg.succs.insert(start, outs);
+            succs.push(outs);
         }
-        cfg
+
+        // Every map is bulk-built from address-ordered pairs.
+        let starts: Vec<Addr> = blocks.iter().map(|b| b.start).collect();
+        Cfg {
+            preds: starts.iter().copied().zip(preds).filter(|(_, p)| !p.is_empty()).collect(),
+            succs: starts.iter().copied().zip(succs).collect(),
+            blocks: starts.into_iter().zip(blocks).collect(),
+        }
     }
 
     /// The block containing `addr`, if any.

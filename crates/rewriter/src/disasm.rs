@@ -1,9 +1,9 @@
 //! Disassembly: recursive descent seeded from entry/symbols/relocations,
 //! plus a linear sweep over any remaining gaps.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use vcfr_isa::{decode, Addr, DecodeError, Image, Inst, MAX_INST_LEN};
+use vcfr_isa::{decode, Addr, DecodeError, Image, Inst, Section, MAX_INST_LEN};
 
 /// A disassembly failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,26 +41,54 @@ impl fmt::Display for DisasmError {
 impl std::error::Error for DisasmError {}
 
 /// The recovered instruction map of a program.
+///
+/// Instructions sit in one address-ordered table, and a per-text-byte
+/// index finds the one starting at any address in O(1): every stage of
+/// the rewriter reads it without a tree operation per instruction.
 #[derive(Clone, Debug, Default)]
 pub struct Disassembly {
-    /// Every discovered instruction, keyed by address. `BTreeMap` so
-    /// iteration is in address order.
-    pub insts: BTreeMap<Addr, Inst>,
-    /// The subset proven reachable by recursive descent (instructions
-    /// found only by the linear sweep may be alignment padding or dead
-    /// code).
-    pub reachable: BTreeSet<Addr>,
+    /// Base address of the text section `starts` counts from.
+    base: Addr,
+    /// Every discovered instruction, in address order.
+    insts: Vec<(Addr, Inst)>,
+    /// Parallel to `insts`: whether recursive descent reached it
+    /// (instructions found only by the linear sweep may be alignment
+    /// padding or dead code).
+    reachable: Vec<bool>,
+    /// Per text byte: one plus the index into `insts` of the instruction
+    /// starting there, or 0 when none does.
+    starts: Vec<u32>,
 }
 
 impl Disassembly {
+    /// The index into [`Disassembly::insts`] of the instruction starting
+    /// at `addr`, if one was discovered there.
+    pub(crate) fn index_of(&self, addr: Addr) -> Option<usize> {
+        match self.starts.get(addr.wrapping_sub(self.base) as usize) {
+            Some(&k) if k != 0 => Some(k as usize - 1),
+            _ => None,
+        }
+    }
+
     /// The instruction at `addr`, if one was discovered there.
     pub fn at(&self, addr: Addr) -> Option<&Inst> {
-        self.insts.get(&addr)
+        self.index_of(addr).map(|k| &self.insts[k].1)
     }
 
     /// Whether `addr` is the start of a discovered instruction.
     pub fn is_inst_start(&self, addr: Addr) -> bool {
-        self.insts.contains_key(&addr)
+        self.index_of(addr).is_some()
+    }
+
+    /// Whether `addr` starts an instruction recursive descent reached.
+    pub fn is_reachable(&self, addr: Addr) -> bool {
+        self.index_of(addr).is_some_and(|k| self.reachable[k])
+    }
+
+    /// Whether the instruction at `index` was reached by recursive
+    /// descent.
+    pub(crate) fn is_reachable_index(&self, index: usize) -> bool {
+        self.reachable[index]
     }
 
     /// Number of discovered instructions.
@@ -73,14 +101,24 @@ impl Disassembly {
         self.insts.is_empty()
     }
 
+    /// Every discovered instruction, in address order.
+    pub fn insts(&self) -> &[(Addr, Inst)] {
+        &self.insts
+    }
+
     /// Iterates `(address, instruction)` in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, &Inst)> + '_ {
         self.insts.iter().map(|(a, i)| (*a, i))
     }
+
+    /// Iterates the reachable `(address, instruction)` pairs in address
+    /// order.
+    pub fn reachable(&self) -> impl Iterator<Item = (Addr, &Inst)> + '_ {
+        self.iter().zip(&self.reachable).filter(|(_, r)| **r).map(|(p, _)| p)
+    }
 }
 
-fn decode_in_text(image: &Image, addr: Addr) -> Result<Inst, DisasmError> {
-    let text = image.text();
+fn decode_in_text(text: &Section, addr: Addr) -> Result<Inst, DisasmError> {
     let off = addr.wrapping_sub(text.base) as usize;
     let end = (off + MAX_INST_LEN).min(text.bytes.len());
     decode(&text.bytes[off..end]).map_err(|source| DisasmError::Undecodable { at: addr, source })
@@ -90,9 +128,10 @@ fn decode_in_text(image: &Image, addr: Addr) -> Result<Inst, DisasmError> {
 ///
 /// Recursive descent starts from the entry point, every function symbol
 /// and every relocation target; direct-transfer targets and fall-throughs
-/// are followed. A linear sweep then walks any gaps so the whole text
-/// section is covered (mirroring the paper's "complete scan of
-/// disassembled code" with objdump).
+/// are followed, first in first out. A linear sweep then walks any gaps
+/// so the whole text section is covered (mirroring the paper's "complete
+/// scan of disassembled code" with objdump). Both passes, and the final
+/// ordering, are linear in text bytes plus instructions.
 ///
 /// # Errors
 ///
@@ -100,7 +139,11 @@ fn decode_in_text(image: &Image, addr: Addr) -> Result<Inst, DisasmError> {
 /// a direct transfer exits the text section.
 pub fn disassemble(image: &Image) -> Result<Disassembly, DisasmError> {
     let text = image.text();
-    let mut out = Disassembly::default();
+    // Instructions in discovery order; `starts` indexes this list until
+    // the final pass reorders it by address.
+    let mut found: Vec<(Addr, Inst)> = Vec::new();
+    let mut starts = vec![0u32; text.bytes.len()];
+    let slot = |addr: Addr| addr.wrapping_sub(text.base) as usize;
 
     // ---- recursive descent ------------------------------------------
     let mut work: VecDeque<Addr> = VecDeque::new();
@@ -117,18 +160,15 @@ pub fn disassemble(image: &Image) -> Result<Disassembly, DisasmError> {
     }
 
     while let Some(addr) = work.pop_front() {
-        if out.reachable.contains(&addr) {
+        // Seeds are pre-filtered, and a transfer pointing outside text is
+        // reported at the transfer below, so the range test only guards
+        // ill-formed inputs.
+        if !text.contains(addr) || starts[slot(addr)] != 0 {
             continue;
         }
-        if !text.contains(addr) {
-            // Seeds are pre-filtered; a transfer pointing outside text is
-            // reported at the transfer below, so this is unreachable for
-            // well-formed inputs but kept defensive.
-            continue;
-        }
-        let inst = decode_in_text(image, addr)?;
-        out.reachable.insert(addr);
-        out.insts.insert(addr, inst);
+        let inst = decode_in_text(text, addr)?;
+        found.push((addr, inst));
+        starts[slot(addr)] = found.len() as u32;
 
         if let Some(target) = inst.direct_target(addr) {
             if !text.contains(target) {
@@ -140,18 +180,20 @@ pub fn disassemble(image: &Image) -> Result<Disassembly, DisasmError> {
             work.push_back(addr.wrapping_add(inst.len() as Addr));
         }
     }
+    let reached = found.len();
 
     // ---- linear sweep over gaps --------------------------------------
     let mut addr = text.base;
     let end = text.end();
     while addr < end {
-        if let Some(inst) = out.insts.get(&addr) {
-            addr = addr.wrapping_add(inst.len() as Addr);
+        if let Some(k) = starts[slot(addr)].checked_sub(1) {
+            addr = addr.wrapping_add(found[k as usize].1.len() as Addr);
             continue;
         }
-        match decode_in_text(image, addr) {
+        match decode_in_text(text, addr) {
             Ok(inst) if addr.wrapping_add(inst.len() as Addr) <= end => {
-                out.insts.insert(addr, inst);
+                found.push((addr, inst));
+                starts[slot(addr)] = found.len() as u32;
                 addr = addr.wrapping_add(inst.len() as Addr);
             }
             // Unreachable byte soup (e.g. inline data): skip a byte, as a
@@ -160,7 +202,16 @@ pub fn disassemble(image: &Image) -> Result<Disassembly, DisasmError> {
         }
     }
 
-    Ok(out)
+    // ---- address order -------------------------------------------------
+    let mut insts = Vec::with_capacity(found.len());
+    let mut reachable = Vec::with_capacity(found.len());
+    for k in starts.iter_mut().filter(|k| **k != 0) {
+        let i = *k as usize - 1;
+        insts.push(found[i]);
+        reachable.push(i < reached);
+        *k = insts.len() as u32;
+    }
+    Ok(Disassembly { base: text.base, insts, reachable, starts })
 }
 
 #[cfg(test)]
@@ -177,7 +228,7 @@ mod tests {
         let img = a.finish().unwrap();
         let d = disassemble(&img).unwrap();
         assert_eq!(d.len(), 3);
-        assert_eq!(d.reachable.len(), 3);
+        assert_eq!(d.reachable().count(), 3);
         assert!(d.is_inst_start(0x1000));
         assert!(d.is_inst_start(0x100a));
         assert!(!d.is_inst_start(0x1001));
@@ -197,7 +248,7 @@ mod tests {
         let img = a.finish().unwrap();
         let d = disassemble(&img).unwrap();
         let f = img.symbol("f").unwrap().addr;
-        assert!(d.reachable.contains(&f));
+        assert!(d.is_reachable(f));
         assert_eq!(d.len(), 5);
     }
 
@@ -214,7 +265,7 @@ mod tests {
         a.halt();
         let img = a.finish().unwrap();
         let d = disassemble(&img).unwrap();
-        assert!(d.reachable.contains(&img.relocs[0].target));
+        assert!(d.is_reachable(img.relocs[0].target));
     }
 
     #[test]
@@ -229,7 +280,9 @@ mod tests {
         let d = disassemble(&img).unwrap();
         // jmp + dead mov + halt all present; only jmp and halt reachable.
         assert_eq!(d.len(), 3);
-        assert_eq!(d.reachable.len(), 2);
+        assert_eq!(d.reachable().count(), 2);
+        assert!(!d.is_reachable(0x1005));
+        assert!(d.is_inst_start(0x1005));
     }
 
     #[test]

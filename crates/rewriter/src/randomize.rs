@@ -14,11 +14,11 @@ use crate::cfg::Cfg;
 use crate::disasm::{disassemble, DisasmError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use vcfr_core::{LayoutError, LayoutMap, OrigAddr, RandAddr, TranslationTable};
 use vcfr_isa::{
-    encode, Addr, Image, Inst, Machine, Section, SectionKind, Symbol,
+    encode, encode_into, Addr, Image, Inst, Machine, Section, SectionKind, Symbol, MAX_INST_LEN,
 };
 
 /// Configuration for [`randomize`].
@@ -227,6 +227,30 @@ fn in_ranges(ranges: &[(Addr, Addr)], addr: Addr) -> bool {
     ranges.iter().any(|&(lo, hi)| addr >= lo && addr < hi)
 }
 
+/// Which bytes of the randomization region hold a placed instruction,
+/// one bit per byte.
+struct Occupancy {
+    words: Vec<u64>,
+}
+
+impl Occupancy {
+    fn new(bytes: usize) -> Occupancy {
+        Occupancy { words: vec![0; bytes.div_ceil(64)] }
+    }
+
+    /// Whether every byte of `[at, at + len)` is free.
+    fn is_free(&self, at: usize, len: usize) -> bool {
+        (at..at + len).all(|b| self.words[b / 64] & (1 << (b % 64)) == 0)
+    }
+
+    /// Marks `[at, at + len)` as taken.
+    fn fill(&mut self, at: usize, len: usize) {
+        for b in at..at + len {
+            self.words[b / 64] |= 1 << (b % 64);
+        }
+    }
+}
+
 /// Rewrites one instruction's address-bearing operands for its new home.
 ///
 /// `new_pc` is where the instruction will live; `retarget` maps an
@@ -284,6 +308,7 @@ pub fn randomize(
     let return_safety = return_address_safety(image, &disasm, &graph);
 
     let keep = unrandomized_ranges(image, cfg);
+    let insts = disasm.insts();
 
     // Pointer-sized-constant scan of the data section (Hiser et al.'s
     // heuristic). A hit that is NOT covered by authoritative relocation
@@ -292,10 +317,17 @@ pub fn randomize(
     // is PINNED: left at its original address with an un-randomized
     // fail-over entry and a redirect back into the randomized space
     // (exactly the paper's "redirect program execution back to the
-    // randomized control flow space" mechanism).
-    let reloc_targets: BTreeSet<Addr> = image.relocs.iter().map(|r| r.target).collect();
-    let scan_pins: BTreeSet<Addr> =
-        targets.iter().copied().filter(|a| !reloc_targets.contains(a)).collect();
+    // randomized control flow space" mechanism). One flag per
+    // instruction, as every per-instruction fact below.
+    let mut scan_pin = vec![false; insts.len()];
+    for &t in &targets {
+        scan_pin[disasm.index_of(t).expect("address-taken targets start instructions")] = true;
+    }
+    for r in &image.relocs {
+        if let Some(k) = disasm.index_of(r.target) {
+            scan_pin[k] = false;
+        }
+    }
 
     let mut stats = RandomizeStats {
         instructions: disasm.len(),
@@ -319,19 +351,24 @@ pub fn randomize(
     // §IV-A software option: which calls get expanded to `push; jmp`
     // (10 bytes instead of 5). Not combined with page confinement — the
     // expansion needs the slack of the large region.
-    let expand_call = |orig: Addr, inst: &Inst| -> bool {
-        cfg.software_return_randomization
-            && !cfg.page_confined
-            && matches!(inst, Inst::Call { .. })
-            && return_safety.get(&orig).copied().unwrap_or(false)
+    let expanded: Vec<bool> = if cfg.software_return_randomization && !cfg.page_confined {
+        insts
+            .iter()
+            .map(|(orig, inst)| {
+                matches!(inst, Inst::Call { .. })
+                    && return_safety.get(orig).copied().unwrap_or(false)
+            })
+            .collect()
+    } else {
+        vec![false; insts.len()]
     };
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut layout = LayoutMap::default();
-    let is_pinned = |orig: Addr, stats: &mut RandomizeStats| -> bool {
-        if in_ranges(&keep, orig) || scan_pins.contains(&orig) {
+    let mut layout = LayoutMap::with_capacity(insts.len());
+    let is_pinned = |k: usize, stats: &mut RandomizeStats| -> bool {
+        if in_ranges(&keep, insts[k].0) || scan_pin[k] {
             stats.unrandomized += 1;
-            if scan_pins.contains(&orig) {
+            if scan_pin[k] {
                 stats.pinned_by_scan += 1;
             }
             true
@@ -363,8 +400,8 @@ pub fn randomize(
                 }
                 Ok(())
             };
-        for (orig, inst) in disasm.iter() {
-            if is_pinned(orig, &mut stats) {
+        for (k, &(orig, inst)) in insts.iter().enumerate() {
+            if is_pinned(k, &mut stats) {
                 flush(&mut run, run_start, &mut rng, &mut layout, &mut stats)?;
                 continue;
             }
@@ -380,29 +417,20 @@ pub fn randomize(
         }
         flush(&mut run, run_start, &mut rng, &mut layout, &mut stats)?;
     } else {
-        // start → length, for overlap checks in the scattered region.
-        let mut placed: BTreeMap<Addr, u32> = BTreeMap::new();
-        for (orig, inst) in disasm.iter() {
-            if is_pinned(orig, &mut stats) {
+        // One bit per region byte: a draw is taken exactly when all of
+        // its bytes are free, so the draws, and the layout, are those of
+        // any exact overlap test.
+        let mut occupied = Occupancy::new(span as usize);
+        for (k, &(orig, inst)) in insts.iter().enumerate() {
+            if is_pinned(k, &mut stats) {
                 continue;
             }
-            let len =
-                if expand_call(orig, inst) { 10 } else { inst.len() as u32 };
+            let len = if expanded[k] { 10 } else { inst.len() as u32 };
             let new = loop {
-                let candidate = cfg.region_base + rng.gen_range(0..span - len);
-                let prev_ok = placed
-                    .range(..=candidate)
-                    .next_back()
-                    .map(|(&s, &l)| s + l <= candidate)
-                    .unwrap_or(true);
-                let next_ok = placed
-                    .range(candidate..)
-                    .next()
-                    .map(|(&s, _)| candidate + len <= s)
-                    .unwrap_or(true);
-                if prev_ok && next_ok {
-                    placed.insert(candidate, len);
-                    break candidate;
+                let offset = rng.gen_range(0..span - len);
+                if occupied.is_free(offset as usize, len as usize) {
+                    occupied.fill(offset as usize, len as usize);
+                    break cfg.region_base + offset;
                 }
             };
             layout.insert(OrigAddr(orig), RandAddr(new))?;
@@ -421,29 +449,27 @@ pub fn randomize(
         (cfg.region_base, span)
     };
     let mut region_bytes = vec![0u8; region_len as usize];
-    for (orig, inst) in disasm.iter() {
+    let mut buf = Vec::with_capacity(2 * MAX_INST_LEN);
+    for (k, &(orig, inst)) in insts.iter().enumerate() {
         let Some(rand) = layout.to_rand(OrigAddr(orig)) else { continue };
         let new_pc = rand.raw();
         let off = (new_pc - region_base) as usize;
-        if expand_call(orig, inst) {
+        buf.clear();
+        if expanded[k] {
             // §IV-A option 1: `push randomized_return_addr; jmp target`.
             let ret = orig.wrapping_add(inst.len() as Addr);
             let target = inst.direct_target(orig).expect("calls are direct here");
-            let push = encode(&Inst::PushI { imm: retarget(ret) as i32 });
-            let jmp_pc = new_pc.wrapping_add(push.len() as Addr);
+            let push_len = encode_into(&Inst::PushI { imm: retarget(ret) as i32 }, &mut buf);
+            let jmp_pc = new_pc.wrapping_add(push_len as Addr);
             let rel = retarget(target).wrapping_sub(jmp_pc.wrapping_add(5)) as i32;
-            let jmp = encode(&Inst::Jmp { rel });
-            region_bytes[off..off + push.len()].copy_from_slice(&push);
-            region_bytes[off + push.len()..off + push.len() + jmp.len()]
-                .copy_from_slice(&jmp);
+            encode_into(&Inst::Jmp { rel }, &mut buf);
             stats.software_expanded_calls += 1;
             stats.expansion_bytes += 5;
             stats.rewritten_branches += 1;
-            continue;
+        } else {
+            encode_into(&rewrite_inst(&inst, orig, new_pc, &retarget, &mut stats), &mut buf);
         }
-        let rewritten = rewrite_inst(inst, orig, new_pc, &retarget, &mut stats);
-        let bytes = encode(&rewritten);
-        region_bytes[off..off + bytes.len()].copy_from_slice(&bytes);
+        region_bytes[off..off + buf.len()].copy_from_slice(&buf);
     }
 
     // ---- fail-over copies at original addresses ------------------------
@@ -453,24 +479,23 @@ pub fn randomize(
     // one section each.
     let mut failover_sections: Vec<Section> = Vec::new();
     let mut run: Option<(Addr, Vec<u8>)> = None;
-    for (orig, inst) in disasm.iter() {
+    for &(orig, inst) in insts {
         if layout.to_rand(OrigAddr(orig)).is_some() {
             if let Some((base, bytes)) = run.take() {
                 failover_sections.push(Section { kind: SectionKind::Text, base, bytes });
             }
             continue;
         }
-        let rewritten = rewrite_inst(inst, orig, orig, &retarget, &mut stats);
-        let enc = encode(&rewritten);
+        let rewritten = rewrite_inst(&inst, orig, orig, &retarget, &mut stats);
         match run.as_mut() {
             Some((base, bytes)) if *base + bytes.len() as Addr == orig => {
-                bytes.extend_from_slice(&enc);
+                encode_into(&rewritten, bytes);
             }
             _ => {
                 if let Some((base, bytes)) = run.take() {
                     failover_sections.push(Section { kind: SectionKind::Text, base, bytes });
                 }
-                run = Some((orig, enc));
+                run = Some((orig, encode(&rewritten)));
             }
         }
     }
@@ -500,7 +525,7 @@ pub fn randomize(
 
     // ---- tables ----------------------------------------------------------
     let mut table = TranslationTable::from_layout(&layout, cfg.table_base);
-    for (orig, _) in disasm.iter() {
+    for &(orig, _) in insts {
         if layout.to_rand(OrigAddr(orig)).is_none() {
             table.add_unrandomized(OrigAddr(orig));
             stats.failover_entries += 1;
@@ -509,8 +534,8 @@ pub fn randomize(
 
     // ---- successor map -----------------------------------------------------
     let mut succ: HashMap<Addr, Addr> = HashMap::with_capacity(disasm.len());
-    for (orig, inst) in disasm.iter() {
-        if expand_call(orig, inst) {
+    for (k, &(orig, inst)) in insts.iter().enumerate() {
+        if expanded[k] {
             // The expansion is self-contained: `push` falls into its own
             // `jmp`, and the pushed (randomized) return address routes
             // the eventual `ret`.

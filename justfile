@@ -21,14 +21,16 @@ bench-smoke:
 sim-smoke:
     cargo test --release -p vcfr-sim
 
-# Determinism harness: 42 RunSpec cells (engines x modes x rerand x
-# faults), each re-run on two workers, with superblocks off, with the
-# telemetry tap, in the daemon's checkpointed chunks, through a
-# mid-run restore and through an in-process daemon; every canonical
-# manifest must stay byte-identical (see docs/architecture.md,
-# "Determinism invariants").
+# Determinism harness plus the goldens: 42 RunSpec cells (engines x
+# modes x rerand x faults), each re-run on two workers, with
+# superblocks off, with the telemetry tap, in the daemon's checkpointed
+# chunks, through a mid-run restore and through an in-process daemon,
+# every canonical manifest byte-identical; then the golden digests of
+# every randomized layout, engine run and mid-run checkpoint (see
+# docs/architecture.md, "Determinism invariants"). The one command that
+# proves no byte moved.
 determinism:
-    cargo test --release --test determinism
+    cargo test --release --test determinism --test engine_golden
 
 # Service smoke: start the batch daemon, submit two jobs, SIGKILL it
 # mid-run, restart, and byte-compare the resumed manifests against an

@@ -17,6 +17,13 @@
 //! written at the same `CHECKPOINT_VERSION`; a version bump refreshes
 //! this table in a commit of its own.
 //!
+//! A third table pins the rewriter's output itself: the bytes of
+//! `RandomizedProgram::to_bytes` for every workload under six
+//! randomizer configurations. The run digests above see only two apps,
+//! and only through their stats; this table moves if any layout,
+//! rewritten instruction, table entry or rewrite counter moves, and so
+//! pins the placement's draw order too.
+//!
 //! Two more tests pin configurations that used to panic inside the
 //! simulator: each must come back as a typed configuration error.
 
@@ -27,6 +34,7 @@ use vcfr::sim::{
     SimConfig, VcfrError,
 };
 use vcfr::workloads::Workload;
+use vcfr_bench::FRONTIER_POINTS;
 
 /// Instructions per core.
 const BUDGET: u64 = 20_000;
@@ -104,11 +112,106 @@ const CHECKPOINT_GOLDEN: &[(&str, &str)] = &[
     ("xalan/mc2/vcfr128", "115aa8e188fe8ee7"),
 ];
 
+/// The expected digest of every randomized program, keyed
+/// `app/configuration`.
+const RANDOMIZE_GOLDEN: &[(&str, &str)] = &[
+    ("bzip2/default", "cf1aa3231f280e2a"),
+    ("bzip2/e13", "3ba1219cf3f3b918"),
+    ("bzip2/e17", "0b18b9f1bbf2c153"),
+    ("bzip2/e24", "cdc42fddbad94d60"),
+    ("bzip2/page_confined", "0949b5b6165ac79e"),
+    ("bzip2/software_returns", "45f4129a83438abc"),
+    ("gcc/default", "4d9ac0eabfe786be"),
+    ("gcc/e13", "47fd1feff3b5fe99"),
+    ("gcc/e17", "edf8347a7b5e03dd"),
+    ("gcc/e24", "b32095866e93e7a9"),
+    ("gcc/page_confined", "aaf16e9d15994a2c"),
+    ("gcc/software_returns", "a809d8bc1668b5de"),
+    ("mcf/default", "a5cca4c445185bdf"),
+    ("mcf/e13", "161bdba3c381d553"),
+    ("mcf/e17", "3895a40d509fa735"),
+    ("mcf/e24", "cc0e2fc0d1cb977f"),
+    ("mcf/page_confined", "4863eb7e5e190fc0"),
+    ("mcf/software_returns", "ef9f0e0c23a0dac8"),
+    ("hmmer/default", "3dcafb6ce7944965"),
+    ("hmmer/e13", "2eda9f8b98f135eb"),
+    ("hmmer/e17", "63e8ae3968abdad6"),
+    ("hmmer/e24", "8f2a7c4b748fc16e"),
+    ("hmmer/page_confined", "fdcd1b39d00c084e"),
+    ("hmmer/software_returns", "767b1274e436cdfb"),
+    ("sjeng/default", "4c848e08ef201d6e"),
+    ("sjeng/e13", "2c9faee09f980184"),
+    ("sjeng/e17", "2b00696d823dc577"),
+    ("sjeng/e24", "d340174593a3e188"),
+    ("sjeng/page_confined", "fb39b937f0e96f7a"),
+    ("sjeng/software_returns", "151235cac86efa6e"),
+    ("libquantum/default", "13365f6777ce4bf6"),
+    ("libquantum/e13", "e55e2572ee1c89ed"),
+    ("libquantum/e17", "13365f6777ce4bf6"),
+    ("libquantum/e24", "2d2280fb6fcea810"),
+    ("libquantum/page_confined", "e175832c719e2193"),
+    ("libquantum/software_returns", "a9c6eb91dbd64c2b"),
+    ("h264ref/default", "44fa8b100973e1c8"),
+    ("h264ref/e13", "ff60d7c921c4d362"),
+    ("h264ref/e17", "44fa8b100973e1c8"),
+    ("h264ref/e24", "4302c0b76910e29f"),
+    ("h264ref/page_confined", "7d04d476d4fe07c5"),
+    ("h264ref/software_returns", "e981f76802b32a06"),
+    ("lbm/default", "d4995b449cb928f9"),
+    ("lbm/e13", "f0cfe247371bb87e"),
+    ("lbm/e17", "d4995b449cb928f9"),
+    ("lbm/e24", "d35aba4fe40a1c07"),
+    ("lbm/page_confined", "c49578834cf28ddf"),
+    ("lbm/software_returns", "1445940b1760efa0"),
+    ("xalan/default", "363c98ce88ab19a7"),
+    ("xalan/e13", "ade2be7372d65390"),
+    ("xalan/e17", "231453d4c4b5413e"),
+    ("xalan/e24", "a27dd705b22c2bb8"),
+    ("xalan/page_confined", "a2a02b0305d456ae"),
+    ("xalan/software_returns", "d3d0c89713c5d5f6"),
+    ("namd/default", "46f64f2deb8e329c"),
+    ("namd/e13", "65e6603dd8c47585"),
+    ("namd/e17", "46f64f2deb8e329c"),
+    ("namd/e24", "0d3f8ca3b261057f"),
+    ("namd/page_confined", "81898a3508426c54"),
+    ("namd/software_returns", "8966292e5de199fd"),
+    ("soplex/default", "ddbf6d3c2fe94c71"),
+    ("soplex/e13", "ac7e07bc01d422a7"),
+    ("soplex/e17", "ddbf6d3c2fe94c71"),
+    ("soplex/e24", "413068cf00a90508"),
+    ("soplex/page_confined", "8665b63e9f70ac92"),
+    ("soplex/software_returns", "c97fd0a1aac0f7a4"),
+    ("memcpy/default", "333bd983a8e7dcb2"),
+    ("memcpy/e13", "6ed30985c802b64e"),
+    ("memcpy/e17", "437a93e9422124d5"),
+    ("memcpy/e24", "9cb895d13d67497a"),
+    ("memcpy/page_confined", "144ee72a4265e765"),
+    ("memcpy/software_returns", "9ee4be30b7f74765"),
+    ("python/default", "62c203b1a6fe92d0"),
+    ("python/e13", "3e43a06e96e7a2d3"),
+    ("python/e17", "62c203b1a6fe92d0"),
+    ("python/e24", "77e1cdcbbaa3f9e8"),
+    ("python/page_confined", "8a555b5cb7247491"),
+    ("python/software_returns", "df8f063310cb7d7d"),
+];
+
+/// FNV-1a 64. A zero byte leaves `h ^ b` unchanged, so an all-zero
+/// chunk is one multiplication by a power of the prime: the digest is
+/// exactly FNV-1a's, and the megabytes of empty region in a sparse
+/// layout hash in milliseconds in a debug build.
 fn fnv1a(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0100_0000_01b3;
+    const CHUNK: usize = 64;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+    for chunk in bytes.chunks(CHUNK) {
+        if chunk == &[0u8; CHUNK][..chunk.len()] {
+            h = h.wrapping_mul(PRIME.wrapping_pow(chunk.len() as u32));
+            continue;
+        }
+        for &b in chunk {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
     }
     h
 }
@@ -221,6 +324,41 @@ fn checkpoint_digests() -> Vec<(String, String)> {
     out
 }
 
+/// The randomizer configurations whose layouts are pinned: the default
+/// at seed 2015, three frontier points, page confinement and software
+/// return-address randomization.
+fn layout_configs() -> Vec<(String, RandomizeConfig)> {
+    let seeded = RandomizeConfig::with_seed(2015);
+    let mut out = vec![("default".to_string(), seeded.clone())];
+    for pt in FRONTIER_POINTS.iter().filter(|pt| matches!(pt.entropy_bits, 13 | 17 | 24)) {
+        let cfg = RandomizeConfig::from_params(2015, &pt.params());
+        out.push((format!("e{}", pt.entropy_bits), cfg));
+    }
+    out.push((
+        "page_confined".to_string(),
+        RandomizeConfig { page_confined: true, ..seeded.clone() },
+    ));
+    out.push((
+        "software_returns".to_string(),
+        RandomizeConfig { software_return_randomization: true, ..seeded },
+    ));
+    out
+}
+
+/// The serialized randomized program of every workload under every
+/// pinned configuration, as `(key, digest)`.
+fn layout_digests() -> Vec<(String, String)> {
+    let configs = layout_configs();
+    let mut out = Vec::new();
+    for w in vcfr::workloads::all() {
+        for (name, cfg) in &configs {
+            let rp = randomize(&w.image, cfg).expect("workloads randomize");
+            out.push((format!("{}/{name}", w.name), format!("{:016x}", fnv1a(&rp.to_bytes()))));
+        }
+    }
+    out
+}
+
 /// Fails with every moved entry and the current table when `got` is
 /// not exactly `golden`.
 fn assert_golden(got: &[(String, String)], golden: &[(&str, &str)]) {
@@ -248,6 +386,11 @@ fn engine_results_match_the_golden_digests() {
 #[test]
 fn mid_run_checkpoints_match_the_golden_digests() {
     assert_golden(&checkpoint_digests(), CHECKPOINT_GOLDEN);
+}
+
+#[test]
+fn randomized_programs_match_the_golden_digests() {
+    assert_golden(&layout_digests(), RANDOMIZE_GOLDEN);
 }
 
 /// Re-randomization on a baseline run is a configuration error, not a

@@ -100,7 +100,7 @@ fn bench_drc(c: &mut Criterion) {
         (0..1024u32).map(|i| (OrigAddr(0x1000 + i * 4), RandAddr(0x2000_0000 + i * 64))),
     )
     .unwrap();
-    let table = TranslationTable::from_layout(&map, 0x4000_0000);
+    let table = TranslationTable::from_layout(map, 0x4000_0000);
     c.bench_function("core/drc_lookup", |b| {
         let mut drc = Drc::new(DrcConfig::direct_mapped(128));
         let mut i = 0u32;

@@ -171,7 +171,7 @@ const INVALID_LINE: Line = Line { valid: false, key: 0, value: 0, unrandomized: 
 /// ```
 /// use vcfr_core::{Drc, LayoutMap, OrigAddr, RandAddr, TranslationTable};
 /// let map = LayoutMap::from_pairs([(OrigAddr(4), RandAddr(44))]).unwrap();
-/// let table = TranslationTable::from_layout(&map, 0x4000_0000);
+/// let table = TranslationTable::from_layout(map, 0x4000_0000);
 /// let mut drc = Drc::direct_mapped(64);
 /// drc.randomize(OrigAddr(4), &table).unwrap();
 /// assert_eq!(drc.stats().misses, 1);
@@ -407,7 +407,7 @@ mod tests {
             (0..n).map(|i| (OrigAddr(0x1000 + i * 4), RandAddr(0x9000 + i * 256))),
         )
         .unwrap();
-        TranslationTable::from_layout(&map, 0x4000_0000)
+        TranslationTable::from_layout(map, 0x4000_0000)
     }
 
     #[test]

@@ -19,6 +19,12 @@ pub enum LayoutError {
         /// The colliding original address.
         orig: OrigAddr,
     },
+    /// An original address lies outside the range the map was built
+    /// for.
+    OutOfRange {
+        /// The offending original address.
+        orig: OrigAddr,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -30,17 +36,33 @@ impl fmt::Display for LayoutError {
             LayoutError::DuplicateOrig { orig } => {
                 write!(f, "original address {orig} mapped twice")
             }
+            LayoutError::OutOfRange { orig } => {
+                write!(f, "original address {orig} outside the mapped range")
+            }
         }
     }
 }
 
 impl std::error::Error for LayoutError {}
 
+impl From<LayoutError> for WireError {
+    fn from(e: LayoutError) -> WireError {
+        let addr = match e {
+            LayoutError::DuplicateRand { rand } => rand.raw(),
+            LayoutError::DuplicateOrig { orig } | LayoutError::OutOfRange { orig } => orig.raw(),
+        };
+        WireError::BadAddress { addr }
+    }
+}
+
 /// A bijection `original instruction address ↔ randomized instruction
-/// address`, one pair per instruction.
+/// address`, one pair per instruction, over a fixed range of original
+/// addresses (the text section it was built for).
 ///
 /// The map is the rewriter's central artefact: the scattered binary image,
 /// the successor map and the translation tables are all derived from it.
+/// It keeps one structure per direction: a dense forward index over the
+/// original range and a hash map from randomized to original addresses.
 ///
 /// # Example
 ///
@@ -54,27 +76,31 @@ impl std::error::Error for LayoutError {}
 /// assert_eq!(map.to_orig(RandAddr(0x8f00)), Some(OrigAddr(0x1000)));
 /// assert_eq!(map.len(), 2);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LayoutMap {
-    rand_of: HashMap<OrigAddr, RandAddr>,
     orig_of: HashMap<RandAddr, OrigAddr>,
-    /// Dense forward index: `fwd[orig - fwd_base]` is the randomized
-    /// address ([`NO_RAND`] when unmapped). Original addresses cover the
-    /// (small, contiguous) text section, so the array stays compact; the
-    /// simulator performs a forward lookup per simulated instruction in
-    /// naive-ILR mode, and this keeps hashing off that path.
-    fwd_base: u32,
+    /// Dense forward index: `fwd[orig - base]` is the randomized address
+    /// ([`NO_RAND`] when unmapped). The simulator performs a forward
+    /// lookup per simulated instruction in naive-ILR mode, and this keeps
+    /// hashing off that path.
+    base: u32,
     fwd: Vec<u32>,
-    /// Whether any pair maps to [`NO_RAND`] itself, in which case a
-    /// dense miss must be double-checked against the hash map.
-    has_sentinel_rand: bool,
+    /// The original address mapped to [`NO_RAND`] itself, which the
+    /// dense index cannot tell from "unmapped".
+    sentinel: Option<OrigAddr>,
 }
 
 /// Dense-index slot value for "unmapped".
 const NO_RAND: u32 = u32::MAX;
 
 impl LayoutMap {
-    /// Builds a map from `(original, randomized)` pairs.
+    /// An empty map over the original addresses `[base, base + len)`.
+    pub fn new(base: u32, len: usize) -> LayoutMap {
+        LayoutMap { orig_of: HashMap::new(), base, fwd: vec![NO_RAND; len], sentinel: None }
+    }
+
+    /// Builds a map from `(original, randomized)` pairs, over the range
+    /// from the lowest to the highest original address among them.
     ///
     /// # Errors
     ///
@@ -83,71 +109,56 @@ impl LayoutMap {
     pub fn from_pairs(
         pairs: impl IntoIterator<Item = (OrigAddr, RandAddr)>,
     ) -> Result<LayoutMap, LayoutError> {
-        let mut m = LayoutMap::default();
+        let pairs: Vec<_> = pairs.into_iter().collect();
+        let lo = pairs.iter().map(|(o, _)| o.raw()).min().unwrap_or(0);
+        let hi = pairs.iter().map(|(o, _)| o.raw()).max().unwrap_or(0);
+        let len = if pairs.is_empty() { 0 } else { (hi - lo) as usize + 1 };
+        let mut m = LayoutMap::new(lo, len);
         for (o, r) in pairs {
             m.insert(o, r)?;
         }
         Ok(m)
     }
 
-    /// An empty map with room for `n` pairs before either direction
-    /// rehashes.
-    pub fn with_capacity(n: usize) -> LayoutMap {
-        LayoutMap {
-            rand_of: HashMap::with_capacity(n),
-            orig_of: HashMap::with_capacity(n),
-            ..LayoutMap::default()
-        }
+    /// The original address range `(base, len)` the map covers.
+    pub fn range(&self) -> (u32, usize) {
+        (self.base, self.fwd.len())
     }
 
     /// Adds one pair.
     ///
     /// # Errors
     ///
-    /// Returns a [`LayoutError`] on a duplicate original or randomized
-    /// address.
+    /// Returns a [`LayoutError`] on an original address outside the
+    /// map's range, or on a duplicate original or randomized address.
     pub fn insert(&mut self, orig: OrigAddr, rand: RandAddr) -> Result<(), LayoutError> {
-        if self.rand_of.contains_key(&orig) {
+        let off = orig.0.wrapping_sub(self.base) as usize;
+        if off >= self.fwd.len() {
+            return Err(LayoutError::OutOfRange { orig });
+        }
+        if self.to_rand(orig).is_some() {
             return Err(LayoutError::DuplicateOrig { orig });
         }
         if self.orig_of.contains_key(&rand) {
             return Err(LayoutError::DuplicateRand { rand });
         }
-        self.rand_of.insert(orig, rand);
         self.orig_of.insert(rand, orig);
-        self.dense_set(orig.0, rand.0);
+        if rand.0 == NO_RAND {
+            self.sentinel = Some(orig);
+        } else {
+            self.fwd[off] = rand.0;
+        }
         Ok(())
-    }
-
-    fn dense_set(&mut self, orig: u32, rand: u32) {
-        if rand == NO_RAND {
-            self.has_sentinel_rand = true;
-            return;
-        }
-        if self.fwd.is_empty() {
-            self.fwd_base = orig;
-        } else if orig < self.fwd_base {
-            let shift = (self.fwd_base - orig) as usize;
-            let mut grown = vec![NO_RAND; shift + self.fwd.len()];
-            grown[shift..].copy_from_slice(&self.fwd);
-            self.fwd = grown;
-            self.fwd_base = orig;
-        }
-        let off = (orig - self.fwd_base) as usize;
-        if off >= self.fwd.len() {
-            self.fwd.resize(off + 1, NO_RAND);
-        }
-        self.fwd[off] = rand;
     }
 
     /// Randomized address of an original instruction, if mapped.
     #[inline]
     pub fn to_rand(&self, orig: OrigAddr) -> Option<RandAddr> {
-        let off = orig.0.wrapping_sub(self.fwd_base) as usize;
+        let off = orig.0.wrapping_sub(self.base) as usize;
         match self.fwd.get(off) {
             Some(&r) if r != NO_RAND => Some(RandAddr(r)),
-            _ if !self.has_sentinel_rand => None,
-            _ => self.rand_of.get(&orig).copied(),
+            _ if self.sentinel == Some(orig) => Some(RandAddr(NO_RAND)),
+            _ => None,
         }
     }
 
@@ -158,55 +169,49 @@ impl LayoutMap {
 
     /// Number of mapped instructions.
     pub fn len(&self) -> usize {
-        self.rand_of.len()
+        self.orig_of.len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.rand_of.is_empty()
+        self.orig_of.is_empty()
     }
 
-    /// Iterates over `(original, randomized)` pairs in unspecified order.
+    /// Iterates over `(original, randomized)` pairs in original-address
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (OrigAddr, RandAddr)> + '_ {
-        self.rand_of.iter().map(|(o, r)| (*o, *r))
-    }
-
-    /// Iterates over all original addresses in the map.
-    pub fn origs(&self) -> impl Iterator<Item = OrigAddr> + '_ {
-        self.rand_of.keys().copied()
+        self.fwd.iter().enumerate().filter_map(|(off, &r)| {
+            let o = OrigAddr(self.base.wrapping_add(off as u32));
+            (r != NO_RAND || self.sentinel == Some(o)).then_some((o, RandAddr(r)))
+        })
     }
 
     /// Serialises the map (checkpoint support) as `(original,
-    /// randomized)` pairs in sorted original-address order, so the byte
-    /// form is deterministic.
+    /// randomized)` pairs in original-address order.
     pub fn save(&self, w: &mut Writer) {
-        let mut pairs: Vec<(u32, u32)> = self.iter().map(|(o, r)| (o.0, r.0)).collect();
-        pairs.sort_unstable();
-        w.u64(pairs.len() as u64);
-        for (o, r) in pairs {
-            w.u32(o);
-            w.u32(r);
+        w.u64(self.len() as u64);
+        for (o, r) in self.iter() {
+            w.u32(o.raw());
+            w.u32(r.raw());
         }
     }
 
-    /// Rebuilds a map from [`LayoutMap::save`] output.
+    /// Rebuilds a map over the original range `(base, len)` from
+    /// [`LayoutMap::save`] output.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on truncated input, an implausible pair count, or
-    /// duplicated addresses (a valid save never contains them).
-    pub fn restore(r: &mut Reader<'_>) -> Result<LayoutMap, WireError> {
-        let n = r.u64()?;
-        if n > 1 << 28 {
-            return Err(WireError::LengthOutOfRange { len: n });
-        }
-        let mut m = LayoutMap::default();
+    /// [`WireError`] on truncated input, a pair count the input cannot
+    /// hold, or a pair a valid save never contains: an original address
+    /// outside the range, or a repeated address
+    /// ([`WireError::BadAddress`] names it).
+    pub fn restore(r: &mut Reader<'_>, base: u32, len: usize) -> Result<LayoutMap, WireError> {
+        let n = r.count(8)?;
+        let mut m = LayoutMap::new(base, len);
         for _ in 0..n {
             let o = r.u32()?;
             let rand = r.u32()?;
-            if m.insert(OrigAddr(o), RandAddr(rand)).is_err() {
-                return Err(WireError::LengthOutOfRange { len: n });
-            }
+            m.insert(OrigAddr(o), RandAddr(rand))?;
         }
         Ok(m)
     }
@@ -218,7 +223,7 @@ mod tests {
 
     #[test]
     fn bijection_enforced() {
-        let mut m = LayoutMap::default();
+        let mut m = LayoutMap::new(0, 16);
         m.insert(OrigAddr(1), RandAddr(10)).unwrap();
         assert_eq!(
             m.insert(OrigAddr(1), RandAddr(11)),
@@ -241,22 +246,30 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_inserts_rebase_the_dense_index() {
-        let mut m = LayoutMap::default();
+    fn the_range_is_fixed_and_inserts_outside_it_are_refused() {
+        let mut m = LayoutMap::new(0x1000, 0x2001);
         m.insert(OrigAddr(0x2000), RandAddr(7)).unwrap();
         m.insert(OrigAddr(0x1000), RandAddr(8)).unwrap();
         m.insert(OrigAddr(0x3000), RandAddr(9)).unwrap();
+        for orig in [0x0fff, 0x3001, 0x400_0000] {
+            assert_eq!(
+                m.insert(OrigAddr(orig), RandAddr(10)),
+                Err(LayoutError::OutOfRange { orig: OrigAddr(orig) })
+            );
+        }
+        assert_eq!(m.range(), (0x1000, 0x2001));
         assert_eq!(m.to_rand(OrigAddr(0x1000)), Some(RandAddr(8)));
         assert_eq!(m.to_rand(OrigAddr(0x2000)), Some(RandAddr(7)));
         assert_eq!(m.to_rand(OrigAddr(0x3000)), Some(RandAddr(9)));
         assert_eq!(m.to_rand(OrigAddr(0x2001)), None);
         assert_eq!(m.to_rand(OrigAddr(0x0fff)), None);
         assert_eq!(m.to_rand(OrigAddr(0x3001)), None);
+        assert_eq!(m.len(), 3);
     }
 
     #[test]
     fn sentinel_valued_randomized_address_still_resolves() {
-        let mut m = LayoutMap::default();
+        let mut m = LayoutMap::new(10, 2);
         m.insert(OrigAddr(10), RandAddr(u32::MAX)).unwrap();
         m.insert(OrigAddr(11), RandAddr(20)).unwrap();
         assert_eq!(m.to_rand(OrigAddr(10)), Some(RandAddr(u32::MAX)));
@@ -277,7 +290,8 @@ mod tests {
         m.save(&mut w);
         let buf = w.into_bytes();
         let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
-        let back = LayoutMap::restore(&mut r).unwrap();
+        let (base, len) = m.range();
+        let back = LayoutMap::restore(&mut r, base, len).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(back.len(), 3);
         assert_eq!(back.to_rand(OrigAddr(0x1000)), Some(RandAddr(8)));
@@ -290,25 +304,40 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_duplicate_pairs() {
+    fn restore_rejects_duplicate_and_out_of_range_pairs() {
         use vcfr_isa::wire::{Reader, Writer};
+        let forged = |pairs: &[(u32, u32)]| {
+            let mut w = Writer::with_magic(*b"VCFRTEST");
+            w.u64(pairs.len() as u64);
+            for &(o, r) in pairs {
+                w.u32(o);
+                w.u32(r);
+            }
+            let buf = w.into_bytes();
+            let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
+            LayoutMap::restore(&mut r, 0, 16).unwrap_err()
+        };
+        // A duplicate original address, a duplicate randomized one, and
+        // an original address past the range.
+        assert_eq!(forged(&[(5, 50), (5, 51)]), WireError::BadAddress { addr: 5 });
+        assert_eq!(forged(&[(5, 50), (6, 50)]), WireError::BadAddress { addr: 50 });
+        assert_eq!(forged(&[(0x400_0000, 50)]), WireError::BadAddress { addr: 0x400_0000 });
+        // A count the input cannot hold is refused before any pair.
         let mut w = Writer::with_magic(*b"VCFRTEST");
-        w.u64(2);
-        w.u32(5);
-        w.u32(50);
-        w.u32(5); // duplicate original address
-        w.u32(51);
+        w.u64(1 << 40);
         let buf = w.into_bytes();
         let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
-        assert!(LayoutMap::restore(&mut r).is_err());
+        assert!(matches!(
+            LayoutMap::restore(&mut r, 0, 16),
+            Err(WireError::LengthOutOfRange { len }) if len == 1 << 40
+        ));
     }
 
     #[test]
-    fn iteration_covers_all_pairs() {
-        let pairs = [(OrigAddr(1), RandAddr(9)), (OrigAddr(2), RandAddr(8))];
+    fn iteration_walks_pairs_in_original_order() {
+        let pairs = [(OrigAddr(2), RandAddr(8)), (OrigAddr(1), RandAddr(9))];
         let m = LayoutMap::from_pairs(pairs).unwrap();
-        let mut got: Vec<_> = m.iter().collect();
-        got.sort();
+        let got: Vec<_> = m.iter().collect();
         assert_eq!(got, vec![(OrigAddr(1), RandAddr(9)), (OrigAddr(2), RandAddr(8))]);
         assert!(!m.is_empty());
     }

@@ -6,17 +6,18 @@
 //! re-randomization. This module produces a fresh [`LayoutMap`] over the
 //! same set of original instruction addresses.
 
-use crate::{LayoutMap, RandAddr};
+use crate::{LayoutError, LayoutMap, RandAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Draws a fresh randomized layout for the instructions of `map`, placing
 /// every instruction at a new distinct address in
 /// `[region_lo, region_hi)`.
 ///
-/// The result maps the *same* original addresses, so existing scattered
-/// images can be regenerated and old translation tables invalidated.
+/// The result maps the *same* original addresses, over the same range,
+/// so existing scattered images can be regenerated and old translation
+/// tables invalidated. Instructions draw in original-address order, and
+/// a draw that lands on a taken address is drawn again.
 ///
 /// # Panics
 ///
@@ -43,18 +44,15 @@ pub fn rerandomize(map: &LayoutMap, region_lo: u32, region_hi: u32, seed: u64) -
         span
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut used: HashSet<u32> = HashSet::with_capacity(map.len());
-    let mut fresh = LayoutMap::default();
-    let mut origs: Vec<_> = map.origs().collect();
-    origs.sort(); // deterministic order regardless of hash-map iteration
-    for orig in origs {
+    let (base, len) = map.range();
+    let mut fresh = LayoutMap::new(base, len);
+    for (orig, _) in map.iter() {
         loop {
-            let candidate = region_lo + rng.gen_range(0..span);
-            if used.insert(candidate) {
-                fresh
-                    .insert(orig, RandAddr(candidate))
-                    .expect("freshly drawn addresses are unique");
-                break;
+            let candidate = RandAddr(region_lo + rng.gen_range(0..span));
+            match fresh.insert(orig, candidate) {
+                Ok(()) => break,
+                Err(LayoutError::DuplicateRand { .. }) => continue,
+                Err(e) => unreachable!("the old map's pairs are distinct and in range: {e}"),
             }
         }
     }
@@ -76,9 +74,10 @@ mod tests {
         let old = base_map(100);
         let new = rerandomize(&old, 0x10_0000, 0x20_0000, 42);
         assert_eq!(new.len(), old.len());
-        for orig in old.origs() {
+        for (orig, _) in old.iter() {
             assert!(new.to_rand(orig).is_some());
         }
+        assert_eq!(new.range(), old.range());
     }
 
     #[test]
@@ -95,11 +94,7 @@ mod tests {
         let a = rerandomize(&old, 0x10_0000, 0x20_0000, 1);
         let b = rerandomize(&old, 0x10_0000, 0x20_0000, 1);
         let c = rerandomize(&old, 0x10_0000, 0x20_0000, 2);
-        let collect = |m: &LayoutMap| {
-            let mut v: Vec<_> = m.iter().collect();
-            v.sort();
-            v
-        };
+        let collect = |m: &LayoutMap| m.iter().collect::<Vec<_>>();
         assert_eq!(collect(&a), collect(&b));
         assert_ne!(collect(&a), collect(&c));
     }

@@ -21,6 +21,12 @@ pub enum WireError {
         /// The offending length.
         len: u64,
     },
+    /// An address field fell outside the range it must lie in, or
+    /// repeated where each address may appear once.
+    BadAddress {
+        /// The offending address.
+        addr: u32,
+    },
     /// A string field held invalid UTF-8.
     BadUtf8,
     /// An enum discriminant was unknown.
@@ -50,6 +56,9 @@ impl fmt::Display for WireError {
                 String::from_utf8_lossy(found)
             ),
             WireError::LengthOutOfRange { len } => write!(f, "length field {len} out of range"),
+            WireError::BadAddress { addr } => {
+                write!(f, "address field {addr:#010x} out of range or repeated")
+            }
             WireError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             WireError::BadTag { tag } => write!(f, "unknown tag byte {tag:#04x}"),
             WireError::BadIndex { index } => {
@@ -179,6 +188,23 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// Reads a `u64` item count for a collection whose items take
+    /// `item_bytes` bytes each on the wire, so a reader can size its
+    /// collection by the count without trusting it.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::LengthOutOfRange`] when that many items cannot fit
+    /// in the bytes left; [`WireError::Truncated`] at end of input.
+    pub fn count(&mut self, item_bytes: usize) -> Result<usize, WireError> {
+        let n = self.u64()?;
+        let left = (self.buf.len() - self.pos) as u64;
+        if n.saturating_mul(item_bytes as u64) > left {
+            return Err(WireError::LengthOutOfRange { len: n });
+        }
+        Ok(n as usize)
+    }
+
     /// Reads a length-prefixed byte array.
     ///
     /// # Errors
@@ -257,6 +283,24 @@ mod tests {
         let buf = w.into_bytes();
         let mut r = Reader::with_magic(&buf, MAGIC).unwrap();
         assert!(matches!(r.bytes(), Err(WireError::LengthOutOfRange { .. })));
+    }
+
+    #[test]
+    fn counts_must_fit_in_the_bytes_left() {
+        let mut w = Writer::with_magic(MAGIC);
+        w.u64(2);
+        w.u32(1);
+        w.u32(2);
+        let buf = w.into_bytes();
+        let mut r = Reader::with_magic(&buf, MAGIC).unwrap();
+        assert_eq!(r.count(4).unwrap(), 2);
+        let mut r = Reader::with_magic(&buf, MAGIC).unwrap();
+        assert_eq!(r.count(5).unwrap_err(), WireError::LengthOutOfRange { len: 2 });
+        let mut w = Writer::with_magic(MAGIC);
+        w.u64(u64::MAX);
+        let buf = w.into_bytes();
+        let mut r = Reader::with_magic(&buf, MAGIC).unwrap();
+        assert!(matches!(r.count(8), Err(WireError::LengthOutOfRange { .. })));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! let out = rp.scattered_machine().run(1000).unwrap().output;
 //! assert_eq!(out, vec![42]);
 //! // ... at completely different instruction addresses.
-//! assert_eq!(rp.layout.len(), 4);
+//! assert_eq!(rp.layout().len(), 4);
 //! ```
 
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 
 use crate::randomize::{RandomizeStats, RandomizedProgram};
 use std::collections::BTreeMap;
-use vcfr_core::{LayoutMap, OrigAddr, RandAddr, TranslationTable};
+use vcfr_core::{LayoutMap, OrigAddr, TranslationTable};
 use vcfr_isa::wire::{Reader, WireError, Writer};
 use vcfr_isa::{Addr, Image};
 
@@ -20,13 +20,7 @@ impl RandomizedProgram {
         w.bytes(&self.original.to_bytes());
         w.bytes(&self.scattered.to_bytes());
 
-        let mut pairs: Vec<(OrigAddr, RandAddr)> = self.layout.iter().collect();
-        pairs.sort();
-        w.u64(pairs.len() as u64);
-        for (o, r) in pairs {
-            w.u32(o.raw());
-            w.u32(r.raw());
-        }
+        self.layout().save(&mut w);
 
         w.u32(self.table.base());
         let mut failover: Vec<u32> = self.table.unrandomized_addrs().map(|a| a.raw()).collect();
@@ -79,31 +73,25 @@ impl RandomizedProgram {
     /// # Errors
     ///
     /// Returns a [`WireError`] on truncation, corruption or a version
-    /// mismatch.
+    /// mismatch, on a count the input cannot hold, and
+    /// [`WireError::BadAddress`] on a layout pair outside the original
+    /// text section or repeating an address.
     pub fn from_bytes(buf: &[u8]) -> Result<RandomizedProgram, WireError> {
         let mut r = Reader::with_magic(buf, PROGRAM_MAGIC)?;
         let original = Image::from_bytes(r.bytes()?)?;
         let scattered = Image::from_bytes(r.bytes()?)?;
 
-        let npairs = r.u64()?;
-        let mut layout = LayoutMap::default();
-        for _ in 0..npairs {
-            let o = r.u32()?;
-            let rd = r.u32()?;
-            layout
-                .insert(OrigAddr(o), RandAddr(rd))
-                .map_err(|_| WireError::LengthOutOfRange { len: npairs })?;
-        }
+        let text = original.text();
+        let layout = LayoutMap::restore(&mut r, text.base, text.bytes.len())?;
 
         let table_base = r.u32()?;
-        let mut table = TranslationTable::from_layout(&layout, table_base);
-        let nfail = r.u64()?;
-        for _ in 0..nfail {
+        let mut table = TranslationTable::from_layout(layout, table_base);
+        for _ in 0..r.count(4)? {
             table.add_unrandomized(OrigAddr(r.u32()?));
         }
 
-        let nsucc = r.u64()?;
-        let mut succ = std::collections::HashMap::with_capacity(nsucc.min(1 << 24) as usize);
+        let nsucc = r.count(8)?;
+        let mut succ = std::collections::HashMap::with_capacity(nsucc);
         for _ in 0..nsucc {
             let k = r.u32()?;
             let v = r.u32()?;
@@ -132,9 +120,8 @@ impl RandomizedProgram {
             expansion_bytes: vals[12],
         };
 
-        let nsafety = r.u64()?;
         let mut return_safety = BTreeMap::new();
-        for _ in 0..nsafety {
+        for _ in 0..r.count(5)? {
             let addr = r.u32()?;
             let safe = r.u8()? != 0;
             return_safety.insert(addr, safe);
@@ -143,7 +130,6 @@ impl RandomizedProgram {
         Ok(RandomizedProgram {
             original,
             scattered,
-            layout,
             table,
             succ,
             region,
@@ -188,9 +174,9 @@ mod tests {
         assert_eq!(back.stats, rp.stats);
         assert_eq!(back.succ, rp.succ);
         assert_eq!(back.return_safety, rp.return_safety);
-        assert_eq!(back.layout.len(), rp.layout.len());
-        for (o, r) in rp.layout.iter() {
-            assert_eq!(back.layout.to_rand(o), Some(r));
+        assert_eq!(back.layout().len(), rp.layout().len());
+        for (o, r) in rp.layout().iter() {
+            assert_eq!(back.layout().to_rand(o), Some(r));
         }
 
         // Behavioural equivalence: the reloaded artefact executes.
@@ -208,9 +194,25 @@ mod tests {
             back.table.derand(vcfr_core::RandAddr(0x1000)).is_err(),
             rp.table.derand(vcfr_core::RandAddr(0x1000)).is_err()
         );
-        for (o, r) in rp.layout.iter() {
+        for (o, r) in rp.layout().iter() {
             assert_eq!(back.table.derand(r).unwrap(), o);
         }
+    }
+
+    /// A layout pair whose original address lies outside the original
+    /// text is refused by name, before anything is sized by it.
+    #[test]
+    fn a_layout_pair_outside_the_text_is_refused() {
+        let rp = program();
+        let mut bytes = rp.to_bytes();
+        // Magic, the two length-prefixed images, then the pair count.
+        let first_pair =
+            8 + 8 + rp.original.to_bytes().len() + 8 + rp.scattered.to_bytes().len() + 8;
+        bytes[first_pair..first_pair + 4].copy_from_slice(&0x0400_0000u32.to_le_bytes());
+        assert_eq!(
+            RandomizedProgram::from_bytes(&bytes).unwrap_err(),
+            WireError::BadAddress { addr: 0x0400_0000 }
+        );
     }
 
     #[test]

@@ -180,9 +180,8 @@ pub struct RandomizedProgram {
     /// The rewritten binary: scattered text region, fail-over copies at
     /// original addresses, and patched data.
     pub scattered: Image,
-    /// The per-instruction original ↔ randomized bijection.
-    pub layout: LayoutMap,
-    /// Randomization/de-randomization tables (with fail-over entries).
+    /// Randomization/de-randomization tables (with fail-over entries),
+    /// a view over the layout.
     pub table: TranslationTable,
     /// ILR fall-through successor map in the randomized space
     /// (`randomized pc → next randomized pc`): Hiser et al.'s rewrite
@@ -197,10 +196,15 @@ pub struct RandomizedProgram {
 }
 
 impl RandomizedProgram {
+    /// The per-instruction original ↔ randomized bijection.
+    pub fn layout(&self) -> &LayoutMap {
+        self.table.layout()
+    }
+
     /// The randomized address of an original instruction, or its own
     /// address when it is a fail-over (un-randomized) instruction.
     pub fn rand_or_orig(&self, orig: Addr) -> Addr {
-        self.layout.to_rand(OrigAddr(orig)).map(|r| r.raw()).unwrap_or(orig)
+        self.layout().to_rand(OrigAddr(orig)).map(|r| r.raw()).unwrap_or(orig)
     }
 
     /// Builds a [`Machine`] that natively executes the scattered binary,
@@ -364,7 +368,7 @@ pub fn randomize(
     };
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut layout = LayoutMap::with_capacity(insts.len());
+    let mut layout = LayoutMap::new(text.base, text.bytes.len());
     let is_pinned = |k: usize, stats: &mut RandomizeStats| -> bool {
         if in_ranges(&keep, insts[k].0) || scan_pin[k] {
             stats.unrandomized += 1;
@@ -438,6 +442,15 @@ pub fn randomize(
         }
     }
 
+    // ---- tables ----------------------------------------------------------
+    let mut table = TranslationTable::from_layout(layout, cfg.table_base);
+    for &(orig, _) in insts {
+        if !table.is_randomized(OrigAddr(orig)) {
+            table.add_unrandomized(OrigAddr(orig));
+            stats.failover_entries += 1;
+        }
+    }
+    let layout = table.layout();
     let retarget = |addr: Addr| -> Addr {
         layout.to_rand(OrigAddr(addr)).map(|r| r.raw()).unwrap_or(addr)
     };
@@ -523,15 +536,6 @@ pub fn randomize(
         }
     }
 
-    // ---- tables ----------------------------------------------------------
-    let mut table = TranslationTable::from_layout(&layout, cfg.table_base);
-    for &(orig, _) in insts {
-        if layout.to_rand(OrigAddr(orig)).is_none() {
-            table.add_unrandomized(OrigAddr(orig));
-            stats.failover_entries += 1;
-        }
-    }
-
     // ---- successor map -----------------------------------------------------
     let mut succ: HashMap<Addr, Addr> = HashMap::with_capacity(disasm.len());
     for (k, &(orig, inst)) in insts.iter().enumerate() {
@@ -577,7 +581,6 @@ pub fn randomize(
     Ok(RandomizedProgram {
         original: image.clone(),
         scattered,
-        layout,
         table,
         succ,
         region: (region_base, region_base + region_len),
@@ -627,7 +630,7 @@ mod tests {
         let rp = randomize(&img, &RandomizeConfig::with_seed(1)).unwrap();
         assert_eq!(rp.stats.unrandomized, 0);
         assert_eq!(rp.stats.randomized, rp.stats.instructions);
-        for (o, r) in rp.layout.iter() {
+        for (o, r) in rp.layout().iter() {
             assert_ne!(o.raw(), r.raw());
             assert!(r.raw() >= rp.region.0 && r.raw() < rp.region.1);
         }
@@ -638,12 +641,8 @@ mod tests {
         let img = loop_program();
         let a = randomize(&img, &RandomizeConfig::with_seed(1)).unwrap();
         let b = randomize(&img, &RandomizeConfig::with_seed(2)).unwrap();
-        let moved = a
-            .layout
-            .iter()
-            .filter(|(o, r)| b.layout.to_rand(*o) != Some(*r))
-            .count();
-        assert!(moved > a.layout.len() / 2);
+        let moved = a.layout().iter().filter(|(o, r)| b.layout().to_rand(*o) != Some(*r)).count();
+        assert!(moved > a.layout().len() / 2);
     }
 
     #[test]
@@ -740,7 +739,7 @@ mod tests {
         assert!(rp.stats.unrandomized >= 2);
         assert!(rp.stats.failover_entries >= 2);
         assert_eq!(rp.rand_or_orig(pinned_addr), pinned_addr);
-        assert!(rp.layout.to_rand(vcfr_core::OrigAddr(pinned_addr)).is_none());
+        assert!(rp.layout().to_rand(vcfr_core::OrigAddr(pinned_addr)).is_none());
         // Fail-over entries are registered un-randomized in the table.
         assert_eq!(
             rp.table.derand(vcfr_core::RandAddr(pinned_addr)).unwrap().raw(),
@@ -763,7 +762,7 @@ mod tests {
         let img = loop_program();
         let rp = randomize(&img, &RandomizeConfig::with_seed(7)).unwrap();
         assert_eq!(rp.succ.len(), rp.stats.randomized);
-        for (o, r) in rp.layout.iter() {
+        for (o, r) in rp.layout().iter() {
             assert!(rp.succ.contains_key(&r.raw()), "missing succ for {o}");
         }
     }
@@ -812,14 +811,14 @@ mod tests {
         let rp = randomize(&img, &cfg).unwrap();
         // Every instruction stays within its original 4 KiB page ...
         let mut moved = 0;
-        for (o, r) in rp.layout.iter() {
+        for (o, r) in rp.layout().iter() {
             assert_eq!(o.raw() & !0xfff, r.raw() & !0xfff, "{o} left its page");
             if o.raw() != r.raw() {
                 moved += 1;
             }
         }
         // ... yet the layout is genuinely permuted.
-        assert!(moved > rp.layout.len() / 2, "only {moved} moved");
+        assert!(moved > rp.layout().len() / 2, "only {moved} moved");
         // The region is the original text range (no new pages → no extra
         // iTLB reach needed).
         assert_eq!(rp.region.0, img.text().base);

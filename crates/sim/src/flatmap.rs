@@ -178,15 +178,17 @@ impl FlatMap {
     ///
     /// # Errors
     ///
-    /// [`WireError`] on truncated input, a degenerate capacity, or an
-    /// entry count that disagrees with the used slots.
+    /// [`WireError`] on truncated input, a degenerate capacity or one
+    /// the input cannot hold, or an entry count that disagrees with the
+    /// used slots.
     pub fn restore(r: &mut Reader<'_>) -> Result<FlatMap, WireError> {
-        let cap = r.u64()?;
-        if cap > 1 << 32 || !(cap as usize).is_power_of_two() || (cap as usize) < MIN_CAP {
-            return Err(WireError::LengthOutOfRange { len: cap });
+        // A slot is a flag byte and two `u32`s.
+        let cap = r.count(9)?;
+        if !cap.is_power_of_two() || cap < MIN_CAP {
+            return Err(WireError::LengthOutOfRange { len: cap as u64 });
         }
         let len = r.u64()? as usize;
-        let mut slots = Vec::with_capacity(cap as usize);
+        let mut slots = Vec::with_capacity(cap);
         let mut used = 0usize;
         for _ in 0..cap {
             let flag = r.u8()?;
@@ -201,7 +203,7 @@ impl FlatMap {
         if used != len {
             return Err(WireError::LengthOutOfRange { len: len as u64 });
         }
-        Ok(FlatMap { slots, len, mask: cap as usize - 1 })
+        Ok(FlatMap { slots, len, mask: cap - 1 })
     }
 
     fn grow(&mut self) {
@@ -327,6 +329,22 @@ mod tests {
         buf[16] ^= 0xff; // corrupt the stored entry count
         let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
         assert!(FlatMap::restore(&mut r).is_err());
+    }
+
+    #[test]
+    fn restore_refuses_a_capacity_the_input_cannot_hold() {
+        use vcfr_isa::wire::{Reader, Writer};
+        let mut w = Writer::with_magic(*b"VCFRTEST");
+        w.u64(1 << 32); // claimed slots
+        w.u64(0); // claimed entries
+        w.u8(0); // the first slot's flag, and nothing more
+        let buf = w.into_bytes();
+        assert_eq!(buf.len(), 25);
+        let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
+        assert_eq!(
+            FlatMap::restore(&mut r).unwrap_err(),
+            WireError::LengthOutOfRange { len: 1 << 32 }
+        );
     }
 
     #[test]

@@ -27,18 +27,18 @@ fn main() {
 
     let rp = randomize(&image, &RandomizeConfig::with_seed(1)).expect("randomizes");
     let work = image.symbol("work").expect("symbol").addr;
-    let epoch0 = rp.layout.to_rand(OrigAddr(work)).expect("mapped");
+    let epoch0 = rp.layout().to_rand(OrigAddr(work)).expect("mapped");
     println!("epoch 0: work() lives at {epoch0}");
 
     // Suppose the attacker somehow exfiltrated the epoch-0 table. The
     // defender re-randomizes on a timer:
     let (lo, hi) = rp.region;
     let mut leaked_still_valid = 0;
-    let mut current = rp.layout.clone();
+    let mut table = rp.table.clone();
     for epoch in 1..=5u64 {
-        current = rerandomize(&current, lo, hi, epoch);
-        let now = current.to_rand(OrigAddr(work)).expect("mapped");
-        let table = TranslationTable::from_layout(&current, 0x4000_0000);
+        let fresh = rerandomize(table.layout(), lo, hi, epoch);
+        table = TranslationTable::from_layout(fresh, 0x4000_0000);
+        let now = table.layout().to_rand(OrigAddr(work)).expect("mapped");
         // Does the attacker's stale knowledge still translate?
         let stale_hit = table.derand(vcfr::core::RandAddr(epoch0.raw())).is_ok();
         if stale_hit {

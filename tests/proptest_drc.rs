@@ -35,7 +35,7 @@ proptest! {
         let map = LayoutMap::from_pairs(
             pairs.iter().map(|(o, r)| (OrigAddr(*o), RandAddr(*r))),
         ).unwrap();
-        let table = TranslationTable::from_layout(&map, 0x4000_0000);
+        let table = TranslationTable::from_layout(map, 0x4000_0000);
         let mut drc = Drc::new(geometry);
 
         for (derand, idx) in accesses {
@@ -60,7 +60,7 @@ proptest! {
         let map = LayoutMap::from_pairs(
             pairs.iter().map(|(o, r)| (OrigAddr(*o), RandAddr(*r))),
         ).unwrap();
-        let table = TranslationTable::from_layout(&map, 0x4000_0000);
+        let table = TranslationTable::from_layout(map, 0x4000_0000);
         let mut drc = Drc::direct_mapped(64);
         let (_, r) = pairs[which % pairs.len()];
         drc.derandomize(RandAddr(r), &table).unwrap();
@@ -79,7 +79,7 @@ proptest! {
         let map = LayoutMap::from_pairs(
             pairs.iter().map(|(o, r)| (OrigAddr(*o), RandAddr(*r))),
         ).unwrap();
-        let mut table = TranslationTable::from_layout(&map, 0x4000_0000);
+        let mut table = TranslationTable::from_layout(map, 0x4000_0000);
         for f in &failover {
             table.add_unrandomized(OrigAddr(*f));
         }

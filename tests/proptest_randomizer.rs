@@ -139,9 +139,9 @@ proptest! {
         let rp = randomize(&image, &RandomizeConfig::with_seed(seed)).expect("randomizes");
         // Every randomized instruction lands inside the region and the
         // map round-trips.
-        for (o, r) in rp.layout.iter() {
+        for (o, r) in rp.layout().iter() {
             prop_assert!(r.raw() >= rp.region.0 && r.raw() < rp.region.1);
-            prop_assert_eq!(rp.layout.to_orig(r), Some(o));
+            prop_assert_eq!(rp.layout().to_orig(r), Some(o));
         }
         // Every instruction got a successor entry.
         prop_assert_eq!(rp.succ.len(), rp.stats.randomized);

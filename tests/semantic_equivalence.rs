@@ -25,9 +25,7 @@ fn randomization_is_seed_deterministic_but_seed_sensitive() {
     let b = randomize(&w.image, &RandomizeConfig::with_seed(5)).unwrap();
     let c = randomize(&w.image, &RandomizeConfig::with_seed(6)).unwrap();
     let collect = |rp: &vcfr::rewriter::RandomizedProgram| {
-        let mut v: Vec<_> = rp.layout.iter().collect();
-        v.sort();
-        v
+        rp.layout().iter().collect::<Vec<_>>()
     };
     assert_eq!(collect(&a), collect(&b));
     assert_ne!(collect(&a), collect(&c));

@@ -34,7 +34,10 @@ use vcfr_isa::wire::{Reader, WireError, Writer};
 /// valid lines (index, flags, tag, LRU stamp), and each machine only the
 /// memory pages that differ from what its image loads; restore loads the
 /// image, then overlays those pages.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// Version 5 writes a re-randomized epoch once, as its layout's pairs in
+/// original-address order; restore rebuilds the epoch's tables from them
+/// with the program's fail-over set and table base.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Magic prefix of the checkpoint envelope.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VCFRCKP1";

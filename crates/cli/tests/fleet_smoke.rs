@@ -6,7 +6,7 @@
 //! six specs run on a single uninterrupted daemon.
 
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 const VCFR: &str = env!("CARGO_BIN_EXE_vcfr");
@@ -66,13 +66,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn fleet_status_json(fleet: &Path) -> String {
+/// Runs `vcfr fleet status --json` once and returns its exit status,
+/// stdout and stderr. A status RPC can fail under load, so a reader
+/// checks the status before it trusts the output.
+fn fleet_status_json(fleet: &Path) -> (ExitStatus, String, String) {
     let out = Command::new(VCFR)
         .args(["fleet", "status", "--json", "--fleet"])
         .arg(fleet)
         .output()
         .expect("status runs");
-    String::from_utf8_lossy(&out.stdout).into_owned()
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status, text(&out.stdout), text(&out.stderr))
 }
 
 /// A worker holds an interrupted job iff some checkpoint on its disk
@@ -114,7 +118,8 @@ fn killed_worker_chunks_resume_and_merge_bit_identically() {
     let worker1 = join(&w1);
     let _worker2 = join(&w2);
     wait_for("both workers registered", || {
-        fleet_status_json(&fleet).matches("\"alive\": true").count() >= 2
+        let (code, stdout, _) = fleet_status_json(&fleet);
+        code.success() && stdout.matches("\"alive\": true").count() >= 2
     });
 
     // Submit the matrix and the campaign in a fixed order so the six
@@ -159,14 +164,30 @@ fn killed_worker_chunks_resume_and_merge_bit_identically() {
                 .filter(|(f, _)| !merged.join(f).exists())
                 .map(|(f, _)| *f)
                 .collect();
+            let (code, stdout, stderr) = fleet_status_json(&fleet);
             panic!(
-                "timed out waiting for all merged manifests; missing {missing:?}\nstatus: {}",
-                fleet_status_json(&fleet)
+                "timed out waiting for all merged manifests; missing {missing:?}\n\
+                 status ({code}): {stdout}\nstderr: {stderr}"
             );
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    let status = fleet_status_json(&fleet);
+    // The worker is declared lost on the heartbeat clock, which may run
+    // out only after the last chunk merged: poll the status, retrying a
+    // failed read, until the killed worker reads lost.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let status = loop {
+        let (code, stdout, stderr) = fleet_status_json(&fleet);
+        if code.success() && stdout.contains("\"alive\": false") {
+            break stdout;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for the killed worker to read lost; last status ({code}):\n\
+             {stdout}\nstderr: {stderr}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
     assert!(
         status.contains("\"alive\": false"),
         "the killed worker should be marked lost:\n{status}"

@@ -24,10 +24,17 @@
 //! rewritten instruction, table entry or rewrite counter moves, and so
 //! pins the placement's draw order too.
 //!
+//! A fourth table pins a small program whose functions load their own
+//! return address from the stack, the one access that de-randomizes a
+//! marked stack slot (§IV-C). No workload makes that access, so without
+//! this table nothing would notice if the read path changed. Its epochs
+//! of 7 instructions put swaps between a call and its load.
+//!
 //! Three more tests pin configurations that used to panic inside the
 //! simulator: each must come back as a typed configuration error.
 
 use vcfr::core::DrcConfig;
+use vcfr::isa::{AluOp, Asm, Cond, Image, Reg};
 use vcfr::rewriter::{randomize, RandomizeConfig, RandomizedProgram};
 use vcfr::sim::{
     simulate_ooo, DrcBacking, EngineKind, FaultPlan, Mode, OooConfig, Session, SessionStatus,
@@ -93,6 +100,25 @@ const GOLDEN: &[(&str, &str)] = &[
     ("xalan/ooo/faults-vcfr128", "d99cd7831b6f02df"),
     ("xalan/mc2/faults-vcfr128", "3463ccab70bbebe4"),
     ("xalan/mc2/vcfr128-rerand+base", "09b5d74fed3ef8dc"),
+];
+
+/// Loop iterations of the slot-read program; each makes two slot reads.
+const SLOT_LOOPS: i64 = 3_000;
+/// Instructions per core of a slot-read run: enough to halt.
+const SLOT_BUDGET: u64 = 50_000;
+
+/// The expected digest of every slot-read run, keyed
+/// `slot-read/engine/epoch`.
+const SLOT_READ_GOLDEN: &[(&str, &str)] = &[
+    ("slot-read/inorder/no-epoch", "a504f2cb5f30f07f"),
+    ("slot-read/ooo/no-epoch", "4b9d38b55c97d25b"),
+    ("slot-read/mc2/no-epoch", "a0c7bf1754dd982f"),
+    ("slot-read/inorder/epoch7", "702200018ff14e12"),
+    ("slot-read/ooo/epoch7", "747015d3ee4b9dbc"),
+    ("slot-read/mc2/epoch7", "30219a725825e774"),
+    ("slot-read/inorder/epoch1000", "882cd2162977c250"),
+    ("slot-read/ooo/epoch1000", "c7b684bf3de45dfa"),
+    ("slot-read/mc2/epoch1000", "bcd77a96d9fe94f0"),
 ];
 
 /// The expected digest of every mid-run checkpoint, keyed
@@ -310,6 +336,58 @@ fn all_digests() -> Vec<(String, String)> {
     out
 }
 
+/// A loop that calls two functions, each of which loads its own return
+/// address from `[rsp]` (a marked slot under VCFR) and adds it to the
+/// output.
+fn slot_reader() -> Image {
+    let mut a = Asm::new(0x1000);
+    a.mov_ri(Reg::Rcx, SLOT_LOOPS);
+    a.mov_ri(Reg::Rax, 0);
+    let top = a.here();
+    a.call_named("f0");
+    a.call_named("f1");
+    a.alu_ri(AluOp::Sub, Reg::Rcx, 1);
+    a.cmp_i(Reg::Rcx, 0);
+    a.jcc(Cond::Ne, top);
+    a.emit_output(Reg::Rax);
+    a.halt();
+    for f in ["f0", "f1"] {
+        a.func(f);
+        a.load(Reg::Rbx, Reg::Rsp, 0);
+        a.alu_rr(AluOp::Add, Reg::Rax, Reg::Rbx);
+        a.ret();
+    }
+    a.finish().expect("assembles")
+}
+
+/// The slot-read program under a 64-entry DRC on every engine kind,
+/// with no epoch, an epoch of 7 instructions and one of 1 000, as
+/// `(key, digest)`. The in-order core marks the slots, so each of its
+/// runs must make one more de-randomizing lookup per slot read than the
+/// OoO core, which never marks one.
+fn slot_read_digests() -> Vec<(String, String)> {
+    let img = slot_reader();
+    let rp = randomize(&img, &RandomizeConfig::with_seed(2015)).expect("randomizes");
+    let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(64) };
+    let derand = |engine, rerand_epoch| {
+        let cfg = SimConfig { engine, rerand_epoch, ..SimConfig::default() };
+        let out = Session::new(mode, &cfg, SLOT_BUDGET).expect("valid").run().expect("runs");
+        out.output.stats.drc.expect("a VCFR run").derand_lookups
+    };
+    let mut out = Vec::new();
+    for epoch in [None, Some(7), Some(1_000)] {
+        let reads = derand(EngineKind::InOrder, epoch) - derand(EngineKind::Ooo, epoch);
+        assert_eq!(reads, 2 * SLOT_LOOPS as u64, "every slot read de-randomizes");
+        for engine in ENGINES {
+            let cfg = SimConfig { engine, rerand_epoch: epoch, ..SimConfig::default() };
+            let session = Session::new(mode, &cfg, SLOT_BUDGET).expect("valid");
+            let label = epoch.map_or("no-epoch".to_string(), |e| format!("epoch{e}"));
+            out.push((format!("slot-read/{engine}/{label}"), digest(session, engine)));
+        }
+    }
+    out
+}
+
 /// The checkpoint bytes of every engine kind × {base, vcfr128,
 /// vcfr64-rerand}, taken `CHECKPOINT_AT` instructions into a sampled
 /// run, as `(key, digest)`. The re-randomizing column has swapped
@@ -389,6 +467,11 @@ fn assert_golden(got: &[(String, String)], golden: &[(&str, &str)]) {
 #[test]
 fn engine_results_match_the_golden_digests() {
     assert_golden(&all_digests(), GOLDEN);
+}
+
+#[test]
+fn slot_reads_match_the_golden_digests() {
+    assert_golden(&slot_read_digests(), SLOT_READ_GOLDEN);
 }
 
 #[test]

@@ -13,6 +13,7 @@ use crate::frontier::{FrontierRow, FrontierSummary};
 use std::io;
 use std::path::Path;
 use vcfr_gadget::FuzzConfig;
+use vcfr_isa::wire::Counters;
 use vcfr_obs::{fingerprint, BenchRecord, BenchRun, Json, Manifest, Snapshot};
 use vcfr_sim::{EngineKind, IntervalSample, SimConfig, SimStats};
 
@@ -167,17 +168,8 @@ pub fn build_fault_manifest(
     let mut m = Manifest::new(app, &format!("faults-{mode}"));
     m.set_config(fault_config_json(mode));
     let mut counters = stats.snapshot().counters;
-    counters.extend([
-        ("fault.injected".to_string(), f.injected),
-        ("fault.detected.parity".to_string(), f.detected_parity),
-        ("fault.detected.translation".to_string(), f.detected_translation),
-        ("fault.detected.visibility".to_string(), f.detected_visibility),
-        ("fault.detected.decode".to_string(), f.detected_decode),
-        ("fault.contained".to_string(), f.contained),
-        ("fault.silent".to_string(), f.silent),
-        ("fault.masked".to_string(), f.masked),
-        ("fault.emergency_rerands".to_string(), f.emergency_rerands),
-    ]);
+    let mut tally = *f;
+    counters.extend(tally.named().into_iter().map(|(name, v)| (format!("fault.{name}"), v)));
     m.set_counters(&Snapshot::from_counters(counters));
     let mut d = derived_json(stats);
     d.set("fault_coverage", Json::F64(f.coverage()));

@@ -17,7 +17,7 @@
 use crate::table::{EntryKind, TranslateError, TranslationTable};
 use crate::{OrigAddr, RandAddr};
 use std::fmt;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Counters, Reader, WireError, Writer};
 
 /// Configuration of a [`Drc`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,6 +125,15 @@ pub struct DrcStats {
     pub derand_lookups: u64,
     /// Randomization (original → randomized) lookups.
     pub rand_lookups: u64,
+}
+
+impl Counters for DrcStats {
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+        f("lookup", &mut self.lookups);
+        f("miss", &mut self.misses);
+        f("derand_lookup", &mut self.derand_lookups);
+        f("rand_lookup", &mut self.rand_lookups);
+    }
 }
 
 impl DrcStats {
@@ -326,10 +335,8 @@ impl Drc {
             w.u8(u8::from(line.unrandomized));
             w.u64(line.lru);
         }
-        w.u64(self.stats.lookups);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.derand_lookups);
-        w.u64(self.stats.rand_lookups);
+        let mut stats = self.stats;
+        stats.save(w);
         w.u64(self.tick);
     }
 
@@ -360,10 +367,7 @@ impl Drc {
             let lru = r.u64()?;
             *line = Line { valid: valid == 1, key, value, unrandomized: unrandomized == 1, lru };
         }
-        drc.stats.lookups = r.u64()?;
-        drc.stats.misses = r.u64()?;
-        drc.stats.derand_lookups = r.u64()?;
-        drc.stats.rand_lookups = r.u64()?;
+        drc.stats.restore(r)?;
         drc.tick = r.u64()?;
         Ok(drc)
     }

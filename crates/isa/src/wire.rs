@@ -120,6 +120,60 @@ impl Writer {
     }
 }
 
+/// A block of `u64` event counters described by one list:
+/// [`Counters::visit`] yields each counter's manifest name and field in
+/// checkpoint order, and saving, restoring, summing and naming the block
+/// all walk that list, so a new counter is one line in it.
+///
+/// Every method takes the block mutably, because `visit` hands out its
+/// fields; the blocks are `Copy`, so a reader walks a copy. The methods
+/// take no `Self` by value, so a container can walk blocks of different
+/// types as `&mut dyn Counters`.
+pub trait Counters {
+    /// Calls `f` with each counter's name and field, in checkpoint order.
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64));
+
+    /// Writes every counter, in list order.
+    fn save(&mut self, w: &mut Writer) {
+        self.visit(&mut |_, v| w.u64(*v));
+    }
+
+    /// Reads every counter, in list order, as [`Counters::save`] wrote
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] at end of input.
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        let mut res = Ok(());
+        self.visit(&mut |_, v| match r.u64() {
+            Ok(x) => *v = x,
+            Err(e) => res = Err(e),
+        });
+        res
+    }
+
+    /// Adds `other`, a block with the same list, counter by counter.
+    fn add(&mut self, other: &mut dyn Counters) {
+        let mut theirs = other.named().into_iter();
+        self.visit(&mut |_, v| *v += theirs.next().map_or(0, |(_, x)| x));
+    }
+
+    /// Each counter's name and value, in list order.
+    fn named(&mut self) -> Vec<(&'static str, u64)> {
+        let mut out = Vec::new();
+        self.visit(&mut |name, v| out.push((name, *v)));
+        out
+    }
+}
+
+/// A lone counter is a block of one, named by its container alone.
+impl Counters for u64 {
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+        f("", self);
+    }
+}
+
 /// A cursor-based decoder.
 #[derive(Clone, Debug)]
 pub struct Reader<'a> {
@@ -301,6 +355,36 @@ mod tests {
         let buf = w.into_bytes();
         let mut r = Reader::with_magic(&buf, MAGIC).unwrap();
         assert!(matches!(r.count(8), Err(WireError::LengthOutOfRange { .. })));
+    }
+
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Pair {
+        a: u64,
+        b: u64,
+    }
+
+    impl Counters for Pair {
+        fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+            f("a", &mut self.a);
+            f("b", &mut self.b);
+        }
+    }
+
+    #[test]
+    fn counters_walk_their_list() {
+        let mut p = Pair { a: 3, b: 5 };
+        assert_eq!(p.named(), vec![("a", 3), ("b", 5)]);
+        let mut w = Writer::with_magic(MAGIC);
+        p.save(&mut w);
+        let buf = w.into_bytes();
+        let mut back = Pair::default();
+        back.restore(&mut Reader::with_magic(&buf, MAGIC).unwrap()).unwrap();
+        assert_eq!(back, p);
+        back.add(&mut p);
+        assert_eq!(back, Pair { a: 6, b: 10 });
+        let mut r = Reader::with_magic(&buf[..12], MAGIC).unwrap();
+        assert_eq!(Pair::default().restore(&mut r), Err(WireError::Truncated));
+        assert_eq!(7u64.named(), vec![("", 7)]);
     }
 
     #[test]

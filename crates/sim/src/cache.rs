@@ -2,7 +2,7 @@
 //! write-allocate policy and prefetch bookkeeping.
 
 use crate::config::CacheConfig;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Counters, Reader, WireError, Writer};
 use vcfr_isa::Addr;
 
 /// Event counters of one cache.
@@ -22,6 +22,18 @@ pub struct CacheStats {
     pub prefetch_hits: u64,
     /// Prefetched lines evicted without ever being used.
     pub prefetch_unused_evictions: u64,
+}
+
+impl Counters for CacheStats {
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+        f("access", &mut self.accesses);
+        f("miss", &mut self.misses);
+        f("write", &mut self.writes);
+        f("writeback", &mut self.writebacks);
+        f("prefetch.issued", &mut self.prefetches_issued);
+        f("prefetch.hit", &mut self.prefetch_hits);
+        f("prefetch.unused_eviction", &mut self.prefetch_unused_evictions);
+    }
 }
 
 impl CacheStats {
@@ -244,13 +256,8 @@ impl Cache {
             w.u32(line.tag);
             w.u64(line.lru);
         }
-        w.u64(self.stats.accesses);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.writes);
-        w.u64(self.stats.writebacks);
-        w.u64(self.stats.prefetches_issued);
-        w.u64(self.stats.prefetch_hits);
-        w.u64(self.stats.prefetch_unused_evictions);
+        let mut stats = self.stats;
+        stats.save(w);
         w.u64(self.tick);
     }
 
@@ -294,13 +301,7 @@ impl Cache {
             };
             next = i + 1;
         }
-        c.stats.accesses = r.u64()?;
-        c.stats.misses = r.u64()?;
-        c.stats.writes = r.u64()?;
-        c.stats.writebacks = r.u64()?;
-        c.stats.prefetches_issued = r.u64()?;
-        c.stats.prefetch_hits = r.u64()?;
-        c.stats.prefetch_unused_evictions = r.u64()?;
+        c.stats.restore(r)?;
         c.tick = r.u64()?;
         Ok(c)
     }

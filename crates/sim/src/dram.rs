@@ -3,7 +3,7 @@
 //! behaviour DRAMSim2 contributes to the paper's simulation stack.
 
 use crate::config::DramConfig;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Counters, Reader, WireError, Writer};
 use vcfr_isa::Addr;
 
 /// Access counters of the [`Dram`] model.
@@ -20,6 +20,16 @@ pub struct DramStats {
     pub row_conflicts: u64,
     /// Accesses delayed by a refresh window.
     pub refresh_delays: u64,
+}
+
+impl Counters for DramStats {
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+        f("access", &mut self.accesses);
+        f("row_hit", &mut self.row_hits);
+        f("row_miss", &mut self.row_misses);
+        f("row_conflict", &mut self.row_conflicts);
+        f("refresh_delay", &mut self.refresh_delays);
+    }
 }
 
 impl DramStats {
@@ -93,11 +103,8 @@ impl Dram {
             }
             w.u64(bank.busy_until);
         }
-        w.u64(self.stats.accesses);
-        w.u64(self.stats.row_hits);
-        w.u64(self.stats.row_misses);
-        w.u64(self.stats.row_conflicts);
-        w.u64(self.stats.refresh_delays);
+        let mut stats = self.stats;
+        stats.save(w);
     }
 
     /// Rebuilds a memory from [`Dram::save`] output; the caller supplies
@@ -121,11 +128,7 @@ impl Dram {
             bank.open_row = (tag == 1).then_some(row);
             bank.busy_until = r.u64()?;
         }
-        d.stats.accesses = r.u64()?;
-        d.stats.row_hits = r.u64()?;
-        d.stats.row_misses = r.u64()?;
-        d.stats.row_conflicts = r.u64()?;
-        d.stats.refresh_delays = r.u64()?;
+        d.stats.restore(r)?;
         Ok(d)
     }
 

@@ -29,7 +29,7 @@
 //! so a faulted run stays deterministic and its timing stays auditable.
 
 use std::fmt;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Counters, Reader, WireError, Writer};
 
 /// Where an injected bit flip lands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,36 +266,19 @@ impl FaultStats {
         }
     }
 
-    /// Serialises the counters (checkpoint support).
-    pub(crate) fn save(&self, w: &mut Writer) {
-        for v in [
-            self.injected,
-            self.detected_parity,
-            self.detected_translation,
-            self.detected_visibility,
-            self.detected_decode,
-            self.contained,
-            self.silent,
-            self.masked,
-            self.emergency_rerands,
-        ] {
-            w.u64(v);
-        }
-    }
+}
 
-    /// Rebuilds [`FaultStats::save`] output.
-    pub(crate) fn restore(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
-        Ok(FaultStats {
-            injected: r.u64()?,
-            detected_parity: r.u64()?,
-            detected_translation: r.u64()?,
-            detected_visibility: r.u64()?,
-            detected_decode: r.u64()?,
-            contained: r.u64()?,
-            silent: r.u64()?,
-            masked: r.u64()?,
-            emergency_rerands: r.u64()?,
-        })
+impl Counters for FaultStats {
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+        f("injected", &mut self.injected);
+        f("detected.parity", &mut self.detected_parity);
+        f("detected.translation", &mut self.detected_translation);
+        f("detected.visibility", &mut self.detected_visibility);
+        f("detected.decode", &mut self.detected_decode);
+        f("contained", &mut self.contained);
+        f("silent", &mut self.silent);
+        f("masked", &mut self.masked);
+        f("emergency_rerands", &mut self.emergency_rerands);
     }
 }
 

@@ -37,7 +37,6 @@ use crate::mediation::Mode;
 use crate::session::{outcome_of, Session};
 use crate::stats::SimStats;
 use std::mem;
-use vcfr_core::DrcStats;
 use vcfr_isa::wire::{Reader, WireError, Writer};
 use vcfr_isa::{Machine, RunOutcome};
 
@@ -246,59 +245,11 @@ impl<'a> MultiCore<'a> {
 fn aggregate(per_core: &[SimStats], shared: &SharedLevel) -> SimStats {
     let mut agg = SimStats::default();
     for s in per_core {
-        agg.instructions += s.instructions;
-        agg.cycles += s.cycles;
-        add_cache(&mut agg.il1, &s.il1);
-        add_cache(&mut agg.dl1, &s.dl1);
-        add_tlb(&mut agg.itlb, &s.itlb);
-        add_tlb(&mut agg.dtlb, &s.dtlb);
-        let b = &mut agg.branch;
-        b.predictions += s.branch.predictions;
-        b.mispredictions += s.branch.mispredictions;
-        b.btb_lookups += s.branch.btb_lookups;
-        b.btb_misses += s.branch.btb_misses;
-        b.btb_wrong_target += s.branch.btb_wrong_target;
-        b.ras_predictions += s.branch.ras_predictions;
-        b.ras_mispredictions += s.branch.ras_mispredictions;
-        agg.drc = match (agg.drc, s.drc) {
-            (None, d) => d,
-            (Some(a), None) => Some(a),
-            (Some(a), Some(d)) => Some(DrcStats {
-                lookups: a.lookups + d.lookups,
-                misses: a.misses + d.misses,
-                derand_lookups: a.derand_lookups + d.derand_lookups,
-                rand_lookups: a.rand_lookups + d.rand_lookups,
-            }),
-        };
-        agg.drc_walk_cycles += s.drc_walk_cycles;
-        agg.fetch_stall_cycles += s.fetch_stall_cycles;
-        agg.load_stall_cycles += s.load_stall_cycles;
-        agg.redirect_stall_cycles += s.redirect_stall_cycles;
-        agg.l2_reads_from_l1 += s.l2_reads_from_l1;
-        agg.exec_extra_cycles += s.exec_extra_cycles;
-        agg.rerand_epochs += s.rerand_epochs;
-        agg.rerand_stall_cycles += s.rerand_stall_cycles;
-        agg.contention_stall_cycles += s.contention_stall_cycles;
+        agg.add(s);
     }
     agg.l2 = shared.l2.stats();
     agg.dram = shared.dram.stats();
     agg
-}
-
-fn add_cache(a: &mut CacheStats, b: &CacheStats) {
-    a.accesses += b.accesses;
-    a.misses += b.misses;
-    a.writes += b.writes;
-    a.writebacks += b.writebacks;
-    a.prefetches_issued += b.prefetches_issued;
-    a.prefetch_hits += b.prefetch_hits;
-    a.prefetch_unused_evictions += b.prefetch_unused_evictions;
-}
-
-fn add_tlb(a: &mut crate::tlb::TlbStats, b: &crate::tlb::TlbStats) {
-    a.accesses += b.accesses;
-    a.misses += b.misses;
-    a.visibility_faults += b.visibility_faults;
 }
 
 /// Runs several programs concurrently on private in-order cores over a

@@ -6,7 +6,7 @@
 use crate::config::{BtbConfig, GshareConfig, SimConfig};
 use crate::hierarchy::MemoryHierarchy;
 use crate::mediation::{Mediation, Mode};
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Counters, Reader, WireError, Writer};
 use vcfr_isa::{Addr, ControlFlow};
 
 /// Direction-predictor counters.
@@ -26,6 +26,18 @@ pub struct BranchStats {
     pub ras_predictions: u64,
     /// RAS mispredictions (overflowed or clobbered stack).
     pub ras_mispredictions: u64,
+}
+
+impl Counters for BranchStats {
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+        f("prediction", &mut self.predictions);
+        f("misprediction", &mut self.mispredictions);
+        f("btb.lookup", &mut self.btb_lookups);
+        f("btb.miss", &mut self.btb_misses);
+        f("btb.wrong_target", &mut self.btb_wrong_target);
+        f("ras.prediction", &mut self.ras_predictions);
+        f("ras.misprediction", &mut self.ras_mispredictions);
+    }
 }
 
 impl BranchStats {
@@ -409,18 +421,8 @@ impl Predictors {
         self.gshare.save(w);
         self.btb.save(w);
         self.ras.save(w);
-        let b = &self.stats;
-        for v in [
-            b.predictions,
-            b.mispredictions,
-            b.btb_lookups,
-            b.btb_misses,
-            b.btb_wrong_target,
-            b.ras_predictions,
-            b.ras_mispredictions,
-        ] {
-            w.u64(v);
-        }
+        let mut stats = self.stats;
+        stats.save(w);
     }
 
     /// Rebuilds [`Predictors::save`] output under the same `cfg`.
@@ -429,15 +431,7 @@ impl Predictors {
         p.gshare = Gshare::restore(cfg.gshare, r)?;
         p.btb = Btb::restore(cfg.btb, r)?;
         p.ras = Ras::restore(r)?;
-        p.stats = BranchStats {
-            predictions: r.u64()?,
-            mispredictions: r.u64()?,
-            btb_lookups: r.u64()?,
-            btb_misses: r.u64()?,
-            btb_wrong_target: r.u64()?,
-            ras_predictions: r.u64()?,
-            ras_mispredictions: r.u64()?,
-        };
+        p.stats.restore(r)?;
         Ok(p)
     }
 }

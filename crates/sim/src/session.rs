@@ -36,7 +36,7 @@ use crate::mediation::Mode;
 use crate::multicore::{MultiCore, MultiCoreOutput};
 use crate::ooo::{OooConfig, OooEngine};
 use crate::stats::SimStats;
-use vcfr_isa::wire::{Reader, WireError};
+use vcfr_isa::wire::{Counters, Reader, WireError};
 use vcfr_isa::{
     Addr, Machine, RunOutcome, SectionKind, StopReason, SuperblockCache, SuperblockLookup,
     SUPERBLOCK_MAX_INSTS,
@@ -765,7 +765,8 @@ impl<'a> Session<'a> {
             Backend::Multicore(mc) => mc.save(&self.modes, &mut w),
         }
         w.u64(self.fault_idx as u64);
-        self.faults.save(&mut w);
+        let mut faults = self.faults;
+        faults.save(&mut w);
         w.u64(self.records.len() as u64);
         for rec in &self.records {
             rec.save(&mut w);
@@ -823,7 +824,8 @@ impl<'a> Session<'a> {
         } else if fault_idx > 0 {
             return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
         }
-        let faults = FaultStats::restore(&mut r).map_err(wire)?;
+        let mut faults = FaultStats::default();
+        faults.restore(&mut r).map_err(wire)?;
         let n_records = r.u64().map_err(wire)?;
         if n_records != fault_idx as u64 {
             return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));

@@ -9,7 +9,7 @@ use crate::ooo::OooConfig;
 use crate::predict::{BranchStats, Predictors};
 use crate::tlb::TlbStats;
 use vcfr_core::DrcStats;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Counters, Reader, WireError, Writer};
 
 /// Everything measured during one run of the cycle simulator.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -141,57 +141,57 @@ impl SimStats {
         }
     }
 
-    /// Serialises every counter (checkpoint support). The field order is
-    /// fixed by this method and its inverse; bumping it requires a new
-    /// checkpoint format version.
+    /// The counters that open the checkpoint block, then the component
+    /// blocks, in checkpoint order under their manifest names (a block's
+    /// own names follow its prefix). The DRC block and
+    /// [`SimStats::closing`] come after them.
+    fn opening(&mut self) -> [(&'static str, &mut dyn Counters); 9] {
+        [
+            ("sim.instructions", &mut self.instructions),
+            ("sim.cycles", &mut self.cycles),
+            ("sim.il1.", &mut self.il1),
+            ("sim.dl1.", &mut self.dl1),
+            ("sim.l2.", &mut self.l2),
+            ("sim.itlb.", &mut self.itlb),
+            ("sim.dtlb.", &mut self.dtlb),
+            ("sim.dram.", &mut self.dram),
+            ("sim.branch.", &mut self.branch),
+        ]
+    }
+
+    /// The counters that close the checkpoint block, after the DRC block.
+    fn closing(&mut self) -> [(&'static str, &mut dyn Counters); 9] {
+        [
+            ("sim.drc.walk_cycles", &mut self.drc_walk_cycles),
+            ("sim.stall.fetch", &mut self.fetch_stall_cycles),
+            ("sim.stall.load", &mut self.load_stall_cycles),
+            ("sim.stall.redirect", &mut self.redirect_stall_cycles),
+            ("sim.l2.reads_from_l1", &mut self.l2_reads_from_l1),
+            ("sim.exec.extra_cycles", &mut self.exec_extra_cycles),
+            ("sim.rerand.epochs", &mut self.rerand_epochs),
+            ("sim.stall.rerand", &mut self.rerand_stall_cycles),
+            ("sim.stall.contention", &mut self.contention_stall_cycles),
+        ]
+    }
+
+    /// Serialises every counter (checkpoint support): the opening blocks,
+    /// the DRC block behind a presence tag, then the closing counters.
+    /// Reordering either list requires a new checkpoint format version.
     pub fn save(&self, w: &mut Writer) {
-        w.u64(self.instructions);
-        w.u64(self.cycles);
-        for c in [&self.il1, &self.dl1, &self.l2] {
-            w.u64(c.accesses);
-            w.u64(c.misses);
-            w.u64(c.writes);
-            w.u64(c.writebacks);
-            w.u64(c.prefetches_issued);
-            w.u64(c.prefetch_hits);
-            w.u64(c.prefetch_unused_evictions);
+        let mut s = *self;
+        for (_, block) in s.opening() {
+            block.save(w);
         }
-        for t in [&self.itlb, &self.dtlb] {
-            w.u64(t.accesses);
-            w.u64(t.misses);
-            w.u64(t.visibility_faults);
-        }
-        w.u64(self.dram.accesses);
-        w.u64(self.dram.row_hits);
-        w.u64(self.dram.row_misses);
-        w.u64(self.dram.row_conflicts);
-        w.u64(self.dram.refresh_delays);
-        w.u64(self.branch.predictions);
-        w.u64(self.branch.mispredictions);
-        w.u64(self.branch.btb_lookups);
-        w.u64(self.branch.btb_misses);
-        w.u64(self.branch.btb_wrong_target);
-        w.u64(self.branch.ras_predictions);
-        w.u64(self.branch.ras_mispredictions);
-        match self.drc {
+        match &mut s.drc {
             Some(d) => {
                 w.u8(1);
-                w.u64(d.lookups);
-                w.u64(d.misses);
-                w.u64(d.derand_lookups);
-                w.u64(d.rand_lookups);
+                d.save(w);
             }
             None => w.u8(0),
         }
-        w.u64(self.drc_walk_cycles);
-        w.u64(self.fetch_stall_cycles);
-        w.u64(self.load_stall_cycles);
-        w.u64(self.redirect_stall_cycles);
-        w.u64(self.l2_reads_from_l1);
-        w.u64(self.exec_extra_cycles);
-        w.u64(self.rerand_epochs);
-        w.u64(self.rerand_stall_cycles);
-        w.u64(self.contention_stall_cycles);
+        for (_, block) in s.closing() {
+            block.save(w);
+        }
     }
 
     /// Rebuilds the counters from [`SimStats::save`] output.
@@ -200,116 +200,61 @@ impl SimStats {
     ///
     /// [`WireError`] on truncated input or a malformed DRC tag.
     pub fn restore(r: &mut Reader<'_>) -> Result<SimStats, WireError> {
-        let mut s = SimStats { instructions: r.u64()?, cycles: r.u64()?, ..SimStats::default() };
-        let cache = |r: &mut Reader<'_>| -> Result<CacheStats, WireError> {
-            Ok(CacheStats {
-                accesses: r.u64()?,
-                misses: r.u64()?,
-                writes: r.u64()?,
-                writebacks: r.u64()?,
-                prefetches_issued: r.u64()?,
-                prefetch_hits: r.u64()?,
-                prefetch_unused_evictions: r.u64()?,
-            })
-        };
-        s.il1 = cache(r)?;
-        s.dl1 = cache(r)?;
-        s.l2 = cache(r)?;
-        let tlb = |r: &mut Reader<'_>| -> Result<TlbStats, WireError> {
-            Ok(TlbStats { accesses: r.u64()?, misses: r.u64()?, visibility_faults: r.u64()? })
-        };
-        s.itlb = tlb(r)?;
-        s.dtlb = tlb(r)?;
-        s.dram = DramStats {
-            accesses: r.u64()?,
-            row_hits: r.u64()?,
-            row_misses: r.u64()?,
-            row_conflicts: r.u64()?,
-            refresh_delays: r.u64()?,
-        };
-        s.branch = BranchStats {
-            predictions: r.u64()?,
-            mispredictions: r.u64()?,
-            btb_lookups: r.u64()?,
-            btb_misses: r.u64()?,
-            btb_wrong_target: r.u64()?,
-            ras_predictions: r.u64()?,
-            ras_mispredictions: r.u64()?,
-        };
+        let mut s = SimStats::default();
+        for (_, block) in s.opening() {
+            block.restore(r)?;
+        }
         s.drc = match r.u8()? {
             0 => None,
-            1 => Some(DrcStats {
-                lookups: r.u64()?,
-                misses: r.u64()?,
-                derand_lookups: r.u64()?,
-                rand_lookups: r.u64()?,
-            }),
+            1 => {
+                let mut d = DrcStats::default();
+                d.restore(r)?;
+                Some(d)
+            }
             tag => return Err(WireError::BadTag { tag }),
         };
-        s.drc_walk_cycles = r.u64()?;
-        s.fetch_stall_cycles = r.u64()?;
-        s.load_stall_cycles = r.u64()?;
-        s.redirect_stall_cycles = r.u64()?;
-        s.l2_reads_from_l1 = r.u64()?;
-        s.exec_extra_cycles = r.u64()?;
-        s.rerand_epochs = r.u64()?;
-        s.rerand_stall_cycles = r.u64()?;
-        s.contention_stall_cycles = r.u64()?;
+        for (_, block) in s.closing() {
+            block.restore(r)?;
+        }
         Ok(s)
+    }
+
+    /// Adds `other` counter by counter (the multicore sum); a DRC block on
+    /// either side is kept.
+    pub fn add(&mut self, other: &SimStats) {
+        let mut o = *other;
+        for ((_, a), (_, b)) in self.opening().into_iter().zip(o.opening()) {
+            a.add(b);
+        }
+        self.drc = match (self.drc, o.drc) {
+            (Some(mut a), Some(mut b)) => {
+                a.add(&mut b);
+                Some(a)
+            }
+            (a, b) => a.or(b),
+        };
+        for ((_, a), (_, b)) in self.closing().into_iter().zip(o.closing()) {
+            a.add(b);
+        }
     }
 
     /// Every counter as a registry snapshot under hierarchical `sim.*`
     /// names (`sim.il1.miss`, `sim.drc.walk_cycles`, …) — the manifest
-    /// `counters` block.
+    /// `counters` block. A run without a DRC omits the DRC's counters.
     pub fn snapshot(&self) -> vcfr_obs::Snapshot {
-        let mut counters = vec![
-            ("sim.instructions".into(), self.instructions),
-            ("sim.cycles".into(), self.cycles),
-            ("sim.exec.extra_cycles".into(), self.exec_extra_cycles),
-            ("sim.stall.fetch".into(), self.fetch_stall_cycles),
-            ("sim.stall.load".into(), self.load_stall_cycles),
-            ("sim.stall.redirect".into(), self.redirect_stall_cycles),
-            ("sim.l2.reads_from_l1".into(), self.l2_reads_from_l1),
-            ("sim.drc.walk_cycles".into(), self.drc_walk_cycles),
-            ("sim.rerand.epochs".into(), self.rerand_epochs),
-            ("sim.stall.rerand".into(), self.rerand_stall_cycles),
-            ("sim.stall.contention".into(), self.contention_stall_cycles),
-        ];
-        let mut cache = |name: &str, c: &CacheStats| {
-            counters.push((format!("sim.{name}.access"), c.accesses));
-            counters.push((format!("sim.{name}.miss"), c.misses));
-            counters.push((format!("sim.{name}.write"), c.writes));
-            counters.push((format!("sim.{name}.writeback"), c.writebacks));
-            counters.push((format!("sim.{name}.prefetch.issued"), c.prefetches_issued));
-            counters.push((format!("sim.{name}.prefetch.hit"), c.prefetch_hits));
-            counters
-                .push((format!("sim.{name}.prefetch.unused_eviction"), c.prefetch_unused_evictions));
+        let mut s = *self;
+        let mut counters = Vec::new();
+        let mut name = |prefix: &str, block: &mut dyn Counters| {
+            counters.extend(block.named().into_iter().map(|(n, v)| (format!("{prefix}{n}"), v)));
         };
-        cache("il1", &self.il1);
-        cache("dl1", &self.dl1);
-        cache("l2", &self.l2);
-        for (name, t) in [("itlb", &self.itlb), ("dtlb", &self.dtlb)] {
-            counters.push((format!("sim.{name}.access"), t.accesses));
-            counters.push((format!("sim.{name}.miss"), t.misses));
-            counters.push((format!("sim.{name}.visibility_fault"), t.visibility_faults));
+        for (prefix, block) in s.opening() {
+            name(prefix, block);
         }
-        counters.push(("sim.dram.access".into(), self.dram.accesses));
-        counters.push(("sim.dram.row_hit".into(), self.dram.row_hits));
-        counters.push(("sim.dram.row_miss".into(), self.dram.row_misses));
-        counters.push(("sim.dram.row_conflict".into(), self.dram.row_conflicts));
-        counters.push(("sim.dram.refresh_delay".into(), self.dram.refresh_delays));
-        counters.push(("sim.branch.prediction".into(), self.branch.predictions));
-        counters.push(("sim.branch.misprediction".into(), self.branch.mispredictions));
-        counters.push(("sim.branch.btb.lookup".into(), self.branch.btb_lookups));
-        counters.push(("sim.branch.btb.miss".into(), self.branch.btb_misses));
-        counters.push(("sim.branch.btb.wrong_target".into(), self.branch.btb_wrong_target));
-        counters.push(("sim.branch.ras.prediction".into(), self.branch.ras_predictions));
-        counters.push(("sim.branch.ras.misprediction".into(), self.branch.ras_mispredictions));
-        if let Some(d) = self.drc {
-            counters.push(("sim.drc.lookup".into(), d.lookups));
-            counters.push(("sim.drc.miss".into(), d.misses));
-            counters.push(("sim.drc.derand_lookup".into(), d.derand_lookups));
-            counters.push(("sim.drc.rand_lookup".into(), d.rand_lookups));
+        if let Some(d) = &mut s.drc {
+            name("sim.drc.", d);
+        }
+        for (prefix, block) in s.closing() {
+            name(prefix, block);
         }
         vcfr_obs::Snapshot::from_counters(counters)
     }
@@ -370,6 +315,108 @@ mod tests {
             assert!(r.is_exhausted());
             assert_eq!(back, stats);
         }
+    }
+
+    /// The numbers in a block's `Debug` form, sorted.
+    fn debug_numbers(block: &impl std::fmt::Debug) -> Vec<u64> {
+        let text = format!("{block:?}");
+        let mut out: Vec<u64> = text
+            .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+            .filter_map(|t| t.parse().ok())
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Fills `block` through its list with distinct values from `next`
+    /// and returns them in list order.
+    fn fill(block: &mut dyn Counters, next: &mut u64) -> Vec<u64> {
+        let mut values = Vec::new();
+        block.visit(&mut |_, v| {
+            *v = *next;
+            values.push(*next);
+            *next += 1;
+        });
+        values
+    }
+
+    fn round_trip<T>(s: &T, save: impl Fn(&T, &mut Writer), restore: impl Fn(&mut Reader) -> T) -> T {
+        let mut w = Writer::with_magic(*b"VCFRTEST");
+        save(s, &mut w);
+        let buf = w.into_bytes();
+        let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
+        let back = restore(&mut r);
+        assert!(r.is_exhausted());
+        back
+    }
+
+    fn check_block<B: Counters + Copy + Default + PartialEq + std::fmt::Debug>(name: &str) {
+        let mut block = B::default();
+        let mut values = fill(&mut block, &mut 100);
+        let mut names: Vec<&str> = block.named().into_iter().map(|(n, _)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), values.len(), "{name}: a name repeats");
+        values.sort_unstable();
+        assert_eq!(debug_numbers(&block), values, "{name}: every field once, in the list");
+        let back = round_trip(
+            &block,
+            |b, w| {
+                let mut b = *b;
+                b.save(w);
+            },
+            |r| {
+                let mut b = B::default();
+                b.restore(r).unwrap();
+                b
+            },
+        );
+        assert_eq!(back, block, "{name} round-trips");
+        let (mut sum, mut addend) = (block, block);
+        sum.add(&mut addend);
+        let doubled: Vec<u64> = values.iter().map(|v| 2 * v).collect();
+        assert_eq!(debug_numbers(&sum), doubled, "{name} sums field by field");
+    }
+
+    #[test]
+    fn every_counter_block_walks_one_list() {
+        check_block::<CacheStats>("CacheStats");
+        check_block::<TlbStats>("TlbStats");
+        check_block::<DramStats>("DramStats");
+        check_block::<BranchStats>("BranchStats");
+        check_block::<DrcStats>("DrcStats");
+        check_block::<crate::FaultStats>("FaultStats");
+
+        // SimStats walks its own counters and every component block.
+        let mut s = SimStats { drc: Some(DrcStats::default()), ..SimStats::default() };
+        let mut next = 100;
+        let mut values = Vec::new();
+        for (_, block) in s.opening() {
+            values.extend(fill(block, &mut next));
+        }
+        values.extend(fill(s.drc.as_mut().unwrap(), &mut next));
+        for (_, block) in s.closing() {
+            values.extend(fill(block, &mut next));
+        }
+        values.sort_unstable();
+        assert_eq!(debug_numbers(&s), values, "SimStats: every field once, in the lists");
+        let snap = s.snapshot();
+        assert_eq!(snap.counters.len(), values.len(), "every counter has its own name");
+        let mut named: Vec<u64> = snap.counters.iter().map(|&(_, v)| v).collect();
+        named.sort_unstable();
+        assert_eq!(named, values);
+        for stats in [s, SimStats::default()] {
+            assert_eq!(round_trip(&stats, SimStats::save, |r| SimStats::restore(r).unwrap()), stats);
+        }
+        let mut sum = s;
+        sum.add(&s);
+        let doubled: Vec<u64> = values.iter().map(|v| 2 * v).collect();
+        assert_eq!(debug_numbers(&sum), doubled, "SimStats sums field by field");
+        // A core without a DRC adds nothing to the DRC block, either way.
+        let mut sum = SimStats::default();
+        sum.add(&s);
+        sum.add(&SimStats::default());
+        assert_eq!(sum, s);
     }
 
     #[test]

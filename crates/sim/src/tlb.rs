@@ -13,7 +13,7 @@
 //! scan only runs on capacity misses.
 
 use crate::flatmap::FlatMap;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Counters, Reader, WireError, Writer};
 use vcfr_isa::Addr;
 
 const PAGE_SHIFT: u32 = 12;
@@ -27,6 +27,14 @@ pub struct TlbStats {
     pub misses: u64,
     /// User-mode accesses rejected because the page is invisible.
     pub visibility_faults: u64,
+}
+
+impl Counters for TlbStats {
+    fn visit(&mut self, f: &mut dyn FnMut(&'static str, &mut u64)) {
+        f("access", &mut self.accesses);
+        f("miss", &mut self.misses);
+        f("visibility_fault", &mut self.visibility_faults);
+    }
 }
 
 impl TlbStats {
@@ -152,9 +160,8 @@ impl Tlb {
         for p in &self.invisible {
             w.u32(*p);
         }
-        w.u64(self.stats.accesses);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.visibility_faults);
+        let mut stats = self.stats;
+        stats.save(w);
         w.u64(self.tick);
     }
 
@@ -193,9 +200,7 @@ impl Tlb {
         for _ in 0..n_invisible {
             tlb.invisible.push(r.u32()?);
         }
-        tlb.stats.accesses = r.u64()?;
-        tlb.stats.misses = r.u64()?;
-        tlb.stats.visibility_faults = r.u64()?;
+        tlb.stats.restore(r)?;
         tlb.tick = r.u64()?;
         Ok(tlb)
     }

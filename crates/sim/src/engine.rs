@@ -561,11 +561,11 @@ impl<'a> Engine<'a> {
         e.exec_extra = r.u64()?;
         e.instructions = r.u64()?;
         let pushed = r.u64()?;
-        let n_trace = r.u64()?;
-        if n_trace > 1 << 24 || n_trace > pushed {
-            return Err(WireError::LengthOutOfRange { len: n_trace });
+        let n_trace = r.count(TRACE_EVENT_MIN_BYTES)?;
+        if n_trace as u64 > pushed {
+            return Err(WireError::LengthOutOfRange { len: n_trace as u64 });
         }
-        let mut items = Vec::with_capacity(n_trace as usize);
+        let mut items = Vec::with_capacity(n_trace);
         for _ in 0..n_trace {
             items.push(load_trace_event(r)?);
         }
@@ -607,12 +607,13 @@ pub(crate) fn save_queue(q: &VecDeque<u64>, w: &mut Writer) {
 
 /// Reads [`save_queue`] output.
 pub(crate) fn load_queue(r: &mut Reader<'_>) -> Result<VecDeque<u64>, WireError> {
-    let n = r.u64()?;
-    if n > 1 << 20 {
-        return Err(WireError::LengthOutOfRange { len: n });
-    }
+    let n = r.count(8)?;
     (0..n).map(|_| r.u64()).collect()
 }
+
+/// The fewest bytes a saved trace event takes: its sequence number, pc,
+/// cycle and kind tag.
+const TRACE_EVENT_MIN_BYTES: usize = 8 + 4 + 8 + 1;
 
 fn save_trace_event(e: &TraceEvent, w: &mut Writer) {
     w.u64(e.seq);

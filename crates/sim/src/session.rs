@@ -834,11 +834,9 @@ impl<'a> Session<'a> {
             .map(|_| FaultRecord::restore(&mut r))
             .collect::<Result<Vec<_>, _>>()
             .map_err(wire)?;
-        let n_samples = r.u64().map_err(wire)?;
-        if n_samples > 1 << 32 {
-            return Err(wire(WireError::LengthOutOfRange { len: n_samples }));
-        }
-        let mut samples = Vec::with_capacity(n_samples as usize);
+        // A sample is six `u64`s.
+        let n_samples = r.count(6 * 8).map_err(wire)?;
+        let mut samples = Vec::with_capacity(n_samples);
         for _ in 0..n_samples {
             samples.push(IntervalSample {
                 first_inst: r.u64().map_err(wire)?,
@@ -991,6 +989,30 @@ mod tests {
             same.restore(&bad),
             Err(VcfrError::Checkpoint(CheckpointError::Corrupt))
         ));
+    }
+
+    /// A checkpoint whose sample count claims 2^32 samples, resealed so
+    /// its hash checks out, is a wire error: restore sizes the samples
+    /// by the bytes left, not by the count.
+    #[test]
+    fn a_forged_sample_count_is_a_wire_error() {
+        let img = workload();
+        let cfg = SimConfig::default();
+        let mut s = Session::new(Mode::Baseline(&img), &cfg, 10_000).unwrap();
+        s.run_for(2_000).unwrap();
+        let payload = checkpoint::open(&s.checkpoint(), s.context()).unwrap().to_vec();
+        // With sampling off, the payload ends with the sample count, no
+        // samples, the last sample's stats and the next sample point.
+        let mut w = vcfr_isa::wire::Writer::default();
+        s.last.save(&mut w);
+        let at = payload.len() - 8 - w.into_bytes().len() - 8;
+        assert_eq!(payload[at..at + 8], 0u64.to_le_bytes());
+        let mut forged = checkpoint::begin(s.context());
+        for (i, &b) in payload.iter().enumerate().skip(PAYLOAD_MAGIC.len()) {
+            forged.u8(if i == at + 4 { 1 } else { b });
+        }
+        let err = s.restore(&checkpoint::seal(forged)).unwrap_err();
+        assert!(matches!(err, VcfrError::Checkpoint(CheckpointError::Wire(_))), "{err:?}");
     }
 
     /// A loop of straight-line ALU work long enough for superblocks to

@@ -61,5 +61,5 @@ pub use layout::{LayoutError, LayoutMap};
 pub use params::{
     RandParams, RandParamsError, MAX_ENTROPY_BITS, MAX_SPARSITY, MIN_ENTROPY_BITS,
 };
-pub use rerand::rerandomize;
+pub use rerand::{region_fits, rerandomize};
 pub use table::{EntryKind, TableEntry, TranslateError, TranslationTable};

@@ -10,6 +10,14 @@ use crate::{LayoutError, LayoutMap, RandAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Whether `[region_lo, region_hi)` can take a fresh draw of `map`'s
+/// instructions: it must span at least 4 bytes per instruction, the
+/// margin that keeps [`rerandomize`]'s rejection sampling cheap. A
+/// page-confined layout's region is only its text, which never fits.
+pub fn region_fits(map: &LayoutMap, region_lo: u32, region_hi: u32) -> bool {
+    region_hi > region_lo && u64::from(region_hi - region_lo) >= 4 * map.len() as u64
+}
+
 /// Draws a fresh randomized layout for the instructions of `map`, placing
 /// every instruction at a new distinct address in
 /// `[region_lo, region_hi)`.
@@ -21,10 +29,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// # Panics
 ///
-/// Panics if the region cannot hold `map.len()` distinct addresses with a
-/// comfortable margin (the region must be at least 4× the instruction
-/// count to keep rejection sampling cheap, mirroring the paper's large
-/// randomization space).
+/// Panics unless [`region_fits`]: the region must span at least 4 bytes
+/// per instruction, mirroring the paper's large randomization space.
 ///
 /// # Example
 ///
@@ -36,13 +42,12 @@ use rand::{Rng, SeedableRng};
 /// assert!(new.to_rand(OrigAddr(0x1000)).is_some());
 /// ```
 pub fn rerandomize(map: &LayoutMap, region_lo: u32, region_hi: u32, seed: u64) -> LayoutMap {
-    let span = region_hi.checked_sub(region_lo).expect("region_hi must exceed region_lo");
     assert!(
-        span as u64 >= map.len() as u64 * 4,
-        "randomization region too small: {} addresses into {} bytes",
-        map.len(),
-        span
+        region_fits(map, region_lo, region_hi),
+        "randomization region too small: {} addresses into [{region_lo:#x}, {region_hi:#x})",
+        map.len()
     );
+    let span = region_hi - region_lo;
     let mut rng = StdRng::seed_from_u64(seed);
     let (base, len) = map.range();
     let mut fresh = LayoutMap::new(base, len);

@@ -26,8 +26,8 @@ use crate::flatmap::FlatMap;
 use crate::hierarchy::MemoryHierarchy;
 use crate::tlb::Tlb;
 use vcfr_core::{
-    rerandomize, Drc, DrcConfig, DrcLookup, DrcStats, LayoutMap, OrigAddr, RandAddr, StackBitmap,
-    TranslationTable,
+    region_fits, rerandomize, Drc, DrcConfig, DrcLookup, DrcStats, LayoutMap, OrigAddr, RandAddr,
+    StackBitmap, TranslationTable,
 };
 use vcfr_isa::wire::{Reader, WireError, Writer};
 use vcfr_isa::{Addr, ControlFlow, Image, MemAccess};
@@ -280,6 +280,13 @@ impl<'a> Mediation<'a> {
         self.stack_orig.remove(slot);
     }
 
+    /// Whether the program's region can take a fresh layout (a
+    /// page-confined one cannot, so it never swaps epochs).
+    fn can_redraw(&self) -> bool {
+        let (lo, hi) = self.program.region;
+        region_fits(self.table().layout(), lo, hi)
+    }
+
     /// Swaps to a freshly re-randomized layout (§V-C): the tables are
     /// rebuilt at the same base, every live marked slot is rewritten to
     /// its new randomized return address, and the DRC is flushed.
@@ -372,7 +379,8 @@ pub(crate) enum FaultAction {
     Refetch,
     /// Quiesce for the emergency epoch swap's cycles.
     Pause(u64),
-    /// Stop the machine (a sticky table fault under the Halt policy).
+    /// Stop the machine (a sticky table fault under the Halt policy, or
+    /// one the unit cannot re-randomize away).
     Halt,
 }
 
@@ -414,13 +422,14 @@ pub(crate) fn classify_fault(
         }
         // Table slots are parity-protected too. A transient flip scrubs
         // and the slot rewrites from the layout; a sticky one keeps
-        // re-asserting and must be contained.
+        // re-asserting and must be contained: by an emergency swap under
+        // Recover, by halting under Halt or when the unit cannot redraw.
         (FaultTarget::TableSlot, Some(med)) => match (f.persistence, policy) {
             (FaultPersistence::Transient, _) => FaultOutcome::DetectedParityScrub,
-            (FaultPersistence::Sticky, ContainmentPolicy::Recover) => {
+            (FaultPersistence::Sticky, ContainmentPolicy::Recover) if med.can_redraw() => {
                 return (FaultOutcome::Contained, FaultAction::Pause(med.swap_epoch()));
             }
-            (FaultPersistence::Sticky, ContainmentPolicy::Halt) => {
+            (FaultPersistence::Sticky, _) => {
                 return (FaultOutcome::Contained, FaultAction::Halt);
             }
         },

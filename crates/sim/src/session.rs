@@ -36,6 +36,7 @@ use crate::mediation::Mode;
 use crate::multicore::{MultiCore, MultiCoreOutput};
 use crate::ooo::{OooConfig, OooEngine};
 use crate::stats::SimStats;
+use vcfr_core::region_fits;
 use vcfr_isa::wire::{Counters, Reader, WireError};
 use vcfr_isa::{
     Addr, Machine, RunOutcome, SectionKind, StopReason, SuperblockCache, SuperblockLookup,
@@ -356,14 +357,14 @@ impl<'a> Session<'a> {
             drc.validate()
                 .map_err(|e| VcfrError::Config(format!("a VCFR mode needs a valid DRC: {e}")))?;
             // An epoch swap draws every instruction a fresh address in the
-            // program's region, which must span 4 bytes per instruction.
+            // program's region.
             let (lo, hi) = program.region;
-            let n = program.layout().len() as u64;
-            if cfg.rerand_epoch.is_some() && (hi <= lo || u64::from(hi - lo) < 4 * n) {
+            if cfg.rerand_epoch.is_some() && !region_fits(program.layout(), lo, hi) {
                 return Err(VcfrError::Config(format!(
                     "rerand_epoch needs a randomization region of at least 4 bytes per \
-                     instruction, but [{lo:#x}, {hi:#x}) holds {n} instructions \
-                     (a page-confined layout's region is only its text)"
+                     instruction, but [{lo:#x}, {hi:#x}) holds {} instructions \
+                     (a page-confined layout's region is only its text)",
+                    program.layout().len()
                 )));
             }
         }

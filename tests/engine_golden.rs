@@ -30,15 +30,15 @@
 //! this table nothing would notice if the read path changed. Its epochs
 //! of 7 instructions put swaps between a call and its load.
 //!
-//! Three more tests pin configurations that used to panic inside the
-//! simulator: each must come back as a typed configuration error.
+//! Four more tests pin configurations that used to panic inside the
+//! simulator: each must come back as a typed error.
 
 use vcfr::core::DrcConfig;
 use vcfr::isa::{AluOp, Asm, Cond, Image, Reg};
 use vcfr::rewriter::{randomize, RandomizeConfig, RandomizedProgram};
 use vcfr::sim::{
-    simulate_ooo, DrcBacking, EngineKind, FaultPlan, Mode, OooConfig, Session, SessionStatus,
-    SimConfig, VcfrError,
+    simulate_ooo, DrcBacking, EngineKind, FaultPlan, FaultTarget, Mode, OooConfig, Session,
+    SessionStatus, SimConfig, SimError, VcfrError,
 };
 use vcfr::workloads::Workload;
 use vcfr_bench::FRONTIER_POINTS;
@@ -509,6 +509,27 @@ fn rerand_on_a_page_confined_layout_is_a_config_error() {
         assert!(matches!(err, VcfrError::Config(_)), "{app}: {err:?}");
         let err = vcfr::sim::simulate(mode, &cfg, BUDGET).unwrap_err();
         assert!(matches!(err, VcfrError::Config(_)), "{app}: {err:?}");
+    }
+}
+
+/// A sticky table-slot fault on a page-confined layout cannot be
+/// re-randomized away, so even the Recover policy contains it by halting,
+/// as the Halt policy does: the run ends with a typed fault naming the
+/// table slot, not a panic in the epoch swap.
+#[test]
+fn a_sticky_table_fault_on_a_page_confined_layout_halts() {
+    for app in ["sjeng", "gcc"] {
+        let w = vcfr::workloads::by_name(app).expect("known workload");
+        let rcfg = RandomizeConfig { page_confined: true, ..RandomizeConfig::with_seed(2015) };
+        let rp = randomize(&w.image, &rcfg).expect("randomizes");
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
+        let plan = FaultPlan::generate(2015, 40, 200_000);
+        let session = Session::new(mode, &SimConfig::default(), 200_000).expect("valid");
+        let err = session.with_faults(&plan).run().unwrap_err();
+        assert!(
+            matches!(err, VcfrError::Sim(SimError::Fault { target: FaultTarget::TableSlot, .. })),
+            "{app}: {err:?}"
+        );
     }
 }
 

@@ -262,12 +262,11 @@ impl SimConfig {
     /// A validated builder starting from the paper's default machine.
     ///
     /// Prefer this over struct-literal assembly: inconsistent knob
-    /// combinations (a re-randomization epoch with no DRC to flush, an
-    /// audit that needs the trace ring with tracing disabled, a zero
-    /// interval) are rejected at construction instead of surfacing as
-    /// mid-run panics.
+    /// combinations (a re-randomization epoch with no DRC to flush, a
+    /// zero epoch, an invalid DRC or core count) are rejected at
+    /// construction instead of surfacing as mid-run panics.
     pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::from_config(SimConfig::default())
+        SimConfigBuilder { cfg: SimConfig::default(), drc_entries: None }
     }
 }
 
@@ -276,67 +275,12 @@ impl SimConfig {
 pub struct SimConfigBuilder {
     cfg: SimConfig,
     drc_entries: Option<usize>,
-    audit: bool,
 }
 
 impl SimConfigBuilder {
-    /// A builder starting from an existing configuration (used by the
-    /// experiment matrix to derive ablation variants).
-    pub fn from_config(cfg: SimConfig) -> SimConfigBuilder {
-        SimConfigBuilder { cfg, drc_entries: None, audit: false }
-    }
-
-    /// Core frequency in GHz.
-    pub fn freq_ghz(mut self, v: f64) -> Self {
-        self.cfg.freq_ghz = v;
-        self
-    }
-
-    /// L1 instruction cache geometry.
-    pub fn il1(mut self, v: CacheConfig) -> Self {
-        self.cfg.il1 = v;
-        self
-    }
-
-    /// L1 data cache geometry.
-    pub fn dl1(mut self, v: CacheConfig) -> Self {
-        self.cfg.dl1 = v;
-        self
-    }
-
-    /// Unified L2 geometry.
-    pub fn l2(mut self, v: CacheConfig) -> Self {
-        self.cfg.l2 = v;
-        self
-    }
-
-    /// Next-line instruction prefetcher on/off.
-    pub fn prefetch(mut self, v: bool) -> Self {
-        self.cfg.prefetch = v;
-        self
-    }
-
-    /// Where DRC misses are serviced from.
-    pub fn drc_backing(mut self, v: DrcBacking) -> Self {
-        self.cfg.drc_backing = v;
-        self
-    }
-
-    /// Flush the DRC every N instructions (context-switch model).
-    pub fn drc_flush_interval(mut self, v: Option<u64>) -> Self {
-        self.cfg.drc_flush_interval = v;
-        self
-    }
-
     /// Live re-randomization epoch length in instructions.
     pub fn rerand_epoch(mut self, v: Option<u64>) -> Self {
         self.cfg.rerand_epoch = v;
-        self
-    }
-
-    /// Post-mortem trace ring capacity (0 disables tracing).
-    pub fn trace_events(mut self, v: usize) -> Self {
-        self.cfg.trace_events = v;
         self
     }
 
@@ -365,13 +309,6 @@ impl SimConfigBuilder {
     /// always rejected; `None` means baseline/naive-ILR (no DRC).
     pub fn drc_entries(mut self, v: Option<usize>) -> Self {
         self.drc_entries = v;
-        self
-    }
-
-    /// Declares that the run will be cycle-audited, which requires the
-    /// post-mortem trace ring to be enabled.
-    pub fn for_audit(mut self, v: bool) -> Self {
-        self.audit = v;
         self
     }
 
@@ -418,23 +355,7 @@ impl SimConfigBuilder {
                 ));
             }
         }
-        if let Some(interval) = cfg.drc_flush_interval {
-            if interval == 0 {
-                return Err(VcfrError::Config(
-                    "drc_flush_interval must be positive (use None for a single-tenant run) \
-                     (got 0)"
-                        .into(),
-                ));
-            }
-        }
         cfg.engine.validate()?;
-        if self.audit && cfg.trace_events == 0 {
-            return Err(VcfrError::Config(
-                "trace_events must be positive for a cycle audit (it fills the \
-                 post-mortem trace ring) (got 0)"
-                    .into(),
-            ));
-        }
         Ok(cfg)
     }
 }
@@ -513,8 +434,6 @@ mod tests {
             .drc_entries(Some(0))
             .build()
             .is_err());
-        assert!(SimConfig::builder().for_audit(true).trace_events(0).build().is_err());
-        assert!(SimConfig::builder().drc_flush_interval(Some(0)).build().is_err());
         assert!(SimConfig::builder()
             .engine(EngineKind::Multicore { cores: 0 })
             .build()
@@ -571,12 +490,10 @@ mod tests {
 
     #[test]
     fn builder_errors_name_the_field() {
-        let cases: [(SimConfigBuilder, &str); 5] = [
+        let cases: [(SimConfigBuilder, &str); 3] = [
             (SimConfig::builder().drc_entries(Some(0)), "drc_entries"),
             (SimConfig::builder().rerand_epoch(Some(0)), "rerand_epoch"),
-            (SimConfig::builder().drc_flush_interval(Some(0)), "drc_flush_interval"),
             (SimConfig::builder().engine(EngineKind::Multicore { cores: 0 }), "cores"),
-            (SimConfig::builder().for_audit(true).trace_events(0), "trace_events"),
         ];
         for (b, field) in cases {
             let msg = b.build().unwrap_err().to_string();
@@ -601,15 +518,8 @@ mod tests {
         let cfg = SimConfig::builder()
             .rerand_epoch(Some(50_000))
             .drc_entries(Some(128))
-            .for_audit(true)
             .build()
             .unwrap();
         assert_eq!(cfg.rerand_epoch, Some(50_000));
-        let cfg = SimConfig::builder()
-            .prefetch(false)
-            .drc_backing(DrcBacking::Dedicated { latency: 8 })
-            .build()
-            .unwrap();
-        assert!(!cfg.prefetch);
     }
 }

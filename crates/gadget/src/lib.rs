@@ -36,6 +36,6 @@ pub use attack::{AttackSurface, ChainRun};
 pub use fuzz::{
     fuzz_params, fuzz_trial, seed_corpus, splitmix64, FuzzConfig, FuzzReport, TrialReport,
 };
-pub use payload::{assemble_payload, execute_rop, templates, Payload, PayloadTemplate, Requirement};
+pub use payload::{assemble_payload, templates, Payload, PayloadTemplate, Requirement};
 pub use scanner::{classify, scan, Capability, Gadget, GadgetEnd, MAX_GADGET_LEN};
 pub use surface::{compare_surface, SurfaceComparison};

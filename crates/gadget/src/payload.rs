@@ -62,34 +62,6 @@ impl Payload {
     }
 }
 
-/// Executes a ROP chain against `image` exactly as an exploited `ret`
-/// would: the `stack_words` are written to the stack, the stack pointer
-/// is aimed past the first entry, and control jumps to the first gadget.
-///
-/// Returns the machine's stop reason ([`vcfr_isa::StopReason::Shell`] means the
-/// chain achieved code execution) — or the architectural fault that
-/// contained it.
-///
-/// # Errors
-///
-/// Propagates the fault that stopped the chain (on a randomized binary
-/// this is typically [`vcfr_isa::ExecError::BadJumpTarget`]).
-pub fn execute_rop(
-    image: &vcfr_isa::Image,
-    stack_words: &[u64],
-    budget: u64,
-) -> Result<vcfr_isa::StopReason, vcfr_isa::ExecError> {
-    let mut m = vcfr_isa::Machine::new(image);
-    let base = image.stack_top.wrapping_sub((stack_words.len() as Addr + 4) * 8);
-    for (i, w) in stack_words.iter().enumerate() {
-        m.mem_mut().write_u64(base + (i as Addr) * 8, *w);
-    }
-    let first = stack_words.first().copied().unwrap_or(0) as Addr;
-    m.set_reg(Reg::Rsp, (base + 8) as u64);
-    m.set_pc(first);
-    m.run(budget).map(|o| o.stop)
-}
-
 /// The built-in templates, modelled on ROPgadget's payload generators.
 pub fn templates() -> Vec<PayloadTemplate> {
     vec![
@@ -230,8 +202,9 @@ mod tests {
         let words = p.stack_words(&gs);
         // One filler word per pop in the load gadget.
         assert!(words.len() > p.chain.len());
-        let stop = execute_rop(&img, &words, 1_000).expect("chain runs");
-        assert_eq!(stop, vcfr_isa::StopReason::Shell, "ROP chain must pop a shell");
+        let run = crate::AttackSurface::scan(&img).launch(&words, 1_000);
+        assert!(run.shell(), "ROP chain must pop a shell: {run:?}");
+        assert!(run.steps > 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Before/after attack-surface comparison (Figure 11 and the §V-B
 //! payload experiment).
 
+use crate::attack::AttackSurface;
 use crate::payload::{assemble_payload, templates};
-use crate::scanner::{self as vcfr_gadget_scanner_alias, scan};
+use crate::scanner::Gadget;
 use vcfr_core::RandAddr;
 use vcfr_isa::Image;
 use vcfr_rewriter::RandomizedProgram;
@@ -37,17 +38,21 @@ impl SurfaceComparison {
     }
 }
 
-/// Runs the scanner and payload assembler against `image`, then against
-/// the same binary under `rp`'s randomization.
+/// Scans `image` and compares its attack surface before and after
+/// `rp`'s randomization: [`AttackSurface::against`] in one call.
+pub fn compare_surface(image: &Image, rp: &RandomizedProgram) -> SurfaceComparison {
+    AttackSurface::scan(image).against(rp)
+}
+
+/// Runs the payload assembler over `gadgets`, scanned from the original
+/// binary, then over those still mountable under `rp`'s randomization.
 ///
 /// The attacker model matches the paper's: the adversary knows the
 /// *original* binary (it is distributed publicly) but cannot observe the
 /// randomized layout; a gadget is mountable only if the address the
 /// attacker must inject — the original one — still translates, i.e. the
 /// location was left un-randomized as a fail-over.
-pub fn compare_surface(image: &Image, rp: &RandomizedProgram) -> SurfaceComparison {
-    let gadgets = scan(image);
-
+pub(crate) fn compare_gadgets(gadgets: &[Gadget], rp: &RandomizedProgram) -> SurfaceComparison {
     // A gadget is mountable after randomization only when *every* byte it
     // executes still sits at its original address: the start must be an
     // accepted un-randomized location AND each following instruction of
@@ -57,7 +62,7 @@ pub fn compare_surface(image: &Image, rp: &RandomizedProgram) -> SurfaceComparis
     let identity = |addr: vcfr_isa::Addr| {
         rp.table.derand(RandAddr(addr)).map(|o| o.raw() == addr).unwrap_or(false)
     };
-    let gadget_usable = |g: &vcfr_gadget_scanner_alias::Gadget| {
+    let gadget_usable = |g: &Gadget| {
         let mut a = g.addr;
         g.insts.iter().all(|i| {
             let ok = identity(a);
@@ -76,7 +81,7 @@ pub fn compare_surface(image: &Image, rp: &RandomizedProgram) -> SurfaceComparis
         .collect();
     let ts = templates();
     let payloads_before =
-        ts.iter().filter(|t| assemble_payload(t, &gadgets, |_| true).is_some()).count();
+        ts.iter().filter(|t| assemble_payload(t, gadgets, |_| true).is_some()).count();
     let payloads_after =
         ts.iter().filter(|t| assemble_payload(t, &usable_pool, |_| true).is_some()).count();
 

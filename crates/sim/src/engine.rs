@@ -395,12 +395,10 @@ impl<'a> Engine<'a> {
                 ControlFlow::Call { ret_addr, .. } | ControlFlow::IndirectCall { ret_addr, .. },
             ) = info.control
             {
-                if let Some((rand, walk)) =
-                    med.randomize_return(ret_addr, &mut self.hier, exec_start)
-                {
+                if let Some(walk) = med.randomize_return(ret_addr, &mut self.hier, exec_start) {
                     trace_walk(&mut self.trace, seq, info.pc, exec_start, walk);
                     if let Some(push) = info.mem_accesses().find(|a| a.write) {
-                        med.mark_slot(push.addr, rand, ret_addr);
+                        med.mark_slot(push.addr, ret_addr);
                     }
                 }
             }

@@ -227,7 +227,9 @@ pub struct FaultStats {
     pub silent: u64,
     /// Flips landing in dead state.
     pub masked: u64,
-    /// Emergency re-randomizations triggered by sticky table faults.
+    /// Emergency re-randomizations triggered by sticky table faults:
+    /// every recorded containment is one, because a halt ends the run
+    /// before its fault is recorded.
     pub emergency_rerands: u64,
 }
 
@@ -260,7 +262,10 @@ impl FaultStats {
             FaultOutcome::DetectedTranslationFault => self.detected_translation += 1,
             FaultOutcome::DetectedVisibilityFault => self.detected_visibility += 1,
             FaultOutcome::DetectedDecodeFailure => self.detected_decode += 1,
-            FaultOutcome::Contained => self.contained += 1,
+            FaultOutcome::Contained => {
+                self.contained += 1;
+                self.emergency_rerands += 1;
+            }
             FaultOutcome::Silent => self.silent += 1,
             FaultOutcome::Masked => self.masked += 1,
         }

@@ -100,10 +100,9 @@ pub(crate) struct Mediation<'a> {
     drc: Drc,
     /// Stack slots holding a randomized return address (§IV-C).
     bitmap: StackBitmap,
-    /// The randomized value each marked slot holds.
-    stack_rand: FlatMap,
-    /// The original return address behind each marked slot, so an epoch
-    /// swap can re-randomize live slots.
+    /// The original return address behind each marked slot. The slot
+    /// holds its randomized value under the live epoch, `rand_of` it: the
+    /// DRC only caches the live tables, and every swap flushes it.
     stack_orig: FlatMap,
     /// Tables of the current epoch, a view over its layout (`None`
     /// before the first swap: the program's tables are live). They sit at
@@ -135,7 +134,6 @@ impl<'a> Mediation<'a> {
             rerand_epoch: cfg.rerand_epoch,
             drc: Drc::new(drc),
             bitmap: StackBitmap::new(),
-            stack_rand: FlatMap::new(),
             stack_orig: FlatMap::new(),
             epoch: None,
             epochs: 0,
@@ -212,17 +210,17 @@ impl<'a> Mediation<'a> {
     }
 
     /// Randomizes the return address a call pushes (one DRC lookup).
-    /// Returns the randomized value and the walk latency, or `None` when
-    /// the address has no translation.
+    /// Returns the walk latency, or `None` when the address has no
+    /// translation.
     pub(crate) fn randomize_return(
         &mut self,
         ret_addr: Addr,
         hier: &mut MemoryHierarchy,
         now: u64,
-    ) -> Option<(u32, u64)> {
+    ) -> Option<u64> {
         let table = self.epoch.as_ref().unwrap_or(&self.program.table);
         let l = self.drc.randomize(OrigAddr(ret_addr), table).ok()?;
-        Some((l.translated, self.walk(l, hier, now)))
+        Some(self.walk(l, hier, now))
     }
 
     /// De-randomizes a transfer target (its live randomized address)
@@ -259,24 +257,22 @@ impl<'a> Mediation<'a> {
         } else if matches!(control, Some(ControlFlow::Return { .. })) {
             self.clear_slot(acc.addr);
         } else if self.bitmap.is_marked(acc.addr) {
-            if let Some(v) = self.stack_rand.get(acc.addr) {
-                return self.derand(v, hier, now);
+            if let Some(orig) = self.stack_orig.get(acc.addr) {
+                return self.derand(self.rand_of(orig), hier, now);
             }
         }
         0
     }
 
-    /// Marks `slot` as holding randomized return address `rand` (of
-    /// original `orig`).
-    pub(crate) fn mark_slot(&mut self, slot: Addr, rand: u32, orig: Addr) {
+    /// Marks `slot` as holding the randomized return address of original
+    /// `orig`.
+    pub(crate) fn mark_slot(&mut self, slot: Addr, orig: Addr) {
         self.bitmap.mark(slot);
-        self.stack_rand.insert(slot, rand);
         self.stack_orig.insert(slot, orig);
     }
 
     fn clear_slot(&mut self, slot: Addr) {
         self.bitmap.clear(slot);
-        self.stack_rand.remove(slot);
         self.stack_orig.remove(slot);
     }
 
@@ -289,29 +285,16 @@ impl<'a> Mediation<'a> {
 
     /// Swaps to a freshly re-randomized layout (§V-C): the tables are
     /// rebuilt at the same base, every live marked slot is rewritten to
-    /// its new randomized return address, and the DRC is flushed.
-    /// Returns the pause: quiesce, plus the table rebuild, plus the slot
-    /// rewrites.
+    /// its new randomized return address (fail-over slots keep theirs),
+    /// and the DRC is flushed. Returns the pause: quiesce, plus the table
+    /// rebuild, plus the slot rewrites.
     fn swap_epoch(&mut self) -> u64 {
         self.epochs += 1;
         // Deterministic per epoch: seeded by the epoch ordinal alone.
         let seed = 0x5eed_0000_0000_0000u64 ^ self.epochs;
         let (lo, hi) = self.program.region;
         let table = self.epoch_tables(rerandomize(self.table().layout(), lo, hi, seed));
-        // Hardware rewrites live randomized return addresses in place;
-        // slots holding fail-over (un-randomized) addresses keep them.
-        let fresh = table.layout();
-        let remapped: Vec<(Addr, u32)> = self
-            .stack_orig
-            .iter()
-            .map(|(slot, orig)| {
-                (slot, fresh.to_rand(OrigAddr(orig)).map(|r| r.raw()).unwrap_or(orig))
-            })
-            .collect();
-        let slots = remapped.len() as u64;
-        for (slot, rand) in remapped {
-            self.stack_rand.insert(slot, rand);
-        }
+        let slots = self.stack_orig.len() as u64;
         self.drc.flush();
         let cost = RERAND_QUIESCE_CYCLES
             + table.len() as u64 * RERAND_ENTRY_CYCLES
@@ -332,7 +315,12 @@ impl<'a> Mediation<'a> {
     pub(crate) fn save(&self, w: &mut Writer) {
         self.drc.save(w);
         self.bitmap.save(w);
-        self.stack_rand.save(w);
+        // Version 5 still writes each marked slot's randomized value.
+        let mut stack_rand = self.stack_orig.clone();
+        for (slot, orig) in self.stack_orig.iter() {
+            stack_rand.insert(slot, self.rand_of(orig));
+        }
+        stack_rand.save(w);
         self.stack_orig.save(w);
         match &self.epoch {
             Some(t) => {
@@ -353,7 +341,7 @@ impl<'a> Mediation<'a> {
     pub(crate) fn restored(mut self, r: &mut Reader<'_>) -> Result<Mediation<'a>, WireError> {
         self.drc = Drc::restore(self.drc.config(), r)?;
         self.bitmap = StackBitmap::restore(r)?;
-        self.stack_rand = FlatMap::restore(r)?;
+        FlatMap::restore(r)?;
         self.stack_orig = FlatMap::restore(r)?;
         self.epoch = match r.u8()? {
             0 => None,

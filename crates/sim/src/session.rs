@@ -171,10 +171,11 @@ pub struct Session<'a> {
     max_insts: u64,
     backend: Backend<'a>,
     plan: Option<FaultPlan>,
-    fault_idx: usize,
-    /// Aggregate counters of the faults injected so far.
+    /// Aggregate counters of the faults injected so far, a fold of
+    /// `records`.
     faults: FaultStats,
-    /// Per-fault resolutions so far, in injection order.
+    /// Per-fault resolutions so far, in injection order; their count is
+    /// the cursor into the plan.
     records: Vec<FaultRecord>,
     samples: Vec<IntervalSample>,
     last: SimStats,
@@ -310,7 +311,6 @@ impl<'a> Session<'a> {
             max_insts,
             backend,
             plan: None,
-            fault_idx: 0,
             faults: FaultStats::default(),
             records: Vec::new(),
             samples: Vec::new(),
@@ -622,7 +622,7 @@ impl<'a> Session<'a> {
             .min(self.next_sample.saturating_sub(i))
             .min(self.next_progress.saturating_sub(i));
         if let Some(p) = &self.plan {
-            if let Some(f) = p.faults.get(self.fault_idx) {
+            if let Some(f) = p.faults.get(self.records.len()) {
                 n = n.min(f.at_inst.saturating_sub(i));
             }
         }
@@ -648,20 +648,14 @@ impl<'a> Session<'a> {
     fn post_step(&mut self) -> Result<(), VcfrError> {
         if let Some(p) = &self.plan {
             let n = self.backend.instructions();
-            while let Some(f) = p.faults.get(self.fault_idx) {
+            while let Some(f) = p.faults.get(self.records.len()) {
                 if f.at_inst > n {
                     break;
                 }
                 let outcome = self.backend.inject_fault(f, p.policy, n)?;
                 self.faults.record(outcome);
-                // Recover contains a sticky table fault by an emergency
-                // epoch swap.
-                if outcome == FaultOutcome::Contained {
-                    self.faults.emergency_rerands += 1;
-                }
                 let (target, persistence) = (f.target, f.persistence);
                 self.records.push(FaultRecord { at_inst: n, target, persistence, outcome });
-                self.fault_idx += 1;
             }
         }
         if self.backend.instructions() >= self.next_sample {
@@ -765,7 +759,8 @@ impl<'a> Session<'a> {
             }
             Backend::Multicore(mc) => mc.save(&self.modes, &mut w),
         }
-        w.u64(self.fault_idx as u64);
+        // Version 5 still writes the fault cursor and tally.
+        w.u64(self.records.len() as u64);
         let mut faults = self.faults;
         faults.save(&mut w);
         w.u64(self.records.len() as u64);
@@ -825,8 +820,7 @@ impl<'a> Session<'a> {
         } else if fault_idx > 0 {
             return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
         }
-        let mut faults = FaultStats::default();
-        faults.restore(&mut r).map_err(wire)?;
+        FaultStats::default().restore(&mut r).map_err(wire)?;
         let n_records = r.u64().map_err(wire)?;
         if n_records != fault_idx as u64 {
             return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
@@ -835,6 +829,10 @@ impl<'a> Session<'a> {
             .map(|_| FaultRecord::restore(&mut r))
             .collect::<Result<Vec<_>, _>>()
             .map_err(wire)?;
+        let mut faults = FaultStats::default();
+        for rec in &records {
+            faults.record(rec.outcome);
+        }
         // A sample is six `u64`s.
         let n_samples = r.count(6 * 8).map_err(wire)?;
         let mut samples = Vec::with_capacity(n_samples);
@@ -854,7 +852,6 @@ impl<'a> Session<'a> {
             return Err(wire(WireError::Truncated));
         }
         self.backend = backend;
-        self.fault_idx = fault_idx;
         self.faults = faults;
         self.records = records;
         self.samples = samples;

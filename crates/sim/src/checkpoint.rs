@@ -37,7 +37,11 @@ use vcfr_isa::wire::{Reader, WireError, Writer};
 /// Version 5 writes a re-randomized epoch once, as its layout's pairs in
 /// original-address order; restore rebuilds the epoch's tables from them
 /// with the program's fail-over set and table base.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// Version 6 drops what the rest of the payload determines: the fault
+/// cursor and tally, both folds of the fault records, and each marked
+/// stack slot's randomized value, the live epoch's translation of its
+/// original.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Magic prefix of the checkpoint envelope.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VCFRCKP1";

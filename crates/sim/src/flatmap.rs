@@ -1,11 +1,12 @@
 //! A small open-addressed hash map from [`Addr`] keys to `u32` values.
 //!
-//! The cycle engine tracks the randomized return address held by each
-//! marked stack slot. That map is consulted and mutated on the
-//! per-instruction path, where a general `HashMap` pays a SipHash per
-//! operation; this flat table instead uses a Fibonacci multiplicative
-//! hash with linear probing and backward-shift deletion, so the common
-//! case is one multiply and one probe.
+//! The mediation unit keeps the original return address behind each
+//! marked stack slot, and the TLB indexes its resident pages. Both maps
+//! are consulted and mutated on the per-instruction path, where a
+//! general `HashMap` pays a SipHash per operation; this flat table
+//! instead uses a Fibonacci multiplicative hash with linear probing and
+//! backward-shift deletion, so the common case is one multiply and one
+//! probe.
 
 use vcfr_isa::wire::{Reader, WireError, Writer};
 use vcfr_isa::Addr;
@@ -159,10 +160,10 @@ impl FlatMap {
         Some(val)
     }
 
-    /// Serialises the raw slot array (checkpoint support). The physical
-    /// probe layout is preserved — not just the entries — because
-    /// [`FlatMap::iter`] order is part of the deterministic behaviour a
-    /// restored simulation must replay.
+    /// Serialises the raw slot array (checkpoint support), so a restored
+    /// map is slot for slot the saved one. No simulation path iterates a
+    /// map, so the layout only fixes the checkpoint's bytes; a map's
+    /// insertion history decides it, the same on every host.
     pub fn save(&self, w: &mut Writer) {
         w.u64(self.slots.len() as u64);
         w.u64(self.len as u64);

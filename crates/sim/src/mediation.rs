@@ -315,12 +315,6 @@ impl<'a> Mediation<'a> {
     pub(crate) fn save(&self, w: &mut Writer) {
         self.drc.save(w);
         self.bitmap.save(w);
-        // Version 5 still writes each marked slot's randomized value.
-        let mut stack_rand = self.stack_orig.clone();
-        for (slot, orig) in self.stack_orig.iter() {
-            stack_rand.insert(slot, self.rand_of(orig));
-        }
-        stack_rand.save(w);
         self.stack_orig.save(w);
         match &self.epoch {
             Some(t) => {
@@ -341,7 +335,6 @@ impl<'a> Mediation<'a> {
     pub(crate) fn restored(mut self, r: &mut Reader<'_>) -> Result<Mediation<'a>, WireError> {
         self.drc = Drc::restore(self.drc.config(), r)?;
         self.bitmap = StackBitmap::restore(r)?;
-        FlatMap::restore(r)?;
         self.stack_orig = FlatMap::restore(r)?;
         self.epoch = match r.u8()? {
             0 => None,

@@ -37,7 +37,7 @@ use crate::multicore::{MultiCore, MultiCoreOutput};
 use crate::ooo::{OooConfig, OooEngine};
 use crate::stats::SimStats;
 use vcfr_core::region_fits;
-use vcfr_isa::wire::{Counters, Reader, WireError};
+use vcfr_isa::wire::{Reader, WireError};
 use vcfr_isa::{
     Addr, Machine, RunOutcome, SectionKind, StopReason, SuperblockCache, SuperblockLookup,
     SUPERBLOCK_MAX_INSTS,
@@ -759,10 +759,6 @@ impl<'a> Session<'a> {
             }
             Backend::Multicore(mc) => mc.save(&self.modes, &mut w),
         }
-        // Version 5 still writes the fault cursor and tally.
-        w.u64(self.records.len() as u64);
-        let mut faults = self.faults;
-        faults.save(&mut w);
         w.u64(self.records.len() as u64);
         for rec in &self.records {
             rec.save(&mut w);
@@ -812,17 +808,9 @@ impl<'a> Session<'a> {
                     .map_err(wire)?,
             ),
         };
-        let fault_idx = r.u64().map_err(wire)? as usize;
-        if let Some(p) = &self.plan {
-            if fault_idx > p.faults.len() {
-                return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
-            }
-        } else if fault_idx > 0 {
-            return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
-        }
-        FaultStats::default().restore(&mut r).map_err(wire)?;
-        let n_records = r.u64().map_err(wire)?;
-        if n_records != fault_idx as u64 {
+        // A record is its instruction count and three tags.
+        let n_records = r.count(8 + 3).map_err(wire)?;
+        if n_records > self.plan.as_ref().map_or(0, |p| p.faults.len()) {
             return Err(VcfrError::Checkpoint(CheckpointError::Corrupt));
         }
         let records = (0..n_records)

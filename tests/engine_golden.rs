@@ -124,24 +124,24 @@ const SLOT_READ_GOLDEN: &[(&str, &str)] = &[
 /// The expected digest of every mid-run checkpoint, keyed
 /// `app/engine/column`.
 const CHECKPOINT_GOLDEN: &[(&str, &str)] = &[
-    ("bzip2/inorder/base", "cd642f09cde65785"),
-    ("bzip2/inorder/vcfr128", "bdb1ed37e42a93ad"),
-    ("bzip2/inorder/vcfr64-rerand", "c019827fe291b0c2"),
-    ("bzip2/ooo/base", "54e26a4bb06f6a88"),
-    ("bzip2/ooo/vcfr128", "49dc476f676ab29d"),
-    ("bzip2/ooo/vcfr64-rerand", "ff156f6454d99c30"),
-    ("bzip2/mc2/base", "cb9b5d4678d97e8b"),
-    ("bzip2/mc2/vcfr128", "f1420f87b1376219"),
-    ("bzip2/mc2/vcfr64-rerand", "f551d13cbdf00759"),
-    ("xalan/inorder/base", "5f42d467b0370431"),
-    ("xalan/inorder/vcfr128", "8651f2234853f96c"),
-    ("xalan/inorder/vcfr64-rerand", "11d33dd9dd1076a9"),
-    ("xalan/ooo/base", "b41c59373f6a12d7"),
-    ("xalan/ooo/vcfr128", "c4563d1613ca14e5"),
-    ("xalan/ooo/vcfr64-rerand", "96c0fea9c3b13d61"),
-    ("xalan/mc2/base", "32ffb6f8985da489"),
-    ("xalan/mc2/vcfr128", "95a6bc2bab45329b"),
-    ("xalan/mc2/vcfr64-rerand", "78bada5d9e51af2b"),
+    ("bzip2/inorder/base", "715fc617f786e8a6"),
+    ("bzip2/inorder/vcfr128", "29b868bc8e32c980"),
+    ("bzip2/inorder/vcfr64-rerand", "2d16a4814abad1a5"),
+    ("bzip2/ooo/base", "1d9243a239645226"),
+    ("bzip2/ooo/vcfr128", "9647e20582f73329"),
+    ("bzip2/ooo/vcfr64-rerand", "c942a4ffb10a4278"),
+    ("bzip2/mc2/base", "6be324c013072412"),
+    ("bzip2/mc2/vcfr128", "a6381ab20b150f2d"),
+    ("bzip2/mc2/vcfr64-rerand", "0461e92bb68f8ff6"),
+    ("xalan/inorder/base", "28c3a1c1cd4c7930"),
+    ("xalan/inorder/vcfr128", "60eda6833dabea6a"),
+    ("xalan/inorder/vcfr64-rerand", "7352c07ac35c1efc"),
+    ("xalan/ooo/base", "c04423e849afd930"),
+    ("xalan/ooo/vcfr128", "77cdec820d556078"),
+    ("xalan/ooo/vcfr64-rerand", "2213af9148b8dab1"),
+    ("xalan/mc2/base", "a2e9c13d9162f20c"),
+    ("xalan/mc2/vcfr128", "a9365a77e94234ee"),
+    ("xalan/mc2/vcfr64-rerand", "6ec17a456916f26c"),
 ];
 
 /// The expected digest of every randomized program, keyed

@@ -515,11 +515,8 @@ mod tests {
 
     #[test]
     fn builder_accepts_consistent_combos() {
-        let cfg = SimConfig::builder()
-            .rerand_epoch(Some(50_000))
-            .drc_entries(Some(128))
-            .build()
-            .unwrap();
+        let cfg =
+            SimConfig::builder().rerand_epoch(Some(50_000)).drc_entries(Some(128)).build().unwrap();
         assert_eq!(cfg.rerand_epoch, Some(50_000));
     }
 }

@@ -270,7 +270,6 @@ impl FaultStats {
             FaultOutcome::Masked => self.masked += 1,
         }
     }
-
 }
 
 impl Counters for FaultStats {

@@ -297,26 +297,6 @@ mod tests {
         assert_eq!(a.contention, 10);
     }
 
-    #[test]
-    fn save_restore_roundtrip_is_exact() {
-        use vcfr_isa::wire::{Reader, Writer};
-        let mut s = SimStats { instructions: 12, cycles: 34, ..SimStats::default() };
-        s.il1.misses = 5;
-        s.branch.ras_mispredictions = 2;
-        s.drc = Some(DrcStats { lookups: 9, misses: 2, derand_lookups: 7, rand_lookups: 2 });
-        s.rerand_epochs = 3;
-        s.contention_stall_cycles = 17;
-        for stats in [s, SimStats::default()] {
-            let mut w = Writer::with_magic(*b"VCFRTEST");
-            stats.save(&mut w);
-            let buf = w.into_bytes();
-            let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
-            let back = SimStats::restore(&mut r).unwrap();
-            assert!(r.is_exhausted());
-            assert_eq!(back, stats);
-        }
-    }
-
     /// The numbers in a block's `Debug` form, sorted.
     fn debug_numbers(block: &impl std::fmt::Debug) -> Vec<u64> {
         let text = format!("{block:?}");
@@ -340,7 +320,11 @@ mod tests {
         values
     }
 
-    fn round_trip<T>(s: &T, save: impl Fn(&T, &mut Writer), restore: impl Fn(&mut Reader) -> T) -> T {
+    fn round_trip<T>(
+        s: &T,
+        save: impl Fn(&T, &mut Writer),
+        restore: impl Fn(&mut Reader) -> T,
+    ) -> T {
         let mut w = Writer::with_magic(*b"VCFRTEST");
         save(s, &mut w);
         let buf = w.into_bytes();
@@ -406,7 +390,10 @@ mod tests {
         named.sort_unstable();
         assert_eq!(named, values);
         for stats in [s, SimStats::default()] {
-            assert_eq!(round_trip(&stats, SimStats::save, |r| SimStats::restore(r).unwrap()), stats);
+            assert_eq!(
+                round_trip(&stats, SimStats::save, |r| SimStats::restore(r).unwrap()),
+                stats
+            );
         }
         let mut sum = s;
         sum.add(&s);

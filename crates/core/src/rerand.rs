@@ -13,7 +13,8 @@ use rand::{Rng, SeedableRng};
 /// Whether `[region_lo, region_hi)` can take a fresh draw of `map`'s
 /// instructions: it must span at least 4 bytes per instruction, the
 /// margin that keeps [`rerandomize`]'s rejection sampling cheap. A
-/// page-confined layout's region is only its text, which never fits.
+/// page-confined layout's region is only its text, which can fall short
+/// (sjeng's, gcc's and h264ref's do).
 pub fn region_fits(map: &LayoutMap, region_lo: u32, region_hi: u32) -> bool {
     region_hi > region_lo && u64::from(region_hi - region_lo) >= 4 * map.len() as u64
 }

@@ -277,7 +277,7 @@ impl<'a> Mediation<'a> {
     }
 
     /// Whether the program's region can take a fresh layout (a
-    /// page-confined one cannot, so it never swaps epochs).
+    /// page-confined one may not: its region is only its text).
     fn can_redraw(&self) -> bool {
         let (lo, hi) = self.program.region;
         region_fits(self.table().layout(), lo, hi)
